@@ -256,16 +256,15 @@ void Guard::InsertCacheEntryLocked(CacheShard& shard, kernel::ProcessId quota_ro
 }
 
 AuthzDecision Guard::Check(const AuthzRequest& request, const nal::Formula& goal,
-                           const nal::Proof& proof,
-                           const std::vector<nal::Formula>& credentials,
-                           uint64_t state_version, nal::FormulaId goal_id) {
-  return CheckImpl(request, goal, goal_id, proof, credentials, state_version, nullptr);
+                           const nal::Proof& proof, nal::CredentialView credentials,
+                           CredentialStamp stamp, nal::FormulaId goal_id) {
+  return CheckImpl(request, goal, goal_id, proof, credentials, stamp, nullptr);
 }
 
 AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& goal,
                                nal::FormulaId goal_id, const nal::Proof& proof,
-                               const std::vector<nal::Formula>& credentials,
-                               uint64_t state_version, const AuthorityMemo* memo) {
+                               nal::CredentialView credentials, CredentialStamp stamp,
+                               const AuthorityMemo* memo) {
   stats_.checks->Increment();
 
   if (goal == nullptr) {
@@ -286,10 +285,10 @@ AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& 
   }
 
   // Proof-cache lookup is sound only for proofs without authority leaves,
-  // and only when the caller supplied a state version (the version stamp is
-  // what ties a cached verdict to the credential set it was checked under).
+  // and only when the caller supplied a credential stamp (the stamp is what
+  // ties a cached verdict to the credential set it was checked under).
   bool static_proof = nal::IsStaticallyCacheable(proof);
-  bool may_cache = static_proof && state_version != 0;
+  bool may_cache = static_proof && stamp.enabled();
   CacheKey cache_key;
   if (may_cache) {
     if (goal_id == nal::kInvalidFormulaId) {
@@ -299,7 +298,7 @@ AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& 
     }
     // ProofHash, not the proof's address: address reuse after free must
     // not replay a dead proof's verdict for a different proof (ABA).
-    cache_key = CacheKey{goal_id, nal::ProofHash(proof), state_version};
+    cache_key = CacheKey{goal_id, nal::ProofHash(proof), stamp.ids()};
     CacheShard& shard = ShardFor(quota_root);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(cache_key);
@@ -368,7 +367,7 @@ std::vector<AuthzDecision> Guard::CheckBatch(std::span<const BatchItem> items) {
     if (!blocked[i]) {
       const BatchItem& item = items[i];
       decisions[i] = CheckImpl(item.request, item.goal, item.goal_id, item.proof,
-                               item.credentials, item.state_version, &memo);
+                               item.credentials, item.stamp, &memo);
     }
   }
   // Harvest: fold every future's answers into the memo. A lost or late
@@ -384,7 +383,7 @@ std::vector<AuthzDecision> Guard::CheckBatch(std::span<const BatchItem> items) {
     if (blocked[i]) {
       const BatchItem& item = items[i];
       decisions[i] = CheckImpl(item.request, item.goal, item.goal_id, item.proof,
-                               item.credentials, item.state_version, &memo);
+                               item.credentials, item.stamp, &memo);
     }
   }
   return decisions;

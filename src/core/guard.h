@@ -5,9 +5,12 @@
 // authorities for dynamic-state leaves, and answers an AuthzDecision
 // (allow/deny, a cacheability bit, and accounting). Proof checking is
 // amortized by an internal cache keyed on the interned goal identity, the
-// proof object, and the caller's state-version stamp — integer tuples, no
-// ToString() anywhere on the hot path. Entries are sound to reuse because
-// labels are valid indefinitely; only authority consultations are repeated.
+// proof's structural hash, and the caller's CredentialStamp — for the
+// engine, the ids of the exact subject, system and object credential
+// snapshots the check saw. All integers, no ToString() anywhere on the hot
+// path. Entries are sound to reuse because a snapshot id names one
+// immutable label set and labels are valid indefinitely; only authority
+// consultations are repeated.
 // Eviction preferentially removes the requesting principal's own entries
 // and per-process-tree quotas bound the damage of principal-spawning
 // exhaustion attacks.
@@ -37,6 +40,7 @@
 #ifndef NEXUS_CORE_GUARD_H_
 #define NEXUS_CORE_GUARD_H_
 
+#include <array>
 #include <atomic>
 #include <list>
 #include <map>
@@ -85,15 +89,44 @@ class Guard {
     uint64_t batch_collapsed_queries = 0;
   };
 
+  // What a cached verdict is keyed on besides goal and proof identity: the
+  // identity of the credential set it was checked under.
+  //  - The engine passes Snapshots(subject, system, object), the ids of the
+  //    credential snapshots it handed the check (labelstore.h). Nonzero ids
+  //    are unique and empty sets share id 0, so equal stamps mean equal
+  //    credentials — holders with empty stores share one entry.
+  //  - Callers without snapshots pass an opaque version: 0 disables verdict
+  //    caching for the check, and any other value promises that equal
+  //    versions mean equal credentials. Version v is stored as {v, v, v},
+  //    which no snapshot stamp can equal: its nonzero ids are distinct.
+  class CredentialStamp {
+   public:
+    CredentialStamp(uint64_t version = 0)  // NOLINT: implicit by design.
+        : ids_{version, version, version}, enabled_(version != 0) {}
+    static CredentialStamp Snapshots(uint64_t subject, uint64_t system, uint64_t object) {
+      CredentialStamp stamp;
+      stamp.ids_ = {subject, system, object};
+      stamp.enabled_ = true;
+      return stamp;
+    }
+    bool enabled() const { return enabled_; }
+    const std::array<uint64_t, 3>& ids() const { return ids_; }
+
+   private:
+    std::array<uint64_t, 3> ids_;
+    bool enabled_;
+  };
+
   // One unit of batched guard work: the request tuple plus everything the
-  // engine resolved for it.
+  // engine resolved for it. `credentials` is a view: the caller keeps the
+  // arrays behind it alive until CheckBatch returns.
   struct BatchItem {
     kernel::AuthzRequest request;
     nal::Formula goal;
     nal::FormulaId goal_id = nal::kInvalidFormulaId;  // Optional; interned if absent.
     nal::Proof proof;
-    std::vector<nal::Formula> credentials;
-    uint64_t state_version = 0;
+    nal::CredentialView credentials;
+    CredentialStamp stamp;
   };
 
   explicit Guard(kernel::Kernel* kernel);
@@ -114,27 +147,23 @@ class Guard {
   void AddRemoteAuthority(Authority* authority);
 
   // Full guard evaluation. `proof` may be null (denied unless the goal is
-  // `true`). `state_version` is a monotonic stamp covering everything a
-  // cached verdict depends on besides the proof object itself (label stores,
-  // proof registrations); the proof-check cache is keyed on (goal identity,
-  // proof identity, state_version), so any credential or proof change
-  // invalidates dependent entries without hashing the credential set per
-  // call. Pass 0 to disable verdict caching for this check.
+  // `true`). The proof-check cache is keyed on (goal identity, proof
+  // identity, `stamp`), so a credential change — which publishes a new
+  // snapshot id — reaches a fresh entry without hashing the credential set
+  // per call. The default stamp disables verdict caching for this check.
   // `goal_id` is the goal's interned identity if the caller already has it
   // (GoalEntry carries one); kInvalidFormulaId makes the guard intern.
   kernel::AuthzDecision Check(const kernel::AuthzRequest& request, const nal::Formula& goal,
-                              const nal::Proof& proof,
-                              const std::vector<nal::Formula>& credentials,
-                              uint64_t state_version = 0,
+                              const nal::Proof& proof, nal::CredentialView credentials,
+                              CredentialStamp stamp = {},
                               nal::FormulaId goal_id = nal::kInvalidFormulaId);
   // Legacy string surface: interns and forwards.
   kernel::AuthzDecision Check(kernel::ProcessId subject, const std::string& operation,
                               const std::string& object, const nal::Formula& goal,
-                              const nal::Proof& proof,
-                              const std::vector<nal::Formula>& credentials,
-                              uint64_t state_version = 0) {
+                              const nal::Proof& proof, nal::CredentialView credentials,
+                              CredentialStamp stamp = {}) {
     return Check(kernel::AuthzRequest::Of(subject, operation, object), goal, proof,
-                 credentials, state_version);
+                 credentials, stamp);
   }
 
   // Batched evaluation. Verdict-equivalent to calling Check per item;
@@ -163,16 +192,17 @@ class Guard {
   uint64_t remote_query_timeout_us() const { return config_.remote_query_timeout_us; }
 
  private:
-  // Proof-check cache key: three integers. FormulaId makes goal equality
+  // Proof-check cache key: integers only. FormulaId makes goal equality
   // O(1); the proof participates by its memoized STRUCTURAL hash, never by
   // address — an address key is an ABA hazard (a freed proof's storage
   // reused by a different proof would replay the old verdict; see the
   // ProofHash contract in nal/proof.h). The hash is precomputed per node,
-  // so a re-submitted proof still costs O(1) here.
+  // so a re-submitted proof still costs O(1) here. `credentials` is the
+  // CredentialStamp's ids.
   struct CacheKey {
     nal::FormulaId goal_id = nal::kInvalidFormulaId;
     uint64_t proof_hash = 0;
-    uint64_t state_version = 0;
+    std::array<uint64_t, 3> credentials{};
     friend auto operator<=>(const CacheKey&, const CacheKey&) = default;
   };
 
@@ -225,9 +255,8 @@ class Guard {
 
   kernel::AuthzDecision CheckImpl(const kernel::AuthzRequest& request,
                                   const nal::Formula& goal, nal::FormulaId goal_id,
-                                  const nal::Proof& proof,
-                                  const std::vector<nal::Formula>& credentials,
-                                  uint64_t state_version, const AuthorityMemo* memo);
+                                  const nal::Proof& proof, nal::CredentialView credentials,
+                                  CredentialStamp stamp, const AuthorityMemo* memo);
 
   struct CacheEntry {
     CacheKey key;

@@ -20,7 +20,7 @@ struct NodeInfo {
 
 class Checker {
  public:
-  Checker(const std::vector<Formula>& credentials, const AuthorityCallback& authority)
+  Checker(CredentialView credentials, const AuthorityCallback& authority)
       : credentials_(credentials), authority_(authority) {}
 
   Result<NodeInfo> Conclude(const Proof& p) {
@@ -95,17 +95,19 @@ class Checker {
     if (p->aux()->kind() == FormulaKind::kTrue) {
       return NodeInfo{p->aux(), {}, {}};
     }
-    for (const Formula& cred : credentials_) {
-      if (Equals(cred, p->aux())) {
-        NodeInfo info{p->aux(), {}, {}};
-        if (cred->kind() == FormulaKind::kSays) {
-          info.speakers.insert(cred->speaker().ToString());
-        } else {
-          // A non-says premise is attributable to no principal; poison
-          // says-introduction with a marker speaker.
-          info.speakers.insert("*unattributed*");
+    for (std::span<const Formula> part : credentials_.parts()) {
+      for (const Formula& cred : part) {
+        if (Equals(cred, p->aux())) {
+          NodeInfo info{p->aux(), {}, {}};
+          if (cred->kind() == FormulaKind::kSays) {
+            info.speakers.insert(cred->speaker().ToString());
+          } else {
+            // A non-says premise is attributable to no principal; poison
+            // says-introduction with a marker speaker.
+            info.speakers.insert("*unattributed*");
+          }
+          return info;
         }
-        return info;
       }
     }
     missing_credential_ = true;
@@ -465,7 +467,7 @@ class Checker {
     dst.open_assumptions.insert(src.open_assumptions.begin(), src.open_assumptions.end());
   }
 
-  const std::vector<Formula>& credentials_;
+  CredentialView credentials_;
   const AuthorityCallback& authority_;
   std::vector<Formula> assumptions_;
   bool used_authority_ = false;
@@ -475,7 +477,15 @@ class Checker {
 
 }  // namespace
 
-CheckResult ConcludeProof(const Proof& p, const std::vector<Formula>& credentials,
+std::vector<Formula> CredentialView::ToVector() const {
+  std::vector<Formula> out;
+  for (std::span<const Formula> part : parts()) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+CheckResult ConcludeProof(const Proof& p, CredentialView credentials,
                           const AuthorityCallback& authority) {
   CheckResult result;
   if (p == nullptr) {
@@ -496,8 +506,7 @@ CheckResult ConcludeProof(const Proof& p, const std::vector<Formula>& credential
   return result;
 }
 
-CheckResult CheckProof(const Proof& p, const Formula& goal,
-                       const std::vector<Formula>& credentials,
+CheckResult CheckProof(const Proof& p, const Formula& goal, CredentialView credentials,
                        const AuthorityCallback& authority) {
   CheckResult result = ConcludeProof(p, credentials, authority);
   if (!result.status.ok()) {

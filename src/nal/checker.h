@@ -8,7 +8,9 @@
 #ifndef NEXUS_NAL_CHECKER_H_
 #define NEXUS_NAL_CHECKER_H_
 
+#include <array>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "nal/formula.h"
@@ -34,14 +36,49 @@ struct CheckResult {
   bool missing_credential = false;
 };
 
+// The credentials a check may cite: an ordered list of spans over arrays
+// the caller owns. The engine passes its subject, system and object label
+// snapshots as three parts without flattening them into one vector; any
+// other caller passes a plain vector, which converts implicitly. The view
+// does not own its arrays: they must outlive every use of the view.
+class CredentialView {
+ public:
+  CredentialView() = default;
+  CredentialView(const std::vector<Formula>& credentials) {  // NOLINT: implicit by design.
+    Append(credentials);
+  }
+  CredentialView(std::span<const Formula> a, std::span<const Formula> b,
+                 std::span<const Formula> c) {
+    Append(a);
+    Append(b);
+    Append(c);
+  }
+
+  // The non-empty parts, in order.
+  std::span<const std::span<const Formula>> parts() const { return {parts_.data(), count_}; }
+  // The credentials concatenated in order, for callers that need a copy.
+  std::vector<Formula> ToVector() const;
+
+ private:
+  static constexpr size_t kMaxParts = 3;  // Each constructor appends at most this many.
+
+  void Append(std::span<const Formula> part) {
+    if (!part.empty()) {
+      parts_[count_++] = part;
+    }
+  }
+
+  std::array<std::span<const Formula>, kMaxParts> parts_{};
+  size_t count_ = 0;
+};
+
 // Verifies that `p` is a valid derivation from `credentials` (plus authority
 // answers) and that its conclusion instantiates `goal`.
-CheckResult CheckProof(const Proof& p, const Formula& goal,
-                       const std::vector<Formula>& credentials,
+CheckResult CheckProof(const Proof& p, const Formula& goal, CredentialView credentials,
                        const AuthorityCallback& authority = nullptr);
 
 // Verifies derivation validity only, returning the conclusion.
-CheckResult ConcludeProof(const Proof& p, const std::vector<Formula>& credentials,
+CheckResult ConcludeProof(const Proof& p, CredentialView credentials,
                           const AuthorityCallback& authority = nullptr);
 
 // Conservative static test: a proof is cacheable iff it contains no

@@ -299,6 +299,174 @@ TEST_F(AuthorizationFlowTest, GuardProofCacheHitsOnRepeatedChecks) {
   EXPECT_GT(nexus_.guard().stats().cache_hits, hits_before);
 }
 
+// The guard's proof cache used to key verdicts on a SUM of store, object-
+// label and proof-registration versions. Two credential sets with equal
+// sums shared one entry, so one subject's (or one object's) verdict
+// replayed for another. The key is now the exact snapshot ids.
+
+TEST_F(AuthorizationFlowTest, ProofCacheDoesNotReplayAcrossSubjects) {
+  // The child shares the client's quota root, so its checks land in the
+  // same guard cache shard.
+  kernel::ProcessId child = *nexus_.CreateProcess("child", ToBytes("c"), client_);
+  std::string client_name = nexus_.kernel().ProcessPrincipal(client_).ToString();
+  nal::Formula goal = F(client_name + " says ok()");
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal).ok());
+  ASSERT_TRUE(nexus_.engine().Say(client_, "ok()").ok());
+  nal::Proof proof = nal::proof::Premise(goal);
+  ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
+  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+
+  // The child holds no label. Submitting the proof twice used to raise its
+  // registration version until its sum matched the client's.
+  ASSERT_TRUE(nexus_.engine().SetProof(child, "read", "file:/secret", proof).ok());
+  ASSERT_TRUE(nexus_.engine().SetProof(child, "read", "file:/secret", proof).ok());
+  EXPECT_FALSE(nexus_.kernel().Authorize(child, "read", "file:/secret").ok());
+  EXPECT_FALSE(
+      nal::CheckProof(proof, goal, nexus_.engine().CollectCredentials(child, "file:/secret"))
+          .status.ok());
+}
+
+TEST_F(AuthorizationFlowTest, ProofCacheDoesNotReplayAcrossObjects) {
+  ASSERT_TRUE(
+      nexus_.engine().RegisterObject("file:/other", owner_, kernel::kKernelProcessId).ok());
+  nal::Formula goal = F("Owner says ok()");
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal).ok());
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/other", goal).ok());
+  // Only file:/other carries the label.
+  nexus_.engine().AddObjectLabel("file:/other", goal);
+  nal::Proof proof = nal::proof::Premise(goal);
+  ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/other", proof).ok());
+  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/other").ok());
+
+  ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
+  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
+  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(nal::CheckProof(proof, goal,
+                               nexus_.engine().CollectCredentials(client_, "file:/secret"))
+                   .status.ok());
+}
+
+// Credential freshness: a label change is visible at the very next engine
+// miss, through both the serial and the batched entry point. The engine is
+// called directly, so the kernel decision cache cannot answer for it.
+class CredentialFreshnessTest : public AuthorizationFlowTest {
+ protected:
+  // Sets `goal` on file:/secret and registers its premise proof for `subject`.
+  kernel::AuthzRequest Guarded(kernel::ProcessId subject, const nal::Formula& goal) {
+    EXPECT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal).ok());
+    EXPECT_TRUE(
+        nexus_.engine().SetProof(subject, "read", "file:/secret", nal::proof::Premise(goal))
+            .ok());
+    return kernel::AuthzRequest::Of(subject, "read", "file:/secret");
+  }
+
+  void ExpectAllowed(const kernel::AuthzRequest& request, bool allowed) {
+    EXPECT_EQ(nexus_.engine().Authorize(request).allowed(), allowed) << "Authorize";
+    EXPECT_EQ(nexus_.engine().AuthorizeBatch({&request, 1})[0].allowed(), allowed)
+        << "AuthorizeBatch";
+  }
+
+  std::string Name(kernel::ProcessId pid) {
+    return nexus_.kernel().ProcessPrincipal(pid).ToString();
+  }
+};
+
+TEST_F(CredentialFreshnessTest, Say) {
+  kernel::AuthzRequest request = Guarded(client_, F(Name(client_) + " says ok()"));
+  ExpectAllowed(request, false);
+  ASSERT_TRUE(nexus_.engine().Say(client_, "ok()").ok());
+  ExpectAllowed(request, true);
+}
+
+TEST_F(CredentialFreshnessTest, SayAs) {
+  kernel::AuthzRequest request = Guarded(client_, F("Certifier says safe()"));
+  ExpectAllowed(request, false);
+  nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe()"));
+  ExpectAllowed(request, true);
+}
+
+TEST_F(CredentialFreshnessTest, Delete) {
+  kernel::AuthzRequest request = Guarded(client_, F(Name(client_) + " says ok()"));
+  LabelHandle label = *nexus_.engine().Say(client_, "ok()");
+  ExpectAllowed(request, true);  // Now in the guard's proof cache.
+  ASSERT_TRUE(nexus_.engine().StoreFor(client_).Delete(label).ok());
+  ExpectAllowed(request, false);
+}
+
+TEST_F(CredentialFreshnessTest, Transfer) {
+  kernel::ProcessId holder = *nexus_.CreateProcess("holder", ToBytes("h"));
+  nal::Formula goal = F(Name(client_) + " says ok()");
+  kernel::AuthzRequest client_request = Guarded(client_, goal);
+  kernel::AuthzRequest holder_request = Guarded(holder, goal);
+  LabelHandle label = *nexus_.engine().Say(client_, "ok()");
+  ExpectAllowed(client_request, true);
+  ExpectAllowed(holder_request, false);
+  ASSERT_TRUE(nexus_.engine()
+                  .StoreFor(client_)
+                  .Transfer(label, nexus_.engine().StoreFor(holder))
+                  .ok());
+  ExpectAllowed(client_request, false);
+  ExpectAllowed(holder_request, true);
+}
+
+TEST_F(CredentialFreshnessTest, AddObjectLabel) {
+  kernel::AuthzRequest request = Guarded(client_, F("Owner says ok()"));
+  ExpectAllowed(request, false);
+  nexus_.engine().AddObjectLabel("file:/secret", F("Owner says ok()"));
+  ExpectAllowed(request, true);
+  // A second label republishes the object's snapshot; the first stays.
+  nexus_.engine().AddObjectLabel("file:/secret", F("Owner says more()"));
+  ExpectAllowed(request, true);
+}
+
+TEST_F(CredentialFreshnessTest, DirectSystemStoreInsert) {
+  kernel::AuthzRequest request = Guarded(client_, F("Certifier says fresh()"));
+  ExpectAllowed(request, false);
+  nexus_.engine().SystemStore().Insert(nal::Principal("Certifier"), F("fresh()"));
+  ExpectAllowed(request, true);
+}
+
+// A designated guard that allows every request and, before answering,
+// records `vetted()` in the requesting process's labelstore (the upcall
+// arrives with the subject as its caller).
+class VettingGuardHandler : public kernel::PortHandler {
+ public:
+  explicit VettingGuardHandler(Engine* engine) : engine_(engine) {}
+  kernel::IpcReply Handle(const kernel::IpcContext& context,
+                          const kernel::IpcMessage&) override {
+    EXPECT_TRUE(engine_->Say(context.caller, "vetted()").ok());
+    kernel::IpcReply reply(OkStatus());
+    reply.AddU64(0);  // Not cacheable.
+    return reply;
+  }
+
+ private:
+  Engine* engine_;
+};
+
+TEST_F(CredentialFreshnessTest, DesignatedGuardSayIsSeenLaterInTheBatch) {
+  kernel::ProcessId guard_pid = *nexus_.CreateProcess("vetting-guard", ToBytes("g"));
+  kernel::PortId guard_port = *nexus_.CreatePort(guard_pid);
+  VettingGuardHandler handler(&nexus_.engine());
+  ASSERT_TRUE(nexus_.kernel().BindHandler(guard_port, &handler).ok());
+  ASSERT_TRUE(
+      nexus_.engine().RegisterObject("file:/gate", owner_, kernel::kKernelProcessId).ok());
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/gate", F("Gate says open()"),
+                                      guard_port)
+                  .ok());
+  kernel::AuthzRequest vetted = Guarded(client_, F(Name(client_) + " says vetted()"));
+  kernel::AuthzRequest gate = kernel::AuthzRequest::Of(client_, "read", "file:/gate");
+
+  // Before the gate, the label does not exist yet; after it, it does.
+  std::vector<kernel::AuthzRequest> batch = {vetted, gate, vetted};
+  std::vector<kernel::AuthzDecision> decisions = nexus_.engine().AuthorizeBatch(batch);
+  ASSERT_EQ(decisions.size(), 3u);
+  EXPECT_FALSE(decisions[0].allowed());
+  EXPECT_TRUE(decisions[1].allowed());
+  EXPECT_TRUE(decisions[2].allowed());
+}
+
 TEST(GuardQuotaTest, PerRootQuotaEvictsOwnEntriesFirst) {
   kernel::Kernel k;
   Guard::Config config;
@@ -315,7 +483,7 @@ TEST(GuardQuotaTest, PerRootQuotaEvictsOwnEntriesFirst) {
         nal::ParseFormula("A says ok" + std::to_string(i) + "()").value();
     std::vector<nal::Formula> creds = {goal};
     guard.Check(spammer, "op", "obj" + std::to_string(i), goal, nal::proof::Premise(goal),
-                creds, /*state_version=*/1);
+                creds, /*stamp=*/1);
   }
   EXPECT_GE(guard.stats().evictions, 32u - config.per_root_quota);
   (void)goal_base;
@@ -340,7 +508,7 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
     victim_goals.push_back(goal);
     victim_proofs.push_back(nal::proof::Premise(goal));
     std::vector<nal::Formula> creds = {goal};
-    guard.Check(victim, "op", "obj", goal, victim_proofs.back(), creds, /*state_version=*/1);
+    guard.Check(victim, "op", "obj", goal, victim_proofs.back(), creds, /*stamp=*/1);
   }
 
   // The spawning-principal exhaustion attack (§2.9): way more insertions
@@ -349,7 +517,7 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
     nal::Formula goal = nal::ParseFormula("S says ok" + std::to_string(i) + "()").value();
     std::vector<nal::Formula> creds = {goal};
     guard.Check(spammer, "op", "obj", goal, nal::proof::Premise(goal), creds,
-                /*state_version=*/1);
+                /*stamp=*/1);
   }
 
   // Every victim verdict is still cached: eviction charged the spammer's
@@ -358,12 +526,12 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
   for (int i = 0; i < 4; ++i) {
     std::vector<nal::Formula> creds = {victim_goals[i]};
     guard.Check(victim, "op", "obj", victim_goals[i], victim_proofs[i], creds,
-                /*state_version=*/1);
+                /*stamp=*/1);
   }
   EXPECT_EQ(guard.stats().cache_hits, hits_before + 4);
 }
 
-TEST(GuardCacheTest, StateVersionZeroBypassesVerdictCache) {
+TEST(GuardCacheTest, ZeroStampBypassesVerdictCache) {
   kernel::Kernel k;
   Guard guard(&k);
   kernel::ProcessId subject = *k.CreateProcess("subject", ToBytes("x"));
@@ -371,20 +539,20 @@ TEST(GuardCacheTest, StateVersionZeroBypassesVerdictCache) {
   nal::Proof proof = nal::proof::Premise(goal);
   std::vector<nal::Formula> creds = {goal};
 
-  // state_version = 0 disables caching entirely: no hits on repeats, and
-  // nothing is inserted for later calls to hit.
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/0);
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/0);
+  // Stamp 0 disables caching entirely: no hits on repeats, and nothing is
+  // inserted for later calls to hit.
+  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/0);
+  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/0);
   EXPECT_EQ(guard.stats().cache_hits, 0u);
 
   // A versioned check after the bypassed ones must MISS (nothing was
   // cached), then hit on its own repeat.
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/5);
+  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/5);
   EXPECT_EQ(guard.stats().cache_hits, 0u);
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/5);
+  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/5);
   EXPECT_EQ(guard.stats().cache_hits, 1u);
   // And a bypassed check between versioned ones still refuses the cache.
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/0);
+  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/0);
   EXPECT_EQ(guard.stats().cache_hits, 1u);
 }
 
@@ -404,7 +572,7 @@ TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
 
   for (int i = 0; i < 4; ++i) {
     kernel::AuthzDecision d =
-        guard.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/1);
+        guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/1);
     EXPECT_TRUE(d.allowed());
   }
   EXPECT_EQ(guard.stats().cache_hits, 0u);  // Nothing was ever inserted.
@@ -413,8 +581,8 @@ TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
   Guard::Config no_capacity;
   no_capacity.proof_cache_capacity = 0;
   Guard uncached(&k, no_capacity);
-  uncached.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/1);
-  uncached.Check(subject, "op", "obj", goal, proof, creds, /*state_version=*/1);
+  uncached.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/1);
+  uncached.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/1);
   EXPECT_EQ(uncached.stats().cache_hits, 0u);
 }
 
@@ -435,12 +603,12 @@ TEST(GuardCacheTest, FreedProofAddressReuseDoesNotReplayVerdict) {
   for (int i = 0; i < 16; ++i) {
     nal::Proof valid = nal::proof::Premise(goal);
     kernel::AuthzDecision allowed =
-        guard.Check(subject, "op", "obj", goal, valid, creds, /*state_version=*/7);
+        guard.Check(subject, "op", "obj", goal, valid, creds, /*stamp=*/7);
     ASSERT_TRUE(allowed.allowed());
     valid.reset();  // Free the node; its storage may be reused...
     nal::Proof imposter = nal::proof::Premise(bogus);  // ...by this proof.
     kernel::AuthzDecision denied =
-        guard.Check(subject, "op", "obj", goal, imposter, creds, /*state_version=*/7);
+        guard.Check(subject, "op", "obj", goal, imposter, creds, /*stamp=*/7);
     EXPECT_FALSE(denied.allowed()) << "stale cached verdict replayed, iteration " << i;
   }
 }
@@ -456,10 +624,10 @@ TEST(GuardCacheTest, StructurallyEqualResubmittedProofStillHits) {
   std::vector<nal::Formula> creds = {goal};
 
   guard.Check(subject, "op", "obj", goal, nal::proof::Premise(goal), creds,
-              /*state_version=*/3);
+              /*stamp=*/3);
   EXPECT_EQ(guard.stats().cache_hits, 0u);
   guard.Check(subject, "op", "obj", goal, nal::proof::Premise(F("A says ok()")), creds,
-              /*state_version=*/3);
+              /*stamp=*/3);
   EXPECT_EQ(guard.stats().cache_hits, 1u);
 }
 
@@ -684,9 +852,9 @@ TEST_F(AuthorizationFlowTest, RevocationViaValidityAuthority) {
 // ----------------------------------------- Interned authorization API
 
 TEST(LabelStoreTest, TransferAdvancesBothVersionCounters) {
-  // Cached guard verdicts are keyed on state-version stamps derived from
-  // store versions: BOTH sides of a transfer must advance, or a stale
-  // verdict could survive on whichever side kept its old version.
+  // Snapshots are rebuilt when a store's version moves: BOTH sides of a
+  // transfer must advance, or a reader could keep the stale snapshot (and
+  // its cached verdicts) on whichever side kept its old version.
   LabelStore a;
   LabelStore b;
   LabelHandle h = a.Insert(nal::Principal("P"), F("fact()"));
@@ -697,6 +865,35 @@ TEST(LabelStoreTest, TransferAdvancesBothVersionCounters) {
   EXPECT_GT(b.version(), b_before);
   EXPECT_EQ(a.size(), 0u);
   EXPECT_EQ(b.size(), 1u);
+}
+
+TEST(LabelStoreTest, SnapshotsAreSharedUntilTheNextMutation) {
+  LabelStore store;
+  // Every empty store publishes the one shared empty snapshot, id 0.
+  SnapshotHandle empty = store.Snapshot();
+  EXPECT_EQ(empty, CredentialSnapshot::Empty());
+  EXPECT_EQ(empty->id, 0u);
+
+  LabelHandle h = store.Insert(nal::Principal("P"), F("fact()"));
+  SnapshotHandle first = store.Snapshot();
+  EXPECT_NE(first->id, 0u);
+  ASSERT_EQ(first->formulas.size(), 1u);
+  EXPECT_TRUE(nal::Equals(first->formulas[0], F("P says fact()")));
+  // No mutation in between: the same snapshot, not a rebuild.
+  EXPECT_EQ(store.Snapshot(), first);
+
+  LabelHandle h2 = store.Insert(nal::Principal("P"), F("other()"));
+  SnapshotHandle second = store.Snapshot();
+  EXPECT_NE(second->id, first->id);
+  EXPECT_EQ(second->formulas.size(), 2u);
+  EXPECT_EQ(first->formulas.size(), 1u);  // Old holders keep what they saw.
+
+  ASSERT_TRUE(store.Delete(h).ok());
+  EXPECT_NE(store.Snapshot()->id, second->id);
+  LabelStore other;
+  ASSERT_TRUE(store.Transfer(h2, other).ok());
+  EXPECT_EQ(store.Snapshot(), CredentialSnapshot::Empty());
+  EXPECT_EQ(other.Snapshot()->formulas.size(), 1u);
 }
 
 TEST(LabelStoreTest, InternsToCanonicalNodes) {
@@ -751,7 +948,7 @@ TEST(GuardQuotaTest, FlushCacheResetsQuotaAccounting) {
                               .value();
       std::vector<nal::Formula> creds = {goal};
       guard.Check(subject, "op", "obj", goal, nal::proof::Premise(goal), creds,
-                  /*state_version=*/1);
+                  /*stamp=*/1);
     }
   };
 
@@ -767,7 +964,7 @@ TEST(GuardQuotaTest, FlushCacheResetsQuotaAccounting) {
   nal::Formula extra = nal::ParseFormula("A says okExtra()").value();
   std::vector<nal::Formula> creds = {extra};
   guard.Check(subject, "op", "obj", extra, nal::proof::Premise(extra), creds,
-              /*state_version=*/1);
+              /*stamp=*/1);
   EXPECT_EQ(guard.stats().evictions, evictions_before + 1);
 }
 

@@ -89,7 +89,7 @@ TEST(MtAuthzStressTest, ConcurrentAuthorizeVsSetGoalInvalidations) {
     });
   }
   // The mutator races setgoal invalidations (and the odd setproof, which
-  // bumps state versions) against the workers' lookups.
+  // invalidates its tuple's cached verdict) against the workers' lookups.
   threads.emplace_back([&] {
     for (int i = 0; i < kGoalFlips; ++i) {
       std::string object = "obj" + std::to_string(i % kObjects);
@@ -540,6 +540,101 @@ TEST(MtAuthzStressTest, ConcurrentTracedAuthorizeKeepsChainsSeparate) {
   }
   EXPECT_FALSE(chain_subject.empty());
   recorder.Clear();
+}
+
+TEST(MtAuthzStressTest, ColdMissesVsLabelWritesRebuildSnapshots) {
+  // Two threads miss on cold tuples — every (subject, object) pair is asked
+  // exactly once, so every request reaches the engine and takes credential
+  // snapshots — while a third writes labels into subject stores, the
+  // system store and object labels. Each write makes the next reader
+  // rebuild a snapshot lazily: readers race each other on the rebuild, and
+  // the writer races them on the published handles.
+  Rng rng(11);
+  tpm::Tpm tpm(rng);
+  Nexus nexus(&tpm);
+  kernel::Kernel& kernel = nexus.kernel();
+  Engine& engine = nexus.engine();
+
+  constexpr int kMissers = 2;
+  constexpr int kSubjects = 48;
+  constexpr int kObjects = 16;
+  constexpr int kWrites = 300;
+
+  kernel::ProcessId owner = *nexus.CreateProcess("owner", ToBytes("o"));
+  nal::Formula goal = F("Certifier says ok(app)");
+  engine.SayAs(nal::Principal("Certifier"), F("ok(app)"));
+  std::vector<kernel::ProcessId> subjects;
+  for (int s = 0; s < kSubjects; ++s) {
+    subjects.push_back(*nexus.CreateProcess("cold" + std::to_string(s), ToBytes("c")));
+  }
+  std::vector<std::string> objects;
+  for (int o = 0; o < kObjects; ++o) {
+    objects.push_back("coldobj" + std::to_string(o));
+    ASSERT_TRUE(engine.RegisterObject(objects[o], owner, kernel::kKernelProcessId).ok());
+    ASSERT_TRUE(engine.SetGoal(owner, "use", objects[o], goal).ok());
+    for (kernel::ProcessId subject : subjects) {
+      ASSERT_TRUE(
+          engine.SetProof(subject, "use", objects[o], nal::proof::Premise(goal)).ok());
+    }
+  }
+
+  std::atomic<uint64_t> allows{0};
+  std::atomic<uint64_t> unexpected{0};
+  auto tally = [&](const Status& status) {
+    if (status.ok()) {
+      ++allows;
+    } else {
+      ++unexpected;  // The goal stays provable throughout: nothing may deny.
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kMissers; ++t) {
+    threads.emplace_back([&, t] {
+      for (int s = t; s < kSubjects; s += kMissers) {
+        // Half of each subject's tuples one at a time, half as one batch.
+        std::vector<kernel::AuthzRequest> batch;
+        for (int o = 0; o < kObjects; ++o) {
+          kernel::AuthzRequest request =
+              kernel::AuthzRequest::Of(subjects[s], "use", objects[o]);
+          if (o % 2 == 0) {
+            tally(kernel.Authorize(request));
+          } else {
+            batch.push_back(request);
+          }
+        }
+        for (const Status& status : kernel.AuthorizeBatch(batch)) {
+          tally(status);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      std::string n = "n" + std::to_string(i);
+      EXPECT_TRUE(engine.Say(subjects[i % kSubjects], "note(" + n + ")").ok());
+      engine.SayAs(nal::Principal("Certifier"), F("extra(" + n + ")"));
+      engine.AddObjectLabel(objects[i % kObjects], F("Owner says tag(" + n + ")"));
+    }
+  });
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_EQ(allows.load(), uint64_t{kSubjects} * kObjects);
+  // Post-quiescence: the last write of each kind is visible to a fresh miss.
+  const std::string last = "n" + std::to_string(kWrites - 1);
+  const kernel::ProcessId last_subject = subjects[(kWrites - 1) % kSubjects];
+  const std::string& last_object = objects[(kWrites - 1) % kObjects];
+  for (const nal::Formula& fresh :
+       {F("Certifier says extra(" + last + ")"), F("Owner says tag(" + last + ")"),
+        F(kernel.ProcessPrincipal(last_subject).ToString() + " says note(" + last + ")")}) {
+    ASSERT_TRUE(engine.SetGoal(owner, "use", last_object, fresh).ok());
+    ASSERT_TRUE(
+        engine.SetProof(last_subject, "use", last_object, nal::proof::Premise(fresh)).ok());
+    Status status = kernel.Authorize(kernel::AuthzRequest::Of(last_subject, "use", last_object));
+    EXPECT_TRUE(status.ok()) << fresh->ToString() << ": " << status.ToString();
+  }
 }
 
 }  // namespace
