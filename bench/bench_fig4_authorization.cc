@@ -144,9 +144,11 @@ void RunCase(benchmark::State& state, Case which, bool cache) {
   }
   for (auto _ : state) {
     if (which == Case::kSystemCall) {
-      benchmark::DoNotOptimize(h.nexus.kernel().Invoke(h.subject, Syscall::kNull, {}));
+      benchmark::DoNotOptimize(
+          h.nexus.kernel().Call(h.subject, SyscallIpcPort(Syscall::kNull), {}));
     } else {
-      benchmark::DoNotOptimize(h.nexus.kernel().Authorize(h.subject, "use", "bench:object"));
+      benchmark::DoNotOptimize(h.nexus.kernel().Authorize(
+          nexus::kernel::AuthzRequest::Of(h.subject, "use", "bench:object")));
     }
   }
   if (which == Case::kSystemCall) {
@@ -170,8 +172,8 @@ FIG4_CASE(g_embed_auth, Case::kEmbedAuth);
 FIG4_CASE(h_auth, Case::kAuth);
 
 // Interned-vs-string API (§2.8 made concrete): the same cached "pass" case
-// through the legacy string surface (interns per call: two string-table
-// probes before the decision-cache lookup) and through a pre-interned
+// with names interned per call (AuthzRequest::Of: two string-table probes
+// before the decision-cache lookup) and with a pre-interned
 // AuthzRequest (pure integer hashing end to end). The delta is the string
 // overhead the api redesign removes from every repeated authorization.
 void BM_e_pass_cached_string_keys(benchmark::State& state) {
@@ -179,7 +181,8 @@ void BM_e_pass_cached_string_keys(benchmark::State& state) {
   h.Reset(true);
   Configure(h, Case::kPass);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(h.subject, "use", "bench:object"));
+    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(
+        nexus::kernel::AuthzRequest::Of(h.subject, "use", "bench:object")));
   }
 }
 BENCHMARK(BM_e_pass_cached_string_keys);
@@ -253,7 +256,8 @@ void BM_ablation_subregion(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     std::string object = "bench:object";  // Same goal; rotate extra objects.
-    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(h.subject, "use", object));
+    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(
+        nexus::kernel::AuthzRequest::Of(h.subject, "use", object)));
     if (++i % 64 == 0) {
       h.nexus.kernel().OnGoalUpdate("use", "obj" + std::to_string(i % 257));
     }

@@ -116,7 +116,8 @@ void RunFull(benchmark::State& state, const ProofCase& pc) {
   h.nexus.engine().SetProof(h.subject, "use", "fig5:obj", pc.proof);
   for (auto _ : state) {
     h.nexus.guard().FlushCache();  // Measure checking, not verdict caching.
-    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(h.subject, "use", "fig5:obj"));
+    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(
+        nexus::kernel::AuthzRequest::Of(h.subject, "use", "fig5:obj")));
   }
   state.counters["rules"] = benchmark::Counter(static_cast<double>(pc.proof->Size()));
 }
@@ -147,9 +148,11 @@ void BM_cached_authorization_hit(benchmark::State& state) {
   h.nexus.engine().SetGoal(h.owner, "use", "fig5:hit", pc.goal);
   h.nexus.engine().RegisterObject("fig5:hit", h.owner, nexus::kernel::kKernelProcessId);
   h.nexus.engine().SetProof(h.subject, "use", "fig5:hit", pc.proof);
-  h.nexus.kernel().Authorize(h.subject, "use", "fig5:hit");  // Warm.
+  h.nexus.kernel().Authorize(
+      nexus::kernel::AuthzRequest::Of(h.subject, "use", "fig5:hit"));  // Warm.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(h.subject, "use", "fig5:hit"));
+    benchmark::DoNotOptimize(h.nexus.kernel().Authorize(
+        nexus::kernel::AuthzRequest::Of(h.subject, "use", "fig5:hit")));
   }
   h.nexus.kernel().set_decision_cache_enabled(false);
 }

@@ -183,7 +183,8 @@ void RunDynamicAccess(benchmark::State& state, Access mode) {
   for (auto _ : state) {
     if (mode != Access::kNone) {
       benchmark::DoNotOptimize(
-          h.nexus.kernel().Authorize(h.fauxbook.webserver_pid(), "open", "file:" + path));
+          h.nexus.kernel().Authorize(
+              nexus::kernel::AuthzRequest::Of(h.fauxbook.webserver_pid(), "open", "file:" + path)));
     }
     benchmark::DoNotOptimize(h.fauxbook.ServeDynamic(h.dynamic_user));
   }

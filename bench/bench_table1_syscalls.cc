@@ -28,10 +28,10 @@ struct Harness {
     nexus.fs().CreateFile("/bench/big", Bytes(64 * 1024, 'x'));
     IpcMessage open_msg;
     open_msg.AddString("/bench/file");
-    open_fd = nexus.kernel().Invoke(client, Syscall::kOpen, open_msg).value();
+    open_fd = nexus.kernel().Call(client, SyscallIpcPort(Syscall::kOpen), open_msg).value();
     IpcMessage open_big;
     open_big.AddString("/bench/big");
-    big_fd = nexus.kernel().Invoke(client, Syscall::kOpen, open_big).value();
+    big_fd = nexus.kernel().Call(client, SyscallIpcPort(Syscall::kOpen), open_big).value();
     nexus.kernel().scheduler().AddClient(client, 1);
   }
 
@@ -65,7 +65,7 @@ void RunSyscall(benchmark::State& state, Syscall call, bool interposition,
   uint64_t calls = 0;
   for (auto _ : state) {
     uint64_t start = nexus::ReadCycleCounter();
-    benchmark::DoNotOptimize(h.nexus.kernel().Invoke(h.client, call, msg));
+    benchmark::DoNotOptimize(h.nexus.kernel().Call(h.client, SyscallIpcPort(call), msg));
     cycles += nexus::ReadCycleCounter() - start;
     ++calls;
   }
@@ -128,12 +128,12 @@ void BM_open_nexus(benchmark::State& s) {
   open_msg.AddString("/bench/file");
   for (auto _ : s) {
     uint64_t start = nexus::ReadCycleCounter();
-    auto reply = h.nexus.kernel().Invoke(h.client, Syscall::kOpen, open_msg);
+    auto reply = h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kOpen), open_msg);
     cycles += nexus::ReadCycleCounter() - start;
     ++calls;
     IpcMessage close_msg;
     close_msg.AddU64(static_cast<uint64_t>(reply.value()));
-    h.nexus.kernel().Invoke(h.client, Syscall::kClose, close_msg);
+    h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kClose), close_msg);
   }
   s.counters["cycles/call"] =
       benchmark::Counter(static_cast<double>(cycles) / static_cast<double>(calls));
@@ -145,11 +145,11 @@ void BM_close_nexus(benchmark::State& s) {
   IpcMessage open_msg;
   open_msg.AddString("/bench/file");
   for (auto _ : s) {
-    auto reply = h.nexus.kernel().Invoke(h.client, Syscall::kOpen, open_msg);
+    auto reply = h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kOpen), open_msg);
     IpcMessage close_msg;
     close_msg.AddU64(static_cast<uint64_t>(reply.value()));
     uint64_t start = nexus::ReadCycleCounter();
-    h.nexus.kernel().Invoke(h.client, Syscall::kClose, close_msg);
+    h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kClose), close_msg);
     cycles += nexus::ReadCycleCounter() - start;
     ++calls;
   }
@@ -179,7 +179,7 @@ void BM_write_nexus(benchmark::State& s) {
   uint64_t calls = 0;
   for (auto _ : s) {
     uint64_t start = nexus::ReadCycleCounter();
-    benchmark::DoNotOptimize(h.nexus.kernel().Invoke(h.client, Syscall::kWrite, msg));
+    benchmark::DoNotOptimize(h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kWrite), msg));
     cycles += nexus::ReadCycleCounter() - start;
     ++calls;
   }

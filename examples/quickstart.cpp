@@ -87,17 +87,17 @@ int main() {
   // --- Access before the deadline: granted.
   kernel::IpcMessage open_msg;
   open_msg.AddString("/secret/report");
-  auto open = nexus.kernel().Invoke(reader, kernel::Syscall::kOpen, open_msg);
+  auto open = nexus.kernel().Call(reader, kernel::SyscallIpcPort(kernel::Syscall::kOpen), open_msg);
   std::printf("open before deadline: %s\n", open.status.ToString().c_str());
   kernel::IpcMessage read_msg;
   read_msg.AddU64(static_cast<uint64_t>(open.value()));
-  auto read = nexus.kernel().Invoke(reader, kernel::Syscall::kRead, read_msg);
+  auto read = nexus.kernel().Call(reader, kernel::SyscallIpcPort(kernel::Syscall::kRead), read_msg);
   std::printf("read: \"%s\"\n", ToString(read.data).c_str());
 
   // --- The deadline passes. No revocation machinery: the authority simply
   //     stops vouching, and the (non-cacheable) decision flips.
   simulated_today = 20260401;
-  auto late = nexus.kernel().Invoke(reader, kernel::Syscall::kOpen, open_msg);
+  auto late = nexus.kernel().Call(reader, kernel::SyscallIpcPort(kernel::Syscall::kOpen), open_msg);
   std::printf("open after deadline: %s\n", late.status.ToString().c_str());
 
   // --- A process with a network channel never gets a safety certificate.

@@ -295,14 +295,16 @@ Result<Bytes> Fauxbook::ServeStatic(const std::string& path) {
   // integer slot: no std::to_string / re-parse on the read/close path.
   kernel::IpcMessage open_msg;
   open_msg.AddString(path);
-  kernel::IpcReply open = k.Invoke(webserver_, kernel::Syscall::kOpen, open_msg);
+  kernel::IpcReply open =
+      k.Call(webserver_, kernel::SyscallIpcPort(kernel::Syscall::kOpen), open_msg);
   if (!open.status.ok()) {
     return open.status;
   }
   kernel::IpcMessage fd_msg;
   fd_msg.AddU64(static_cast<uint64_t>(open.value()));
-  kernel::IpcReply read = k.Invoke(webserver_, kernel::Syscall::kRead, fd_msg);
-  k.Invoke(webserver_, kernel::Syscall::kClose, fd_msg);
+  kernel::IpcReply read =
+      k.Call(webserver_, kernel::SyscallIpcPort(kernel::Syscall::kRead), fd_msg);
+  k.Call(webserver_, kernel::SyscallIpcPort(kernel::Syscall::kClose), fd_msg);
   if (!read.status.ok()) {
     return read.status;
   }

@@ -247,7 +247,8 @@ Status PresenceFederation::SignUp(const std::string& session) {
   NEXUS_RETURN_IF_ERROR(
       provider_->engine().SetGoal(subject, "signup", kSignupObject, goal));
   NEXUS_RETURN_IF_ERROR(provider_->engine().SetProof(subject, "signup", kSignupObject, proof));
-  Status verdict = provider_->kernel().Authorize(subject, "signup", kSignupObject);
+  Status verdict =
+      provider_->kernel().Authorize(kernel::AuthzRequest::Of(subject, "signup", kSignupObject));
   if (!verdict.ok()) {
     return verdict;
   }

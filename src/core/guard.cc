@@ -415,14 +415,12 @@ Guard::Stats Guard::stats() const {
 GuardPortHandler::GuardPortHandler(Guard* guard, const GoalStore* goals)
     : guard_(guard), goals_(goals) {}
 
-kernel::IpcReply GuardPortHandler::Handle(const kernel::IpcContext& context,
+kernel::IpcReply GuardPortHandler::Handle(const kernel::IpcContext&,
                                           const kernel::IpcMessage& message) {
   // Protocol: check(subject, op, obj, proof-text), with newline-separated
-  // credential formulas in `data`. The engine upcalls with typed slots
-  // (Process/U64/Object ids — nothing to parse); script-style callers may
-  // still send v1-shaped string slots, which resolve here: the subject
-  // through the single decimal decode point, the op/object NAMES through
-  // the caller-charged intern surfaces (this port is untrusted input).
+  // credential formulas in `data`. Subject, op and object cross as typed
+  // id slots (this port is untrusted input: an op id must name an interned
+  // operation, an object id an interned object).
   static const kernel::OpId check_op = kernel::InternOp("check");
   if (message.op != check_op || message.args.size() < 4) {
     return kernel::IpcReply(
@@ -435,17 +433,17 @@ kernel::IpcReply GuardPortHandler::Handle(const kernel::IpcContext& context,
   }
   kernel::ProcessId subject = *subject_id;
 
-  Result<kernel::OpId> operation = guard_->kernel()->ResolveOpArg(context.caller, message, 1);
-  if (!operation.ok()) {
-    return kernel::IpcReply(operation.status());
+  Result<uint64_t> operation = message.ArgU64(1);
+  if (!operation.ok() || !kernel::IsKnownOpId(*operation)) {
+    return kernel::IpcReply(InvalidArgument("guard protocol: op must be a known op id"));
   }
-  Result<kernel::ObjectId> object =
-      guard_->kernel()->ResolveObjectArg(context.caller, message, 2);
+  const kernel::OpId op = static_cast<kernel::OpId>(*operation);
+  Result<kernel::ObjectId> object = message.ArgObject(2);
   if (!object.ok()) {
     return kernel::IpcReply(object.status());
   }
 
-  std::optional<GoalEntry> goal = goals_->Get(*operation, *object);
+  std::optional<GoalEntry> goal = goals_->Get(op, *object);
   if (!goal.has_value()) {
     return kernel::IpcReply(NotFound("no goal for this operation/object"));
   }
@@ -478,7 +476,7 @@ kernel::IpcReply GuardPortHandler::Handle(const kernel::IpcContext& context,
     start = end + 1;
   }
 
-  AuthzDecision decision = guard_->Check(AuthzRequest{subject, *operation, *object},
+  AuthzDecision decision = guard_->Check(AuthzRequest{subject, op, *object},
                                          goal->goal, *proof, credentials);
   // Typed verdict reply: the cacheability bit rides in a u64 slot — the
   // designated-guard upcall consumer reads it structurally (value()).

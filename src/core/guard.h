@@ -132,10 +132,6 @@ class Guard {
   explicit Guard(kernel::Kernel* kernel);
   Guard(kernel::Kernel* kernel, const Config& config);
 
-  // The kernel this guard authorizes for (GuardPortHandler routes legacy
-  // text names through its charged intern surfaces).
-  kernel::Kernel* kernel() const { return kernel_; }
-
   // Registers an embedded authority (runs in the guard's address space; no
   // IPC round trip).
   void AddEmbeddedAuthority(Authority* authority);

@@ -147,9 +147,8 @@ void FileServer::HandleMany(const IpcContext& context, std::span<const IpcMessag
 
 // Argument convention (typed ABI v2): paths travel as string slots —
 // they are names — while fds, offsets, and lengths are integer slots and
-// cross the IPC boundary with no stringify/re-parse. Legacy text callers
-// are still accepted: the integer accessors fall back to the single
-// decimal decode point in kernel/ipc.h.
+// cross the IPC boundary with no stringify/re-parse. Text where an
+// integer belongs is an InvalidArgument.
 IpcReply FileServer::HandleWith(const IpcContext& context, const IpcMessage& message,
                                 const Prejudged* pre) {
   const OpId op = message.op;

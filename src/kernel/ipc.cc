@@ -11,9 +11,9 @@ namespace {
 // Process-wide audit counter for the zero-string hot-path assertion.
 std::atomic<uint64_t> text_payloads{0};
 
-// Wire op-kind discriminators (first byte after the version).
+// Wire op-kind discriminator (first byte after the version). Interned ids
+// are the only kind; any other value is rejected.
 constexpr uint8_t kOpInterned = 0;
-constexpr uint8_t kOpLegacyText = 1;
 constexpr uint8_t kWireVersion = 2;
 
 }  // namespace
@@ -64,27 +64,6 @@ bool ArgVec::AddAliasedPayload(ArgTag tag, const ArgVec& source, size_t i) {
   // Mixed provenance (this vector already owns different payload bytes):
   // fall back to the counted copy.
   return AddPayload(tag, source.PayloadOf(s));
-}
-
-IpcMessage IpcMessage::FromLegacy(std::string_view operation,
-                                  std::vector<std::string> legacy_args, Payload data) {
-  IpcMessage message;
-  // A name that was ever interned resolves for free; only genuinely novel
-  // operation text stays pending for the kernel's charged resolution.
-  if (std::optional<OpId> known = FindOp(operation); known.has_value()) {
-    message.op = *known;
-  } else {
-    // Carried UNTRUNCATED: the kernel boundary rejects names past
-    // kMaxLegacyOpName (truncating here would alias distinct long names
-    // to one identity while other surfaces intern the full text).
-    text_payloads.fetch_add(1, std::memory_order_relaxed);
-    message.legacy_op_.assign(operation);
-  }
-  for (const std::string& arg : legacy_args) {
-    message.AddString(arg);
-  }
-  message.data = std::move(data);
-  return message;
 }
 
 std::string_view SyscallName(Syscall call) {
@@ -144,9 +123,7 @@ OpId SyscallOp(Syscall call) {
 
 namespace {
 
-// Shared scalar read: the exact tag, kU64 (the generic integer), or — for
-// the accessors that allow it — decimal text through the single validated
-// legacy decode point (ParseDecimalU64 lives here and nowhere else).
+// Shared scalar read: the exact tag or kU64 (the generic integer).
 Result<uint64_t> ScalarArg(const ArgVec& args, size_t i, ArgTag exact, const char* what) {
   if (i >= args.size()) {
     return InvalidArgument("missing argument slot " + std::to_string(i));
@@ -154,16 +131,6 @@ Result<uint64_t> ScalarArg(const ArgVec& args, size_t i, ArgTag exact, const cha
   ArgSlot slot = args[i];
   if (slot.tag() == exact || slot.tag() == ArgTag::kU64) {
     return slot.scalar();
-  }
-  if (slot.tag() == ArgTag::kString) {
-    // Decimal or rejected, never an exception (std::stoull would throw out
-    // of the simulation on "garbage" or a 100-digit number).
-    std::optional<uint64_t> parsed = ParseDecimalU64(slot.text());
-    if (!parsed.has_value()) {
-      return InvalidArgument("argument slot " + std::to_string(i) + " must be a " +
-                             std::string(what) + " (or decimal text)");
-    }
-    return *parsed;
   }
   return InvalidArgument("argument slot " + std::to_string(i) + " is not a " +
                          std::string(what));
@@ -240,7 +207,7 @@ Result<ByteView> IpcMessage::ArgBytes(size_t i) const {
 // ----------------------------------------------------------- Wire format
 //
 //   u8  version (2)
-//   u8  op kind: 0 = u32 interned OpId follows, 1 = length-prefixed text
+//   u8  op kind: 0 = u32 interned OpId follows (the only kind)
 //   u8  argc (<= ArgVec::kMaxArgs)
 //   per arg: u8 tag, then u64 scalar | u32 length + payload
 //   u32 data length + data
@@ -251,11 +218,7 @@ Status ValidateWireBounds(const IpcMessage& message) {
     return InvalidArgument("message exceeds the typed-slot capacity (" +
                            std::to_string(ArgVec::kMaxArgs) + " slots)");
   }
-  if (message.needs_op_resolution()) {
-    if (message.legacy_op().size() > kMaxLegacyOpName) {
-      return InvalidArgument("legacy operation name too long");
-    }
-  } else if (!IsKnownOpId(message.op)) {
+  if (!IsKnownOpId(message.op)) {
     // Forged-id rejection is part of the bounds contract, so it holds with
     // or without interposition (the marshaled path also re-checks at
     // unmarshal time for buffers arriving from elsewhere).
@@ -281,7 +244,7 @@ Result<Bytes> MarshalMessage(const IpcMessage& message) {
   if (!bounded.ok()) {
     return bounded;
   }
-  size_t size = 3 + 4 + message.legacy_op().size() + 4 + message.data.size();
+  size_t size = 3 + 4 + 4 + message.data.size();
   for (size_t i = 0; i < message.args.size(); ++i) {
     ArgSlot arg = message.args[i];
     size += 1 + (arg.is_scalar() ? 8 : 4 + arg.payload_size());
@@ -289,13 +252,8 @@ Result<Bytes> MarshalMessage(const IpcMessage& message) {
   Bytes out;
   out.reserve(size);
   out.push_back(kWireVersion);
-  if (message.needs_op_resolution()) {
-    out.push_back(kOpLegacyText);
-    AppendLengthPrefixed(out, ToBytes(message.legacy_op()));
-  } else {
-    out.push_back(kOpInterned);
-    AppendU32(out, message.op);
-  }
+  out.push_back(kOpInterned);
+  AppendU32(out, message.op);
   out.push_back(static_cast<uint8_t>(message.args.size()));
   for (size_t i = 0; i < message.args.size(); ++i) {
     ArgSlot arg = message.args[i];
@@ -384,33 +342,19 @@ Result<IpcMessage> UnmarshalMessage(ByteView buffer) {
   if (!op_kind.ok()) {
     return op_kind.status();
   }
-  if (*op_kind == kOpInterned) {
-    Result<uint32_t> op = reader.ReadU32();
-    if (!op.ok()) {
-      return op.status();
-    }
-    // Strictness: a forged id that names nothing is rejected here, not
-    // carried into dispatch as an unresolvable operation.
-    if (!IsKnownOpId(*op)) {
-      return InvalidArgument("unknown interned operation id");
-    }
-    message.op = *op;
-  } else if (*op_kind == kOpLegacyText) {
-    Result<Bytes> text = reader.ReadLengthPrefixed();
-    if (!text.ok()) {
-      return text.status();
-    }
-    if (text->size() > kMaxLegacyOpName) {
-      return InvalidArgument("legacy operation name too long");
-    }
-    // Re-enters through the shim so interned-vs-pending state is rebuilt
-    // exactly as the producer's FromLegacy left it.
-    IpcMessage shim = IpcMessage::FromLegacy(ToString(*text));
-    message.op = shim.op;
-    message.legacy_op_ = std::move(shim.legacy_op_);
-  } else {
+  if (*op_kind != kOpInterned) {
     return InvalidArgument("bad operation kind");
   }
+  Result<uint32_t> op = reader.ReadU32();
+  if (!op.ok()) {
+    return op.status();
+  }
+  // Strictness: a forged id that names nothing is rejected here, not
+  // carried into dispatch as an unresolvable operation.
+  if (!IsKnownOpId(*op)) {
+    return InvalidArgument("unknown interned operation id");
+  }
+  message.op = *op;
   Status slots = ReadArgSlots(reader, &message.args);
   if (!slots.ok()) {
     return slots;
@@ -438,23 +382,6 @@ Result<IpcMessage> UnmarshalMessage(ByteView buffer) {
 //   per arg: u8 tag, then u64 scalar | u32 length + payload
 //   u32 data length + data
 //   (end of buffer — trailing bytes are rejected)
-
-IpcReply IpcReply::FromLegacy(Status status, std::string_view text, Payload data,
-                              int64_t value) {
-  IpcReply reply(std::move(status));
-  // Slot order matters for the v1-compat readers: value() scans for the
-  // first kU64, text() for the first kString. Zero/empty legacy fields add
-  // no slot at all (a scalar-only legacy reply stays arena-free and does
-  // not bump the text-payload audit counter spuriously).
-  if (value != 0) {
-    reply.AddU64(static_cast<uint64_t>(value));
-  }
-  if (!text.empty()) {
-    reply.AddString(text);
-  }
-  reply.data = std::move(data);
-  return reply;
-}
 
 Result<uint64_t> IpcReply::ArgU64(size_t i) const {
   return ScalarArg(args, i, ArgTag::kU64, "u64");

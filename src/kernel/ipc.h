@@ -10,17 +10,9 @@
 // interned OpId and arguments travel in a fixed small vector of TYPED
 // slots (ArgValue: u64 | ProcessId | PortId | ObjectId | FormulaId |
 // bytes | string). An interposed call whose arguments are integers or
-// interned ids builds, hashes, and parses ZERO heap strings end to end —
-// the "stringify fd, re-parse fd" tax of the v1 string ABI is gone, and
-// with it the scattered defensive ParseDecimalU64 call sites: the ONLY
-// place untrusted decimal text becomes an integer is the string-slot
-// coercion inside the Arg accessors here.
-//
-// Untrusted text boundaries (script-style callers, the ipc_call syscall)
-// enter through IpcMessage::FromLegacy, which carries the operation NAME
-// until the kernel resolves it against the caller's op-name quota
-// (Kernel::InternOpCharged) — growth of the op intern table through the
-// legacy surface is charged, never ambient.
+// interned ids builds, hashes, and parses ZERO heap strings end to end.
+// Operations cross only as interned ids and a string slot is never read
+// as an integer, so nothing an IPC caller sends interns operation text.
 #ifndef NEXUS_KERNEL_IPC_H_
 #define NEXUS_KERNEL_IPC_H_
 
@@ -30,7 +22,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "kernel/payload.h"
 #include "kernel/types.h"
@@ -238,7 +229,6 @@ inline ByteView ArgSlot::blob() const {
 // rejected with InvalidArgument — never partially decoded.
 inline constexpr size_t kMaxArgPayload = 64 * 1024;        // per string/bytes slot
 inline constexpr size_t kMaxIpcData = 16 * 1024 * 1024;    // trailing data block
-inline constexpr size_t kMaxLegacyOpName = 256;            // FromLegacy op text
 
 struct IpcMessage {
   // The interned operation (kernel/types.h OpTable). 0 is the empty name:
@@ -258,17 +248,7 @@ struct IpcMessage {
   static IpcMessage Of(OpId operation) { return IpcMessage(operation); }
   static IpcMessage Of(std::string_view operation) { return IpcMessage(InternOp(operation)); }
 
-  // The legacy string shim — the ONLY place v1-style (operation string +
-  // string args) messages are built. Args become kString slots. A never-
-  // interned operation name is carried as text until the kernel resolves
-  // it through the caller-charged op quota (Kernel::InternOpCharged);
-  // already-interned names resolve immediately and cost nothing.
-  static IpcMessage FromLegacy(std::string_view operation,
-                               std::vector<std::string> legacy_args = {}, Payload data = {});
-
-  std::string_view operation() const {
-    return needs_op_resolution() ? std::string_view(legacy_op_) : OpName(op);
-  }
+  std::string_view operation() const { return OpName(op); }
 
   // ---- Builders (chainable). Capacity overflow is recorded, not dropped.
   IpcMessage& AddU64(uint64_t v) { return AddScalar(ArgTag::kU64, v); }
@@ -296,14 +276,12 @@ struct IpcMessage {
 
   // ---- Typed accessors. Status-returning, never throwing. Scalar
   // accessors accept EXACTLY the matching tag plus kU64 (the generic
-  // integer) — a slot tagged kObject does not read back as a port;
-  // additionally, ArgU64/ArgProcess/ArgPort accept a kString slot holding
-  // decimal text — THE single validated decode point for untrusted legacy
-  // text (ParseDecimalU64 lives behind it and nowhere else). ArgObject
-  // re-validates a kU64-sourced id against the object table (unknown
-  // objects fail OPEN in the bootstrap policy, so a forged id must not
-  // ride in through the generic-integer coercion) and never coerces text:
-  // names must enter through the charged intern surfaces.
+  // integer) — a slot tagged kObject does not read back as a port, and a
+  // kString slot is not an integer. ArgObject re-validates a kU64-sourced
+  // id against the object table (unknown objects fail OPEN in the
+  // bootstrap policy, so a forged id must not ride in through the
+  // generic-integer coercion); object names enter through the charged
+  // intern surface (Kernel::InternObjectCharged).
   Result<uint64_t> ArgU64(size_t i) const;
   Result<ProcessId> ArgProcess(size_t i) const;
   Result<PortId> ArgPort(size_t i) const;
@@ -326,25 +304,14 @@ struct IpcMessage {
     return false;
   }
 
-  // ---- Legacy-resolution state (kernel boundary machinery).
-  bool needs_op_resolution() const { return !legacy_op_.empty(); }
-  const std::string& legacy_op() const { return legacy_op_; }
-  // Installs the charged-interned id and drops the pending text.
-  void ResolveOp(OpId resolved) {
-    op = resolved;
-    legacy_op_.clear();
-  }
   bool args_overflowed() const { return args_overflowed_; }
 
   friend bool operator==(const IpcMessage& a, const IpcMessage& b) {
-    return a.op == b.op && a.legacy_op_ == b.legacy_op_ && a.args == b.args &&
-           a.data == b.data && a.args_overflowed_ == b.args_overflowed_;
+    return a.op == b.op && a.args == b.args && a.data == b.data &&
+           a.args_overflowed_ == b.args_overflowed_;
   }
 
  private:
-  friend Result<IpcMessage> UnmarshalMessage(ByteView buffer);
-
-  std::string legacy_op_;
   bool args_overflowed_ = false;
 };
 
@@ -357,8 +324,7 @@ inline constexpr size_t kMaxReplyStatusMessage = 1024;
 // reply whose results are integers or interned ids owns no heap memory
 // and a reply-rewriting monitor pattern-matches slots structurally
 // instead of reparsing text. The v1 {text, value} fields survive only as
-// ACCESSORS over the slot vector (first kString / first kU64 slot), and
-// as the FromLegacy quarantine for straggler producers.
+// ACCESSORS over the slot vector (first kString / first kU64 slot).
 struct IpcReply {
   Status status;
   ArgVec args;
@@ -371,13 +337,6 @@ struct IpcReply {
   explicit IpcReply(Status s) : status(std::move(s)) {}
 
   static IpcReply Ok() { return IpcReply(OkStatus()); }
-
-  // The legacy shim — the ONLY place v1-style {status, text, data, value}
-  // replies are built. A nonzero value becomes a kU64 slot, nonempty text
-  // a kString slot (bumping IpcTextPayloadCount — the quarantine is
-  // visible to the zero-string audit).
-  static IpcReply FromLegacy(Status status, std::string_view text, Payload data,
-                             int64_t value);
 
   // ---- Builders (chainable). Capacity overflow is recorded, not dropped.
   IpcReply& AddU64(uint64_t v) { return AddScalar(ArgTag::kU64, v); }
@@ -484,16 +443,16 @@ class PortHandler {
 };
 
 // Marshals a message into the flat v2 buffer the kernel produces for every
-// interposed call (§5.1): interned op (or a length-prefixed legacy op
-// name), one tag byte + payload per slot, length-prefixed data. Fails on
-// slot overflow or payloads past the wire bounds. UnmarshalMessage is
-// strict: truncated, oversized, trailing-byte, bad-tag, overlong-count,
-// and unknown-op-id buffers are all rejected whole.
+// interposed call (§5.1): interned op, one tag byte + payload per slot,
+// length-prefixed data. Fails on slot overflow or payloads past the wire
+// bounds. UnmarshalMessage is strict: truncated, oversized, trailing-byte,
+// bad-tag, bad-op-kind, overlong-count, and unknown-op-id buffers are all
+// rejected whole.
 Result<Bytes> MarshalMessage(const IpcMessage& message);
 Result<IpcMessage> UnmarshalMessage(ByteView buffer);
 
 // The wire bounds as a pure check (slot overflow, per-payload and data
-// caps, legacy-op length) — applied by the kernel's NON-marshaling paths
+// caps, forged ids) — applied by the kernel's NON-marshaling paths
 // too, so whether a message is accepted never depends on interposition
 // being enabled. O(slot count); no buffer is built.
 Status ValidateWireBounds(const IpcMessage& message);
@@ -520,8 +479,8 @@ Status ValidateReplyWireBounds(const IpcReply& reply);
 // cannot carry the overflow flag (overflow is only set by adding past a
 // full vector), so args.empty() subsumes the overflow test.
 inline Status CheckWireBounds(const IpcMessage& message) {
-  if (!message.needs_op_resolution() && message.args.empty() &&
-      message.data.size() <= kMaxIpcData && IsKnownOpId(message.op)) {
+  if (message.args.empty() && message.data.size() <= kMaxIpcData &&
+      IsKnownOpId(message.op)) {
     return OkStatus();
   }
   return ValidateWireBounds(message);
@@ -538,8 +497,8 @@ inline Status CheckReplyWireBounds(const IpcReply& reply) {
 // not per call — the syscall channel's marshal path is string-free).
 OpId SyscallOp(Syscall call);
 
-// Test-support counter: total text/bytes slot payloads (and legacy op
-// names) materialized on the heap by the IPC layer, process-wide. The
+// Test-support counter: total text/bytes slot payloads materialized on the
+// heap by the IPC layer, process-wide. The
 // zero-string audit snapshots it around an interposed call with scalar
 // args and asserts it did not move.
 uint64_t IpcTextPayloadCount();

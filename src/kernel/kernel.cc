@@ -402,28 +402,13 @@ std::vector<PortId> Kernel::Ports() const {
 
 // ------------------------------------------------------------------- IPC
 
-Status Kernel::ResolveLegacy(ProcessId caller, IpcMessage& message) {
-  if (!message.needs_op_resolution()) {
-    return OkStatus();
-  }
-  // A FromLegacy message with a never-before-seen operation name: the
-  // caller's quota root pays for the intern (satellite of the §2.9 name
-  // quotas — op names are caller-influenced on this surface).
-  Result<OpId> op = InternOpCharged(caller, message.legacy_op());
-  if (!op.ok()) {
-    return op.status();
-  }
-  message.ResolveOp(*op);
-  return OkStatus();
-}
-
 namespace {
 
-// One kCall provenance event per completed (or monitor-blocked) Call.
+// One provenance event of a crossing (kCall, kSyscall, kReplyInterpose).
 // No-op on untraced calls; no cycle read on traced ones (Call is the fig7
-// hot path — latency histograms are fed from Invoke and the miss path).
-void EmitCallEvent(const TraceScope& trace, ProcessId caller, OpId op, PortId port,
-                   uint16_t flags, uint8_t verdict) {
+// hot path — the latency histograms are fed from syscalls and misses).
+void EmitIpcEvent(const TraceScope& trace, TraceStage stage, ProcessId caller, OpId op,
+                  uint64_t aux, uint16_t flags, uint8_t verdict) {
   if (!trace.active()) {
     return;
   }
@@ -431,30 +416,15 @@ void EmitCallEvent(const TraceScope& trace, ProcessId caller, OpId op, PortId po
   e.trace_id = trace.id();
   e.subject = caller;
   e.op = op;
-  e.aux = port;
+  e.aux = aux;
   e.flags = flags;
   e.verdict = verdict;
-  e.stage = TraceStage::kCall;
+  e.stage = stage;
   FlightRecorder::Global().Emit(e);
 }
 
-// One kReplyInterpose event per reply-direction interceptor traversal.
-// Its PRESENCE is the audited invariant: a completed interposed call whose
-// chain lacks this stage returned a reply the monitors never saw.
-void EmitReplyInterposeEvent(const TraceScope& trace, ProcessId caller, OpId op,
-                             PortId port, uint16_t flags, uint8_t verdict) {
-  if (!trace.active()) {
-    return;
-  }
-  TraceEvent e;
-  e.trace_id = trace.id();
-  e.subject = caller;
-  e.op = op;
-  e.aux = port;
-  e.flags = flags;
-  e.verdict = verdict;
-  e.stage = TraceStage::kReplyInterpose;
-  FlightRecorder::Global().Emit(e);
+uint8_t VerdictOf(const IpcReply& reply) {
+  return reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny;
 }
 
 // Records elapsed cycles into a histogram across every return path of the
@@ -477,117 +447,236 @@ class ScopedCycleHistogram {
   uint64_t start_;
 };
 
+// Per-thread staging for batched crossings: the working copies of the
+// admitted messages and each one's slot in the caller's span. Reused
+// capacity matters — a fresh 256-message allocation per batch shows up as
+// page churn at high rates. A crossing moves the staging out for its
+// duration and back after, so a handler that re-enters CallMany on this
+// thread finds it empty and stages its own.
+struct Staging {
+  std::vector<IpcMessage> working;
+  std::vector<size_t> slot_of;
+};
+thread_local Staging t_staging;
+
 }  // namespace
 
 IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) {
-  // Reserved-port semantics: a call addressed to a syscall port IS that
-  // syscall (SYSCALL_IPCPORT in the real kernel) — pure arithmetic, no
-  // table probe, and ipc_call reaching a syscall port dispatches like the
-  // syscall it names.
-  if (IsSyscallPort(port)) {
-    return Invoke(caller, SyscallOfPort(port), message);
-  }
-  calls_->Increment();
-  // A nested Call (interposed hop, ipc_call, file-syscall forward) adopts
-  // the surrounding trace id, so one logical operation is one trace.
-  TraceScope trace;
-  if (!SnapshotPort(port).has_value()) {
-    return IpcReply(NotFound("no such port"));
-  }
-
-  // Wire bounds and forged-id checks hold on BOTH paths below — whether a
-  // message is accepted never depends on a monitor being present — and run
-  // BEFORE any charged legacy resolution, so a message that would be
-  // rejected anyway cannot grow the op table or burn quota.
-  Status bounded = CheckWireBounds(message);
-  if (!bounded.ok()) {
-    return IpcReply(bounded);
-  }
-
-  // Legacy op names resolve (charged) once, up front, so every path below
-  // dispatches an interned id and the hot path stays string-free.
-  const IpcMessage* source = &message;
-  IpcMessage resolved;
-  if (message.needs_op_resolution()) {
-    resolved = message;
-    Status legacy = ResolveLegacy(caller, resolved);
-    if (!legacy.ok()) {
-      return IpcReply(legacy);
-    }
-    source = &resolved;
-  }
-
-  // Newest interceptor first; composition is simply nesting (§3.2). The
-  // chain is snapshotted under the reader lock and run without it — or,
-  // when no monitor exists anywhere, skipped on one relaxed load.
-  std::vector<Interceptor*> active;
-  SnapshotInterceptors(port, &active);
-
-  if (active.empty()) {
-    // No monitor on this port: dispatch by reference, untouched. The reply
-    // bounds check matches the interposed path below, so whether a
-    // server's reply is accepted never depends on a monitor being present.
-    IpcReply reply = Dispatch(caller, port, *source);
-    if (Status reply_bounds = CheckReplyWireBounds(reply); !reply_bounds.ok()) {
-      reply = IpcReply(std::move(reply_bounds));
-    }
-    EmitCallEvent(trace, caller, source->op, port, 0,
-                  reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-    return reply;
-  }
-
-  // Structural interposition (§5.1): monitors receive the VALIDATED typed
-  // message itself — one copy, zero marshal/unmarshal round trips, zero
-  // strings — and pattern-match / rewrite slots in place. The wire codec
-  // still exists for buffers that genuinely cross an address space (the
-  // net layer, user-space monitor simulations); in-kernel chains get the
-  // same bounds guarantees from Validate{Reply,}WireBounds alone.
-  IpcMessage working = *source;
-  IpcContext context{caller, port};
-  for (Interceptor* interceptor : active) {
-    if (interceptor->OnCall(context, working) == InterposeVerdict::kDeny) {
-      // A blocked call returns earlier than a completed call (Table 1).
-      EmitCallEvent(trace, caller, working.op, port,
-                    kTraceFlagInterposed | kTraceFlagDenied, kTraceVerdictDeny);
-      return IpcReply(PermissionDenied("blocked by reference monitor"));
-    }
-  }
-
-  IpcReply reply = Dispatch(caller, port, working);
-  if (Status reply_bounds = CheckReplyWireBounds(reply); !reply_bounds.ok()) {
-    reply = IpcReply(std::move(reply_bounds));
-  }
-
-  // Reply direction, reverse order (innermost monitor sees the handler's
-  // reply first — unwinding the nesting the call direction established).
-  uint16_t reply_flags = kTraceFlagInterposed;
-  for (auto it = active.rbegin(); it != active.rend(); ++it) {
-    if ((*it)->OnReply(context, working, reply) == InterposeVerdict::kDeny) {
-      reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
-      reply_flags |= kTraceFlagDenied;
-      break;
-    }
-  }
-  EmitReplyInterposeEvent(trace, caller, working.op, port, reply_flags,
-                          reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-  EmitCallEvent(trace, caller, working.op, port, kTraceFlagInterposed,
-                reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
+  IpcReply reply;
+  CallMany(caller, port, std::span<const IpcMessage>(&message, 1),
+           std::span<IpcReply>(&reply, 1));
   return reply;
 }
 
-IpcReply Kernel::Dispatch(ProcessId caller, PortId port, const IpcMessage& message) {
-  std::optional<Port> snapshot = SnapshotPort(port);
-  if (!snapshot.has_value()) {
-    return IpcReply(NotFound("no such port"));
+size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessage> messages,
+                        std::span<IpcReply> replies) {
+  const size_t n = std::min(messages.size(), replies.size());
+  if (n == 0) {
+    return 0;
   }
-  if (snapshot->handler == nullptr) {
-    return IpcReply(Unavailable("no handler bound to port"));
+  messages = messages.first(n);
+  replies = replies.first(n);
+  // One trace scope per crossing. A nested crossing (interposed hop,
+  // ipc_call, file-syscall forward) adopts the surrounding id, and every
+  // message of a batch shares it, so one logical operation is one chain.
+  TraceScope trace;
+  const IpcContext context{caller, port};
+  const bool syscall = IsSyscallPort(port);
+  const uint16_t batched = n > 1 ? kTraceFlagBatched : 0;
+
+  // Crossing admission. A call addressed to a reserved syscall port IS
+  // that syscall (SYSCALL_IPCPORT in the real kernel): the caller must be
+  // alive and must not have relinquished it. Any other port is
+  // snapshotted once; its handler runs with no kernel lock held, and a
+  // concurrent DestroyPort lets this crossing complete against the
+  // handler captured here.
+  auto refuse = [&](const Status& status) {
+    for (IpcReply& reply : replies) {
+      reply = IpcReply(status);
+    }
+    return size_t{0};
+  };
+  ScopedCycleHistogram timer(syscall && trace.active() ? call_cycles_ : nullptr);
+  PortHandler* handler = nullptr;
+  ProcessId parent = kKernelProcessId;
+  if (syscall) {
+    syscalls_->Increment(n);
+    const ProcessShard& shard = process_shards_[ShardOfId(caller)];
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    auto it = shard.procs.find(caller);
+    if (it == shard.procs.end() || !it->second.alive.load()) {
+      lock.unlock();
+      return refuse(NotFound("no such process"));
+    }
+    if (it->second.allowed_syscalls.has_value() &&
+        !it->second.allowed_syscalls->contains(SyscallOfPort(port))) {
+      lock.unlock();
+      return refuse(PermissionDenied("system call relinquished"));
+    }
+    parent = it->second.parent;
+  } else {
+    calls_->Increment(n);
+    std::optional<Port> snapshot = SnapshotPort(port);
+    if (!snapshot.has_value()) {
+      return refuse(NotFound("no such port"));
+    }
+    handler = snapshot->handler;
   }
-  // The handler runs with no kernel lock held. A concurrent DestroyPort
-  // lets this in-flight call complete against the handler captured here
-  // (the snapshot carries the port generation for callers that care).
-  IpcContext context{caller, port};
-  return snapshot->handler->Handle(context, message);
+
+  // Newest monitor first; composition is simply nesting (§3.2).
+  std::vector<Interceptor*> monitors;
+  SnapshotInterceptors(port, &monitors);
+
+  // Fast path: a port with no monitor and every message in bounds. The
+  // caller's messages go to the handler as they are, with no copies.
+  bool fast = !syscall && monitors.empty();
+  for (size_t i = 0; fast && i < n; ++i) {
+    fast = CheckWireBounds(messages[i]).ok();
+  }
+
+  // Otherwise each message is admitted into a working copy (a syscall
+  // overrides its op; monitors may rewrite it). One message stages on the
+  // stack, a batch in the thread's staging.
+  IpcMessage one;
+  size_t one_slot = 0;
+  Staging staging;
+  std::span<IpcMessage> working(&one, 1);
+  std::span<size_t> slot_of(&one_slot, 1);
+  std::span<const IpcMessage> admitted = messages;
+  if (!fast) {
+    if (n > 1) {
+      staging = std::move(t_staging);
+      staging.working.resize(n);
+      staging.slot_of.resize(n);
+      working = staging.working;
+      slot_of = staging.slot_of;
+    }
+    // Per-message admission: wire bounds, which hold with or without a
+    // monitor, then the forward interceptor chain.
+    size_t count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      IpcMessage& message = working[count];
+      message = messages[i];
+      if (syscall) {
+        // The syscall's own op overrides whatever the caller wrote (the
+        // inner operation of ipc_call is an ARGUMENT).
+        message.op = SyscallOp(SyscallOfPort(port));
+      }
+      if (Status bounded = CheckWireBounds(message); !bounded.ok()) {
+        replies[i] = IpcReply(std::move(bounded));
+        continue;
+      }
+      if (syscall) {
+        EmitIpcEvent(trace, TraceStage::kSyscall, caller, message.op,
+                     static_cast<uint64_t>(SyscallOfPort(port)), 0, kTraceVerdictNone);
+      }
+      bool blocked = false;
+      for (Interceptor* monitor : monitors) {
+        if (monitor->OnCall(context, message) == InterposeVerdict::kDeny) {
+          blocked = true;
+          break;
+        }
+      }
+      if (blocked) {
+        // A blocked call returns earlier than a completed call (Table 1).
+        if (!syscall) {
+          EmitIpcEvent(trace, TraceStage::kCall, caller, message.op, port,
+                       batched | kTraceFlagInterposed | kTraceFlagDenied, kTraceVerdictDeny);
+        }
+        replies[i] = IpcReply(PermissionDenied("blocked by reference monitor"));
+        continue;
+      }
+      slot_of[count++] = i;
+    }
+    admitted = working.first(count);
+  }
+
+  // ONE dispatch for the admitted messages. When all were admitted the
+  // handler writes straight into the caller's replies; only a partially
+  // admitted batch stages its replies and scatters them.
+  const bool dense = admitted.size() == n;
+  std::vector<IpcReply> staged;
+  if (!dense) {
+    staged.resize(admitted.size());
+  }
+  std::span<IpcReply> out = dense ? replies : std::span<IpcReply>(staged);
+  if (syscall) {
+    // Direct-indexed by the enumerator, mirroring the reserved-port
+    // layout: "which port" and "which handler" are the same arithmetic.
+    static constexpr std::array<SyscallHandler, kSyscallCount> kSyscallTable = {
+        &Kernel::SysNull,          // kNull
+        &Kernel::SysGetPpid,       // kGetPpid
+        &Kernel::SysGetTimeOfDay,  // kGetTimeOfDay
+        &Kernel::SysYield,         // kYield
+        &Kernel::SysFileForward,   // kOpen
+        &Kernel::SysFileForward,   // kClose
+        &Kernel::SysFileForward,   // kRead
+        &Kernel::SysFileForward,   // kWrite
+        &Kernel::SysControl,       // kSay
+        &Kernel::SysControl,       // kSetGoal
+        &Kernel::SysControl,       // kSetProof
+        &Kernel::SysControl,       // kInterpose
+        &Kernel::SysIpcCall,       // kIpcCall
+        &Kernel::SysProcRead,      // kProcRead
+    };
+    const SyscallHandler sys = kSyscallTable[static_cast<size_t>(SyscallOfPort(port))];
+    for (size_t j = 0; j < admitted.size(); ++j) {
+      out[j] = (this->*sys)(caller, parent, working[j]);
+    }
+  } else if (handler == nullptr) {
+    for (IpcReply& reply : out) {
+      reply = IpcReply(Unavailable("no handler bound to port"));
+    }
+  } else if (admitted.size() == 1) {
+    out[0] = handler->Handle(context, admitted[0]);
+  } else if (!admitted.empty()) {
+    // Servers override HandleMany to amortize authorization across the
+    // batch; a single message never pays for that.
+    handler->HandleMany(context, admitted, out);
+  }
+
+  // Per-message completion: reply bounds (so whether a reply is accepted
+  // never depends on a monitor being present), the reverse interceptor
+  // chain (the innermost monitor sees the handler's reply first), then the
+  // trace stages. A syscall's chain carries kSyscall instead of kCall.
+  uint16_t flags = batched;
+  if (!monitors.empty()) {
+    flags |= kTraceFlagInterposed;
+  }
+  for (size_t j = 0; j < admitted.size(); ++j) {
+    IpcReply& reply = out[j];
+    if (Status bounds = CheckReplyWireBounds(reply); !bounds.ok()) {
+      reply = IpcReply(std::move(bounds));
+    }
+    if (!monitors.empty()) {
+      uint16_t reply_flags = flags;
+      for (auto it = monitors.rbegin(); it != monitors.rend(); ++it) {
+        if ((*it)->OnReply(context, admitted[j], reply) == InterposeVerdict::kDeny) {
+          reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
+          reply_flags |= kTraceFlagDenied;
+          break;
+        }
+      }
+      EmitIpcEvent(trace, TraceStage::kReplyInterpose, caller, admitted[j].op, port,
+                   reply_flags, VerdictOf(reply));
+    }
+    if (!syscall) {
+      EmitIpcEvent(trace, TraceStage::kCall, caller, admitted[j].op, port, flags,
+                   VerdictOf(reply));
+    }
+    if (!dense) {
+      replies[slot_of[j]] = std::move(reply);
+    }
+  }
+  if (!fast && n > 1) {
+    staging.working.clear();
+    t_staging = std::move(staging);
+  }
+  size_t ok = 0;
+  for (const IpcReply& reply : replies) {
+    ok += reply.status.ok() ? 1 : 0;
+  }
+  return ok;
 }
 
 void Kernel::SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active) const {
@@ -601,189 +690,6 @@ void Kernel::SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active
       active->push_back(it->interceptor);
     }
   }
-}
-
-size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessage> messages,
-                        std::span<IpcReply> replies) {
-  const size_t n = std::min(messages.size(), replies.size());
-  if (n == 0) {
-    return 0;
-  }
-  // ONE trace scope for the batch: every per-message event below shares
-  // this id, so the auditor sees one chain whose kCall events each have a
-  // matching reply-interpose stage — the invariant is per-message even
-  // though the crossing is per-batch.
-  TraceScope trace;
-  size_t ok = 0;
-  if (IsSyscallPort(port)) {
-    // Syscalls keep their per-message dispatch (liveness check, syscall
-    // trace event, per-call interposition) under the shared trace scope.
-    for (size_t i = 0; i < n; ++i) {
-      replies[i] = Invoke(caller, SyscallOfPort(port), messages[i]);
-      ok += replies[i].status.ok() ? 1 : 0;
-    }
-    return ok;
-  }
-  calls_->Increment(n);
-  std::optional<Port> snapshot = SnapshotPort(port);
-  if (!snapshot.has_value()) {
-    for (size_t i = 0; i < n; ++i) {
-      replies[i] = IpcReply(NotFound("no such port"));
-    }
-    return 0;
-  }
-  std::vector<Interceptor*> active;
-  SnapshotInterceptors(port, &active);
-  IpcContext context{caller, port};
-
-  // Fast path: no monitors, every message typed and in bounds — the
-  // original span goes straight to the server's HandleMany, zero copies
-  // of any kind.
-  bool fast = active.empty();
-  for (size_t i = 0; fast && i < n; ++i) {
-    fast = !messages[i].needs_op_resolution() && CheckWireBounds(messages[i]).ok();
-  }
-  if (fast) {
-    if (snapshot->handler == nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        replies[i] = IpcReply(Unavailable("no handler bound to port"));
-      }
-      return 0;
-    }
-    snapshot->handler->HandleMany(context, messages.first(n), replies.first(n));
-    for (size_t i = 0; i < n; ++i) {
-      if (Status bounds = CheckReplyWireBounds(replies[i]); !bounds.ok()) {
-        replies[i] = IpcReply(std::move(bounds));
-      }
-      EmitCallEvent(trace, caller, messages[i].op, port, kTraceFlagBatched,
-                    replies[i].status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-      ok += replies[i].status.ok() ? 1 : 0;
-    }
-    return ok;
-  }
-
-  // General path. Per-message admission — wire bounds, charged legacy
-  // resolution, the forward interceptor chain — producing the surviving
-  // sub-batch; working copies cost refcount bumps, not byte copies. The
-  // staging vectors are thread-local scratch: a 256-message batch of
-  // IpcMessages is big enough that a fresh allocation per batch shows up
-  // as page churn at high rates, while reused capacity is free. The
-  // scratch is moved out for the duration of the call (and moved back
-  // after), so a handler that reenters CallMany on this thread simply
-  // finds empty scratch and allocates its own.
-  static thread_local std::vector<IpcMessage> accepted_scratch;
-  static thread_local std::vector<size_t> slot_scratch;
-  std::vector<IpcMessage> accepted = std::move(accepted_scratch);
-  std::vector<size_t> slot_of = std::move(slot_scratch);
-  accepted.clear();
-  slot_of.clear();
-  accepted.reserve(n);
-  // slot_of stays EMPTY while the batch is dense (accepted[j] came from
-  // messages[j] — the overwhelmingly common case); the first rejection
-  // backfills the identity prefix and it tracks indices from then on.
-  bool dense = true;
-  auto note_rejection = [&] {
-    if (dense) {
-      dense = false;
-      slot_of.reserve(n);
-      for (size_t k = 0; k < accepted.size(); ++k) {
-        slot_of.push_back(k);
-      }
-    }
-  };
-  for (size_t i = 0; i < n; ++i) {
-    Status bounded = CheckWireBounds(messages[i]);
-    if (!bounded.ok()) {
-      note_rejection();
-      replies[i] = IpcReply(std::move(bounded));
-      continue;
-    }
-    // The working copy is built in place in the sub-batch (one copy, not
-    // copy-then-move) and discarded from it again if a monitor denies.
-    accepted.push_back(messages[i]);
-    IpcMessage& working = accepted.back();
-    if (working.needs_op_resolution()) {
-      if (Status legacy = ResolveLegacy(caller, working); !legacy.ok()) {
-        accepted.pop_back();
-        note_rejection();
-        replies[i] = IpcReply(std::move(legacy));
-        continue;
-      }
-    }
-    bool denied = false;
-    for (Interceptor* interceptor : active) {
-      if (interceptor->OnCall(context, working) == InterposeVerdict::kDeny) {
-        EmitCallEvent(trace, caller, working.op, port,
-                      kTraceFlagInterposed | kTraceFlagDenied | kTraceFlagBatched,
-                      kTraceVerdictDeny);
-        replies[i] = IpcReply(PermissionDenied("blocked by reference monitor"));
-        denied = true;
-        break;
-      }
-    }
-    if (denied) {
-      accepted.pop_back();
-      note_rejection();
-      continue;
-    }
-    if (!dense) {
-      slot_of.push_back(i);
-    }
-  }
-
-  // ONE dispatch for the surviving sub-batch. In the dense case (every
-  // message admitted — the overwhelmingly common one) the handler writes
-  // straight into the caller's reply span; only a partially-denied batch
-  // pays for a staging vector and a scatter.
-  std::vector<IpcReply> staged(dense ? 0 : accepted.size());
-  std::span<IpcReply> batch_replies =
-      dense ? replies.first(n) : std::span<IpcReply>(staged);
-  if (!accepted.empty()) {
-    if (snapshot->handler == nullptr) {
-      for (IpcReply& reply : batch_replies) {
-        reply = IpcReply(Unavailable("no handler bound to port"));
-      }
-    } else {
-      snapshot->handler->HandleMany(context, std::span<const IpcMessage>(accepted),
-                                    batch_replies);
-    }
-  }
-
-  // Reply direction per message: bounds, reverse interceptor chain, and
-  // the same trace stages a single interposed Call emits.
-  for (size_t j = 0; j < accepted.size(); ++j) {
-    IpcReply& reply = batch_replies[j];
-    if (Status bounds = CheckReplyWireBounds(reply); !bounds.ok()) {
-      reply = IpcReply(std::move(bounds));
-    }
-    uint16_t call_flags = kTraceFlagBatched;
-    if (!active.empty()) {
-      call_flags |= kTraceFlagInterposed;
-      uint16_t reply_flags = kTraceFlagInterposed | kTraceFlagBatched;
-      for (auto it = active.rbegin(); it != active.rend(); ++it) {
-        if ((*it)->OnReply(context, accepted[j], reply) == InterposeVerdict::kDeny) {
-          reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
-          reply_flags |= kTraceFlagDenied;
-          break;
-        }
-      }
-      EmitReplyInterposeEvent(trace, caller, accepted[j].op, port, reply_flags,
-                              reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-    }
-    EmitCallEvent(trace, caller, accepted[j].op, port, call_flags,
-                  reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-    if (!dense) {
-      replies[slot_of[j]] = std::move(reply);
-    }
-  }
-  accepted.clear();
-  slot_of.clear();
-  accepted_scratch = std::move(accepted);
-  slot_scratch = std::move(slot_of);
-  for (size_t i = 0; i < n; ++i) {
-    ok += replies[i].status.ok() ? 1 : 0;
-  }
-  return ok;
 }
 
 // ---------------------------------------------------------- Interposition
@@ -829,112 +735,6 @@ Status Kernel::RemoveInterposition(uint64_t token) {
 }
 
 // -------------------------------------------------------------- Syscalls
-
-IpcReply Kernel::Invoke(ProcessId caller, Syscall call, const IpcMessage& message) {
-  syscalls_->Increment();
-  // Root of the provenance chain for a traced syscall: every nested stage
-  // (interposition hop, authorization, fileserver Call) adopts this id.
-  TraceScope trace;
-  // Full dispatch latency, traced invocations only (covers every return).
-  ScopedCycleHistogram timer(trace.active() ? call_cycles_ : nullptr);
-  ProcessId parent = kKernelProcessId;
-  {
-    const ProcessShard& shard = process_shards_[ShardOfId(caller)];
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto proc_it = shard.procs.find(caller);
-    if (proc_it == shard.procs.end() || !proc_it->second.alive.load()) {
-      return IpcReply(NotFound("no such process"));
-    }
-    const Process& proc = proc_it->second;
-    if (proc.allowed_syscalls.has_value() && !proc.allowed_syscalls->contains(call)) {
-      return IpcReply(PermissionDenied("system call relinquished"));
-    }
-    parent = proc.parent;
-  }
-
-  IpcMessage working = message;
-  // The syscall's own name overrides whatever the caller wrote in the op
-  // field — including a pending legacy name, which is simply dropped (the
-  // inner operation of ipc_call is an ARGUMENT, handled below).
-  working.ResolveOp(SyscallOp(call));
-  // Wire bounds (incl. slot overflow and forged ids) hold with or without
-  // interposition — see Call. Single enforcement point.
-  Status bounded = CheckWireBounds(working);
-  if (!bounded.ok()) {
-    return IpcReply(bounded);
-  }
-  if (trace.active()) {
-    TraceEvent e;
-    e.trace_id = trace.id();
-    e.subject = caller;
-    e.op = working.op;
-    e.aux = static_cast<uint64_t>(call);
-    e.stage = TraceStage::kSyscall;
-    FlightRecorder::Global().Emit(e);
-  }
-  // The syscall channel's interceptor chain, structural in both directions
-  // (see Call): monitors get the validated typed message — no marshal
-  // round trip, no strings built, hashed, or re-parsed here (§5.1). The
-  // channel is the syscall's RESERVED port (one per Syscall, shared by all
-  // processes) — its id is a compile-time constant, so attaching costs no
-  // lookup and the uninterposed path takes no lock at all.
-  IpcContext sys_context{caller, SyscallIpcPort(call)};
-  std::vector<Interceptor*> active;
-  SnapshotInterceptors(sys_context.port, &active);
-  for (Interceptor* interceptor : active) {
-    if (interceptor->OnCall(sys_context, working) == InterposeVerdict::kDeny) {
-      return IpcReply(PermissionDenied("blocked by reference monitor"));
-    }
-  }
-
-  IpcReply reply = InvokeDispatch(caller, call, parent, working);
-
-  if (!active.empty()) {
-    uint16_t reply_flags = kTraceFlagInterposed;
-    for (auto it = active.rbegin(); it != active.rend(); ++it) {
-      if ((*it)->OnReply(sys_context, working, reply) == InterposeVerdict::kDeny) {
-        reply = IpcReply(PermissionDenied("reply blocked by reference monitor"));
-        reply_flags |= kTraceFlagDenied;
-        break;
-      }
-    }
-    EmitReplyInterposeEvent(trace, caller, working.op, sys_context.port, reply_flags,
-                            reply.status.ok() ? kTraceVerdictAllow : kTraceVerdictDeny);
-  }
-  return reply;
-}
-
-// The post-interposition syscall dispatch, split out so Invoke can run the
-// reply-direction interceptor chain over whatever any handler returns.
-// Dispatch is a direct index into a compile-time handler table — the table
-// mirrors the reserved-port layout, so "which port" and "which handler" are
-// the same arithmetic and there is no map, no lock, and no branch chain.
-IpcReply Kernel::InvokeDispatch(ProcessId caller, Syscall call, ProcessId parent,
-                                IpcMessage& working) {
-  static constexpr std::array<SyscallHandler, kSyscallCount> kSyscallTable = {
-      &Kernel::SysNull,          // kNull
-      &Kernel::SysGetPpid,       // kGetPpid
-      &Kernel::SysGetTimeOfDay,  // kGetTimeOfDay
-      &Kernel::SysYield,         // kYield
-      &Kernel::SysFileForward,   // kOpen
-      &Kernel::SysFileForward,   // kClose
-      &Kernel::SysFileForward,   // kRead
-      &Kernel::SysFileForward,   // kWrite
-      &Kernel::SysControl,       // kSay
-      &Kernel::SysControl,       // kSetGoal
-      &Kernel::SysControl,       // kSetProof
-      &Kernel::SysControl,       // kInterpose
-      &Kernel::SysIpcCall,       // kIpcCall
-      &Kernel::SysProcRead,      // kProcRead
-  };
-  static_assert(kSyscallTable.size() == kSyscallCount,
-                "every syscall needs a handler table entry");
-  const auto index = static_cast<size_t>(call);
-  if (index >= kSyscallTable.size()) {
-    return IpcReply(Internal("unhandled syscall"));
-  }
-  return (this->*kSyscallTable[index])(caller, parent, working);
-}
 
 IpcReply Kernel::SysNull(ProcessId, ProcessId, IpcMessage&) { return IpcReply::Ok(); }
 
@@ -1002,30 +802,19 @@ IpcReply Kernel::SysIpcCall(ProcessId caller, ProcessId, IpcMessage& working) {
   if (working.args.empty()) {
     return IpcReply(InvalidArgument("ipc_call needs a port"));
   }
-  // args[0] is caller-controlled: a kPort/kU64 slot, or legacy decimal
-  // text (decoded at the single validated point in the accessor —
-  // garbage or a 100-digit number is InvalidArgument, never a throw).
   Result<PortId> port = working.ArgPort(0);
   if (!port.ok()) {
     return IpcReply(InvalidArgument("ipc_call: port must be a port id"));
   }
   IpcMessage inner;
   if (working.args.size() > 1) {
-    // args[1] names the inner operation: typed callers pass the
-    // interned id (validated at unmarshal); script-style callers pass
-    // text, which resolves through the caller-charged op quota inside
-    // the nested Call.
-    ArgSlot op_slot = working.args[1];
-    if (op_slot.tag() == ArgTag::kString) {
-      inner = IpcMessage::FromLegacy(op_slot.text());
-    } else if (op_slot.tag() == ArgTag::kU64) {
-      if (!IsKnownOpId(op_slot.scalar())) {
-        return IpcReply(InvalidArgument("ipc_call: unknown op id"));
-      }
-      inner.op = static_cast<OpId>(op_slot.scalar());
-    } else {
-      return IpcReply(InvalidArgument("ipc_call: operation must be an op id or text"));
+    // args[1] is the inner operation's interned id. A value that names no
+    // interned operation must not truncate onto one.
+    Result<uint64_t> op = working.ArgU64(1);
+    if (!op.ok() || !IsKnownOpId(*op)) {
+      return IpcReply(InvalidArgument("ipc_call: operation must be a known op id"));
     }
+    inner.op = static_cast<OpId>(*op);
     // Tail() aliases the outer arena for payload slots — the inner
     // message forwards the caller's bytes by reference, not by copy.
     inner.args = working.args.Tail(2);
@@ -1036,218 +825,177 @@ IpcReply Kernel::SysIpcCall(ProcessId caller, ProcessId, IpcMessage& working) {
 
 // ---------------------------------------------------------- Authorization
 
+namespace {
+
+// One decision-plane event (kCacheProbe or kVerdict) for `request`; callers
+// emit only under an active trace.
+void EmitAuthzEvent(const TraceScope& trace, TraceStage stage, const AuthzRequest& request,
+                    uint64_t generation, uint16_t flags, uint8_t verdict, uint32_t latency = 0,
+                    uint64_t aux = 0) {
+  TraceEvent e;
+  e.trace_id = trace.id();
+  e.subject = request.subject;
+  e.op = request.op;
+  e.obj = request.obj;
+  e.generation = generation;
+  e.flags = flags;
+  e.verdict = verdict;
+  e.latency = latency;
+  e.aux = aux;
+  e.stage = stage;
+  FlightRecorder::Global().Emit(e);
+}
+
+// A miss waiting for the engine: its slot in the caller's span and the
+// subregion generation snapshotted before the upcall.
+struct PendingMiss {
+  size_t slot = 0;
+  uint64_t generation = 0;
+};
+
+}  // namespace
+
 Status Kernel::Authorize(const AuthzRequest& request) {
+  Status verdict;
+  AuthorizeRequests(std::span<const AuthzRequest>(&request, 1), std::span<Status>(&verdict, 1));
+  return verdict;
+}
+
+std::vector<Status> Kernel::AuthorizeBatch(std::span<const AuthzRequest> requests) {
+  std::vector<Status> verdicts(requests.size());
+  AuthorizeRequests(requests, verdicts);
+  return verdicts;
+}
+
+void Kernel::AuthorizeRequests(std::span<const AuthzRequest> requests,
+                               std::span<Status> verdicts) {
   if (engine_ == nullptr) {
-    return OkStatus();  // Authorization disabled (Fig. 4 case "system call").
+    return;  // Authorization disabled (Fig. 4 case "system call").
   }
-  authorize_requests_->Increment();
-  // Adopts the syscall/Call trace id when one is active (the usual case:
-  // Authorize runs inside an Invoke); at the root it opens its own trace.
+  const size_t n = requests.size();
+  authorize_requests_->Increment(n);
+  // Adopts the surrounding Call's trace id when one is active (the usual
+  // case: a server authorizes inside the Call); at the root it opens its
+  // own. A batch shares one id: its requests share one evaluation.
   TraceScope trace;
-  bool cache_enabled = decision_cache_enabled_.load();
-  if (cache_enabled) {
-    std::optional<bool> cached = decision_cache_.Lookup(request);
-    // The extra Generation() shard lock is paid only on traced calls.
-    uint64_t probe_gen = trace.active() ? decision_cache_.Generation(request) : 0;
-    if (trace.active()) {
-      TraceEvent probe;
-      probe.trace_id = trace.id();
-      probe.subject = request.subject;
-      probe.op = request.op;
-      probe.obj = request.obj;
-      probe.generation = probe_gen;
-      probe.flags = cached.has_value() ? kTraceFlagCacheHit : kTraceFlagCacheMiss;
-      probe.stage = TraceStage::kCacheProbe;
-      FlightRecorder::Global().Emit(probe);
+  const bool cache_enabled = decision_cache_enabled_.load();
+  // Misses wait here for one engine upcall. A single request's miss stays
+  // on the stack; a batch's misses are collected in vectors, sized at its
+  // first miss.
+  AuthzRequest one_miss;
+  PendingMiss one_pending;
+  std::vector<AuthzRequest> batch_misses;
+  std::vector<PendingMiss> batch_pending;
+  std::span<AuthzRequest> misses(&one_miss, 1);
+  std::span<PendingMiss> pending(&one_pending, 1);
+  size_t m = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const AuthzRequest& request = requests[i];
+    // A run of identical tuples (a batched server asking the same question
+    // per message) shares its head's probe and verdict, copied below: the
+    // batch serializes at one authorization point, so asking again inside
+    // it could not observe a different answer.
+    if (i > 0 && request == requests[i - 1]) {
+      continue;
+    }
+    std::optional<bool> cached;
+    uint64_t generation = 0;
+    if (cache_enabled) {
+      cached = decision_cache_.Lookup(request);
+      // A traced probe is stamped with the subregion generation. A miss
+      // snapshots it before the engine upcall, which runs outside the cache
+      // locks: InsertIfUnchanged then drops a verdict that raced a
+      // setgoal/setproof invalidation instead of caching it stale.
+      if (trace.active() || !cached.has_value()) {
+        generation = decision_cache_.Generation(request);
+      }
+      if (trace.active()) {
+        EmitAuthzEvent(trace, TraceStage::kCacheProbe, request, generation,
+                       cached.has_value() ? kTraceFlagCacheHit : kTraceFlagCacheMiss,
+                       kTraceVerdictNone);
+      }
     }
     if (cached.has_value()) {
       if (!*cached) {
         authorize_denies_->Increment();
+        verdicts[i] = PermissionDenied("denied (cached guard decision)");
       }
       if (trace.active()) {
-        TraceEvent verdict;
-        verdict.trace_id = trace.id();
-        verdict.subject = request.subject;
-        verdict.op = request.op;
-        verdict.obj = request.obj;
         // A hit is valid exactly under the generation the probe observed
         // (Lookup only returns entries stamped with the current gen).
-        verdict.generation = probe_gen;
-        verdict.flags =
-            kTraceFlagCacheHit | (*cached ? uint16_t{0} : kTraceFlagDenied);
-        verdict.verdict = *cached ? kTraceVerdictAllow : kTraceVerdictDeny;
-        verdict.stage = TraceStage::kVerdict;
-        FlightRecorder::Global().Emit(verdict);
+        EmitAuthzEvent(trace, TraceStage::kVerdict, request, generation,
+                       kTraceFlagCacheHit | (*cached ? uint16_t{0} : kTraceFlagDenied),
+                       *cached ? kTraceVerdictAllow : kTraceVerdictDeny);
       }
-      return *cached ? OkStatus()
-                     : PermissionDenied("denied (cached guard decision)");
+      continue;
     }
+    if (n > 1 && m == 0) {
+      batch_misses.resize(n);
+      batch_pending.resize(n);
+      misses = batch_misses;
+      pending = batch_pending;
+    }
+    // The engine sees the trace id (0 when untraced), so the guard,
+    // designated-guard upcall and remote authorities tag their events.
+    misses[m] = request;
+    if (misses[m].trace == 0) {
+      misses[m].trace = trace.id();
+    }
+    pending[m++] = PendingMiss{i, generation};
   }
-  // The engine upcall runs outside the cache locks, so a concurrent
-  // setgoal/setproof can invalidate this tuple's subregion mid-evaluation.
-  // Snapshot the subregion generation first; InsertIfUnchanged drops the
-  // verdict if an invalidation raced it, so a stale decision is recomputed
-  // on the next miss instead of cached past its goal change.
-  uint64_t generation = cache_enabled ? decision_cache_.Generation(request) : 0;
-  // The miss is about to cross the engine (proof check, possibly remote
-  // round trips) — microseconds of work, so a cycle read here is free
+
+  // One miss goes to the engine's single path; a batch's misses go in one
+  // AuthorizeBatch upcall, which amortizes credential collection and
+  // deduplicates authority consultations. A miss crosses the engine (proof
+  // check, possibly remote round trips), so a cycle read here is free
   // relative to what it measures.
-  uint64_t miss_start = trace.active() ? ReadCycleCounter() : 0;
-  // Stamp the trace id into the request the engine sees: the guard,
-  // designated-guard upcall, and remote authorities tag their events with
-  // it. Zero when untraced — downstream stages then skip emission.
-  AuthzRequest stamped = request;
-  if (stamped.trace == 0) {
-    stamped.trace = trace.id();
-  }
-  AuthzDecision decision = engine_->Authorize(stamped);
-  if (cache_enabled && decision.cacheable) {
-    decision_cache_.InsertIfUnchanged(request, decision.allowed(), generation);
-  }
-  if (!decision.allowed()) {
-    authorize_denies_->Increment();
-  }
-  if (trace.active()) {
-    uint32_t elapsed = static_cast<uint32_t>(ReadCycleCounter() - miss_start);
-    authorize_cycles_->Record(elapsed);
-    TraceEvent verdict;
-    verdict.trace_id = trace.id();
-    verdict.subject = request.subject;
-    verdict.op = request.op;
-    verdict.obj = request.obj;
-    verdict.latency = elapsed;
-    // Re-read after the engine returned: together with the probe's stamp
-    // this brackets the verdict's validity window [probe gen, this gen] —
-    // the auditor's serializability join key. Traced misses only.
-    verdict.generation = cache_enabled ? decision_cache_.Generation(request) : 0;
-    verdict.flags = static_cast<uint16_t>(
-        (cache_enabled ? kTraceFlagCacheMiss : 0) |
-        (decision.cacheable ? 0 : kTraceFlagUncacheable) |
-        (decision.allowed() ? 0 : kTraceFlagDenied));
-    verdict.aux = decision.consulted_authorities;
-    verdict.verdict = decision.allowed() ? kTraceVerdictAllow : kTraceVerdictDeny;
-    verdict.stage = TraceStage::kVerdict;
-    FlightRecorder::Global().Emit(verdict);
-  }
-  return decision.ToStatus();
-}
-
-Status Kernel::Authorize(ProcessId subject, std::string_view operation,
-                         std::string_view object) {
-  // The untrusted string surface: BOTH names are caller-influenced here,
-  // so each is charged to the subject's quota root before it can grow its
-  // intern table.
-  Result<OpId> op = InternOpCharged(subject, operation);
-  if (!op.ok()) {
-    return op.status();
-  }
-  Result<ObjectId> obj = InternObjectCharged(subject, object);
-  if (!obj.ok()) {
-    return obj.status();
-  }
-  return Authorize(AuthzRequest{subject, *op, *obj});
-}
-
-std::vector<Status> Kernel::AuthorizeBatch(std::span<const AuthzRequest> requests) {
-  std::vector<Status> results(requests.size());
-  if (engine_ == nullptr) {
-    return results;  // Value-initialized Status is OK.
-  }
-  authorize_requests_->Increment(requests.size());
-  // One trace id covers the whole batch: the point of batching is that the
-  // items share an evaluation, so their provenance shares a chain.
-  TraceScope trace;
-  bool cache_enabled = decision_cache_enabled_.load();
-  std::vector<AuthzRequest> misses;
-  std::vector<size_t> miss_slots;
-  std::vector<uint64_t> miss_generations;
-  // Runs of identical (subject, op, obj) tuples — a batched server asking
-  // the same question per message, the dominant shape — share ONE probe
-  // and one verdict: the batch serializes at a single authorization point
-  // by design (see the trace-id comment above), so asking again inside it
-  // could not observe a different answer. `run_head` is the first index
-  // of the current run; later members copy its result at the end.
-  std::vector<std::pair<size_t, size_t>> dups;  // (slot, run head slot)
-  dups.reserve(requests.size());
-  size_t run_head = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (i > 0) {
-      const AuthzRequest& prev = requests[i - 1];
-      if (requests[i].subject == prev.subject && requests[i].op == prev.op &&
-          requests[i].obj == prev.obj) {
-        dups.emplace_back(i, run_head);
-        continue;
-      }
-      run_head = i;
+  const uint64_t start = trace.active() && m > 0 ? ReadCycleCounter() : 0;
+  auto finish = [&](std::span<const AuthzDecision> decisions) {
+    const uint32_t elapsed =
+        trace.active() ? static_cast<uint32_t>(ReadCycleCounter() - start) : 0;
+    if (trace.active()) {
+      authorize_cycles_->Record(elapsed);
     }
-    if (cache_enabled) {
-      std::optional<bool> cached = decision_cache_.Lookup(requests[i]);
-      if (cached.has_value()) {
-        if (!*cached) {
-          authorize_denies_->Increment();
-        }
-        results[i] =
-            *cached ? OkStatus() : PermissionDenied("denied (cached guard decision)");
-        continue;
+    for (size_t j = 0; j < decisions.size(); ++j) {
+      const AuthzRequest& request = requests[pending[j].slot];
+      const AuthzDecision& decision = decisions[j];
+      if (cache_enabled && decision.cacheable) {
+        decision_cache_.InsertIfUnchanged(request, decision.allowed(), pending[j].generation);
       }
-    }
-    misses.push_back(requests[i]);
-    misses.back().trace = trace.id();  // 0 when untraced; see Authorize.
-    miss_slots.push_back(i);
-    // Snapshot before the engine upcall: see Authorize for the stale-insert
-    // race this closes.
-    miss_generations.push_back(cache_enabled ? decision_cache_.Generation(requests[i]) : 0);
-  }
-  if (!misses.empty()) {
-    std::vector<AuthzDecision> decisions = engine_->AuthorizeBatch(misses);
-    for (size_t j = 0; j < misses.size(); ++j) {
-      if (cache_enabled && decisions[j].cacheable) {
-        decision_cache_.InsertIfUnchanged(misses[j], decisions[j].allowed(),
-                                          miss_generations[j]);
-      }
-      if (!decisions[j].allowed()) {
+      if (!decision.allowed()) {
         authorize_denies_->Increment();
+        verdicts[pending[j].slot] = decision.ToStatus();
       }
-      results[miss_slots[j]] = decisions[j].ToStatus();
+      if (trace.active()) {
+        // Re-read after the engine returned: with the probe's stamp this
+        // brackets the verdict's validity window [probe gen, this gen],
+        // the auditor's serializability join key.
+        EmitAuthzEvent(trace, TraceStage::kVerdict, request,
+                       cache_enabled ? decision_cache_.Generation(request) : 0,
+                       static_cast<uint16_t>((cache_enabled ? kTraceFlagCacheMiss : 0) |
+                                             (decision.cacheable ? 0 : kTraceFlagUncacheable) |
+                                             (decision.allowed() ? 0 : kTraceFlagDenied)),
+                       decision.allowed() ? kTraceVerdictAllow : kTraceVerdictDeny, elapsed,
+                       decision.consulted_authorities);
+      }
     }
+  };
+  if (m == 1) {
+    const AuthzDecision decision = engine_->Authorize(misses[0]);
+    finish(std::span<const AuthzDecision>(&decision, 1));
+  } else if (m > 1) {
+    finish(engine_->AuthorizeBatch(misses.first(m)));
   }
-  // Run members copy their head's result (heads resolve before any dup
-  // that references them — dups only point backward). Deny accounting
-  // stays per-request, matching the serial path. An allowed head needs no
-  // copy at all: the results vector value-initializes to OK.
-  for (const auto& [slot, head] : dups) {
-    if (!results[head].ok()) {
+  // Run members take their head's verdict (they arrived OK, so only a
+  // denial is copied); deny accounting stays per request, matching the
+  // single path.
+  for (size_t i = 1; i < n; ++i) {
+    if (requests[i] == requests[i - 1] && !verdicts[i - 1].ok()) {
+      verdicts[i] = verdicts[i - 1];
       authorize_denies_->Increment();
-      results[slot] = results[head];
     }
   }
-  return results;
 }
-
-namespace {
-
-// Shared §2.9 charge path for both name tables: a genuinely novel name is
-// charged to `root`; a root at its cap is denied with a reason BEFORE the
-// table can grow. Caller holds the quota mutex.
-Result<uint32_t> InternChargedLocked(NameTable& table, std::string_view name,
-                                     std::string_view what, ProcessId root, size_t cap,
-                                     std::unordered_map<ProcessId, size_t>& charges) {
-  size_t& charged = charges[root];
-  if (charged >= cap) {
-    return ResourceExhausted(std::string(what) + " name quota exhausted for quota root " +
-                             std::to_string(root) + " (" + std::to_string(cap) +
-                             " novel names); denied before interning \"" +
-                             std::string(name) + "\"");
-  }
-  bool created = false;
-  uint32_t id = table.Intern(name, &created);
-  if (created) {
-    ++charged;
-  }
-  return id;
-}
-
-}  // namespace
 
 ProcessId Kernel::QuotaRootOf(ProcessId subject) const {
   const ProcessShard& shard = process_shards_[ShardOfId(subject)];
@@ -1257,11 +1005,11 @@ ProcessId Kernel::QuotaRootOf(ProcessId subject) const {
 }
 
 Result<ObjectId> Kernel::InternObjectCharged(ProcessId subject, std::string_view object) {
-  // Length-bounded like the op side: the quota caps the COUNT of novel
-  // names, so without a size bound each charge could pin arbitrary memory
-  // in the immortal append-only table. The bound is the wire's per-slot
-  // payload cap plus headroom for server-added prefixes ("file:", "proc:",
-  // "port:<id>") — a maximum-length path the wire accepts must intern.
+  // Length-bounded: the quota caps the COUNT of novel names, so without a
+  // size bound each charge could pin arbitrary memory in the immortal
+  // append-only table. The bound is the wire's per-slot payload cap plus
+  // headroom for server-added prefixes ("file:", "proc:", "port:<id>") — a
+  // maximum-length path the wire accepts must intern.
   if (object.size() > kMaxObjectNameLen) {
     return InvalidArgument("object name too long");
   }
@@ -1278,56 +1026,22 @@ Result<ObjectId> Kernel::InternObjectCharged(ProcessId subject, std::string_view
   }
   ProcessId root = QuotaRootOf(subject);
   // Charging serializes on one mutex, but only for genuinely novel names —
-  // a workload that stays inside its working set never lands here.
+  // a workload that stays inside its working set never lands here. A root
+  // at its cap is denied with a reason BEFORE the table can grow.
   std::lock_guard<std::mutex> lock(name_quota_mu_);
-  return InternChargedLocked(ObjectTable(), object, "object", root, cap,
-                             object_names_charged_);
-}
-
-Result<OpId> Kernel::InternOpCharged(ProcessId subject, std::string_view operation) {
-  // Length-bounded on every untrusted surface (FromLegacy resolution, the
-  // Authorize string shim, the guard port's text form): operation names
-  // are a tiny vocabulary, and an unbounded one would let each quota
-  // charge pin arbitrary memory in the append-only table.
-  if (operation.size() > kMaxLegacyOpName) {
-    return InvalidArgument("operation name too long");
+  size_t& charged = object_names_charged_[root];
+  if (charged >= cap) {
+    return ResourceExhausted("object name quota exhausted for quota root " +
+                             std::to_string(root) + " (" + std::to_string(cap) +
+                             " novel names); denied before interning \"" +
+                             std::string(object) + "\"");
   }
-  size_t cap = op_name_quota_.load();
-  if (cap == 0) {
-    return InternOp(operation);  // Quotas disabled.
+  bool created = false;
+  ObjectId id = ObjectTable().Intern(object, &created);
+  if (created) {
+    ++charged;
   }
-  std::optional<OpId> existing = FindOp(operation);
-  if (existing.has_value()) {
-    return *existing;  // The entire legitimate op vocabulary lands here.
-  }
-  ProcessId root = QuotaRootOf(subject);
-  std::lock_guard<std::mutex> lock(name_quota_mu_);
-  return InternChargedLocked(OpTable(), operation, "operation", root, cap,
-                             op_names_charged_);
-}
-
-Result<OpId> Kernel::ResolveOpArg(ProcessId caller, const IpcMessage& message, size_t i) {
-  if (message.ArgIsString(i)) {
-    return InternOpCharged(caller, *message.ArgString(i));
-  }
-  Result<uint64_t> op = message.ArgU64(i);
-  if (!op.ok()) {
-    return op.status();
-  }
-  // Same forged-id rule as every other untrusted carrier: a 64-bit value
-  // that names no interned operation must not silently truncate onto one.
-  if (!IsKnownOpId(*op)) {
-    return InvalidArgument("argument slot " + std::to_string(i) + " is not a known op id");
-  }
-  return static_cast<OpId>(*op);
-}
-
-Result<ObjectId> Kernel::ResolveObjectArg(ProcessId caller, const IpcMessage& message,
-                                          size_t i) {
-  if (message.ArgIsString(i)) {
-    return InternObjectCharged(caller, *message.ArgString(i));
-  }
-  return message.ArgObject(i);
+  return id;
 }
 
 Result<ObjectId> Kernel::ProcObjectFor(ProcessId caller, std::string_view path) {

@@ -1,10 +1,11 @@
 // The Nexus kernel simulator.
 //
 // A single-address-space model of the Nexus microkernel: isolated protection
-// domains (IPDs) with subprincipal names, kernel-bound IPC ports,
-// interposition on every system call (§3.2), an authorization hook with the
-// in-kernel decision cache (§2.8), the introspection namespace (§3.1), and
-// a pluggable CPU scheduler. The authorization engine itself (labelstores,
+// domains (IPDs) with subprincipal names, kernel-bound IPC ports (a system
+// call is an IPC call to its reserved port, so interposing on a syscall is
+// interposing on a port, §3.2), an authorization hook with the in-kernel
+// decision cache (§2.8), the introspection namespace (§3.1), and a
+// pluggable CPU scheduler. The authorization engine itself (labelstores,
 // goalstores, guards) lives one layer up in src/core and plugs in through
 // the AuthorizationEngine interface, mirroring the kernel/guard split in
 // the paper's Figure 1.
@@ -129,7 +130,7 @@ struct Process {
 //    workers miss — the PR-3 "lifecycle must quiesce the frontend" rule is
 //    gone. `lifecycle_generation()` stamps every mutation; a lookup
 //    bracketed by equal generations observed a stable table.
-//  - Call/Invoke/Interpose snapshot the port/interposition state under
+//  - Call/CallMany/Interpose snapshot the port/interposition state under
 //    reader locks and run handlers with no kernel lock held. A port
 //    destroyed mid-call completes its in-flight dispatches against the
 //    handler captured at entry (the owner frees handler memory only after
@@ -195,23 +196,25 @@ class Kernel {
   // is a different port, even mid-churn.
   Result<uint64_t> PortGeneration(PortId port) const;
 
-  // Synchronous IPC call: marshaling, interposition, authorization, handler
-  // dispatch, reply interposition. Safe from worker threads (a miss may
-  // upcall a designated guard or an authority port mid-evaluation). A call
-  // addressed to a reserved syscall port IS that syscall (the real
-  // kernel's SYSCALL_IPCPORT semantics) and routes through Invoke.
-  IpcReply Call(ProcessId caller, PortId port, const IpcMessage& message);
-
-  // Batched submission: N messages for ONE port in a single boundary
-  // crossing — one trace scope, one port snapshot, one interceptor-chain
-  // snapshot, one HandleMany dispatch (servers amortize authorization
-  // across the batch via AuthorizeBatch). The interceptor chain still
-  // runs PER MESSAGE, forward on call and backward on reply, so every
-  // interposition invariant the auditor checks holds for batched chains
-  // exactly as for singles. `messages` and `replies` must be the same
-  // length; returns the number of OK replies.
+  // The kernel's one IPC pipeline: N messages for ONE port in a single
+  // boundary crossing — one trace scope, one port snapshot, one
+  // interceptor-chain snapshot, one dispatch (one message to Handle, two
+  // or more to HandleMany, where servers amortize authorization via
+  // AuthorizeBatch). Admission (wire bounds, then the forward interceptor
+  // chain) and completion (reply bounds, the reverse chain, trace events)
+  // run PER MESSAGE, so every invariant the auditor checks holds for
+  // batches exactly as for singles. A crossing addressed to a reserved
+  // syscall port IS that syscall (the real kernel's SYSCALL_IPCPORT
+  // semantics): the caller must be alive and hold the syscall, and the
+  // kernel's handler table serves it. Safe from worker threads (a miss may
+  // upcall a designated guard or an authority port mid-evaluation).
+  // `messages` and `replies` must be the same length; returns the number
+  // of OK replies.
   size_t CallMany(ProcessId caller, PortId port, std::span<const IpcMessage> messages,
                   std::span<IpcReply> replies);
+  // A batch of one: `Call(caller, SyscallIpcPort(call), message)` is a
+  // system call.
+  IpcReply Call(ProcessId caller, PortId port, const IpcMessage& message);
 
   // -------------------------------------------------------- Interposition
   // Installs an interceptor on a port. Subject to authorization (operation
@@ -225,15 +228,12 @@ class Kernel {
   bool interposition_enabled() const { return interposition_enabled_.load(); }
 
   // ------------------------------------------------------------- Syscalls
-  // The Table-1 system call surface. File operations forward over IPC to
-  // the handler bound on `fs_port` (a user-level server).
-  IpcReply Invoke(ProcessId caller, Syscall call, const IpcMessage& message);
+  // The Table-1 system call surface is Call on the reserved ports, and
+  // syscall interposition (§3.2) attaches to those ports. File operations
+  // forward over IPC to the handler bound on `fs_port` (a user-level
+  // server).
   void set_fs_port(PortId port) { fs_port_.store(port); }
   PortId fs_port() const { return fs_port_.load(); }
-  // Syscall interposition (§3.2) attaches to the RESERVED port of the
-  // syscall — SyscallIpcPort(call) in kernel/syscall_ports.h, a
-  // compile-time constant. The per-process map+mutex this replaced is
-  // gone: Invoke computes its interposition port with pure arithmetic.
 
   // --------------------------------------------------------- Authorization
   void set_engine(AuthorizationEngine* engine) { engine_ = engine; }
@@ -243,28 +243,15 @@ class Kernel {
   DecisionCache& decision_cache() { return decision_cache_; }
 
   // The guarded-operation fast path: decision cache, then guard upcall.
-  // The interned form is the hot path; the string form interns and
-  // forwards. It MUST intern (not Find): unknown names still reach the
-  // pluggable engine, whose policy for them is its own (a deny-all engine
-  // denies names nobody ever registered). Growth through this untrusted
-  // surface is BOUNDED: BOTH names interned here are charged to the
-  // subject's quota root — objects against `object_name_quota()`, ops
-  // against `op_name_quota()` — and a root past its cap is denied
-  // outright (§2.9 applied to the name tables) — a workload probing with
-  // endless novel names can no longer grow either table for the process
-  // lifetime.
-  //
-  // Authorize and AuthorizeBatch are the kernel's CONCURRENT frontend:
-  // cache hits contend only on the subject's shard; misses upcall the
-  // engine (read-write split, per-subject striped) and insert with a
-  // generation check so a verdict that raced a setgoal/setproof
+  // Authorize and AuthorizeBatch are the kernel's CONCURRENT frontend and
+  // one pipeline (Authorize is a batch of one): cache hits contend only on
+  // the subject's shard and every probe and verdict is traced; misses
+  // upcall the engine (read-write split, per-subject striped) — one miss
+  // through its Authorize, several through one AuthorizeBatch — and insert
+  // with a generation check so a verdict that raced a setgoal/setproof
   // invalidation is dropped, not cached stale. Process/port lifecycle and
-  // Call/Invoke are concurrent-safe too — see the class comment.
+  // Call/CallMany are concurrent-safe too — see the class comment.
   Status Authorize(const AuthzRequest& request);
-  Status Authorize(ProcessId subject, std::string_view operation, std::string_view object);
-  // Batched fast path: cache hits answered inline, misses forwarded to the
-  // engine's AuthorizeBatch in one upcall (which deduplicates authority
-  // consultations), cacheable verdicts inserted on the way out.
   std::vector<Status> AuthorizeBatch(std::span<const AuthzRequest> requests);
 
   // Interns an object name on behalf of `subject`, charging the subject's
@@ -277,23 +264,6 @@ class Kernel {
   // surfaces. 0 = unlimited. Boot-time configuration.
   void set_object_name_quota(size_t cap) { object_name_quota_.store(cap); }
   size_t object_name_quota() const { return object_name_quota_.load(); }
-
-  // The op-table mirror of InternObjectCharged: operation names are also
-  // caller-influenced (the Authorize string shim, IpcMessage::FromLegacy
-  // messages arriving over Call/Invoke/ipc_call), so novel ones are
-  // charged to the subject's quota root and denied with a reason past
-  // `op_name_quota()`. Names past kMaxLegacyOpName are rejected. The
-  // legitimate op vocabulary is tiny and interned by servers at startup,
-  // so a charge here almost always means probing.
-  Result<OpId> InternOpCharged(ProcessId subject, std::string_view operation);
-  void set_op_name_quota(size_t cap) { op_name_quota_.store(cap); }
-  size_t op_name_quota() const { return op_name_quota_.load(); }
-
-  // The one untrusted-text policy for v1-compatible port handlers, in one
-  // place: slot `i` as an op/object — typed ids pass through, legacy text
-  // NAMES intern through the charged surfaces above (billed to `caller`).
-  Result<OpId> ResolveOpArg(ProcessId caller, const IpcMessage& message, size_t i);
-  Result<ObjectId> ResolveObjectArg(ProcessId caller, const IpcMessage& message, size_t i);
 
   // Invalidation entry points, called by the core layer when proofs or
   // goals change (§2.8). The optional out-params surface the exact
@@ -375,16 +345,9 @@ class Kernel {
   // no-monitors case one relaxed load, no lock, no allocation.
   void SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active) const;
 
-  IpcReply Dispatch(ProcessId caller, PortId port, const IpcMessage& message);
-  // The post-interposition syscall dispatch — split from Invoke so the
-  // reply-direction interceptor chain runs over every branch's result.
-  // Direct-indexed: kSyscallTable[call] is a member-function pointer, the
-  // in-kernel analogue of the reserved-port array dispatch.
-  IpcReply InvokeDispatch(ProcessId caller, Syscall call, ProcessId parent,
-                          IpcMessage& working);
-
-  // One handler per syscall, direct-indexed by the enumerator. The table
-  // is static_assert-sized against kSyscallCount in kernel.cc.
+  // One handler per syscall, direct-indexed by the enumerator: CallMany's
+  // table is sized by kSyscallCount, the in-kernel analogue of the
+  // reserved-port array dispatch.
   using SyscallHandler = IpcReply (Kernel::*)(ProcessId caller, ProcessId parent,
                                               IpcMessage& working);
   IpcReply SysNull(ProcessId caller, ProcessId parent, IpcMessage& working);
@@ -397,11 +360,10 @@ class Kernel {
   IpcReply SysProcRead(ProcessId caller, ProcessId parent, IpcMessage& working);
   void PublishProcessNodes(const Process& process);
 
-  // The kernel boundary for legacy messages: resolves a pending FromLegacy
-  // operation name through the caller-charged op quota and rejects slot
-  // overflow. `message` is mutated in place (callers pass their working
-  // copy). No-op for typed messages — the hot path never pays.
-  Status ResolveLegacy(ProcessId caller, IpcMessage& message);
+  // The one authorization pipeline behind Authorize and AuthorizeBatch:
+  // verdicts[i] answers requests[i]. `verdicts` must arrive OK (value-
+  // initialized); only denials are written.
+  void AuthorizeRequests(std::span<const AuthzRequest> requests, std::span<Status> verdicts);
   // The memoized "proc:<path>" object id (interning charged to `caller`
   // on first sight of the path).
   Result<ObjectId> ProcObjectFor(ProcessId caller, std::string_view path);
@@ -416,7 +378,7 @@ class Kernel {
   mutable std::shared_mutex channels_mu_;
   std::map<ProcessId, std::set<PortId>> channels_;
 
-  // Interposition list: read on every interposed Call/Invoke, written only
+  // Interposition list: read on every interposed crossing, written only
   // by Interpose/RemoveInterposition. `interpose_count_` shadows its size
   // so the bare hot path skips the reader lock entirely when no monitor
   // is installed anywhere.
@@ -438,14 +400,10 @@ class Kernel {
   DecisionCache decision_cache_;
   InvalidationSink invalidation_sink_;  // Boot-wired; see set_invalidation_sink.
 
-  // §2.9 name quotas for the untrusted intern surfaces. The op vocabulary
-  // is orders of magnitude smaller than the object space, so its default
-  // cap is too.
+  // §2.9 name quota for the untrusted object-name intern surface.
   std::atomic<size_t> object_name_quota_{65536};
-  std::atomic<size_t> op_name_quota_{4096};
   std::mutex name_quota_mu_;
   std::unordered_map<ProcessId, size_t> object_names_charged_;
-  std::unordered_map<ProcessId, size_t> op_names_charged_;
 
   // proc-read path -> interned "proc:<path>" ObjectId (satellite of the
   // interned-fast-path arc: the last remaining per-call string build).

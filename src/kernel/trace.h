@@ -2,7 +2,7 @@
 // checking" substrate).
 //
 // Fixed-size per-thread ring buffers of POD TraceEvents, emitted at every
-// stage an authorization decision passes through — Kernel::Call/Invoke,
+// stage an authorization decision passes through — Kernel::CallMany,
 // the decision-cache probe, the engine miss, the guard check, designated-
 // guard upcalls, and remote-authority vouches — and correlated by a
 // per-call trace id threaded through the call (a thread-local scope plus
@@ -48,7 +48,8 @@ namespace nexus::kernel {
 // Where in the decision pipeline an event was emitted.
 enum class TraceStage : uint8_t {
   kCall = 1,        // Kernel::Call completed (aux = port).
-  kSyscall,         // Kernel::Invoke dispatched (aux = syscall number).
+  kSyscall,         // A syscall-port crossing admitted a message
+                    // (aux = syscall number).
   kCacheProbe,      // Decision-cache lookup (generation = subregion gen).
   kEngineMiss,      // Engine::Authorize evaluating a miss.
   kGuardCheck,      // Guard::CheckImpl verdict (aux = consulted authorities,

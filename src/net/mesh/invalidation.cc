@@ -1,6 +1,7 @@
 #include "net/mesh/invalidation.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "kernel/trace.h"
 
@@ -122,11 +123,17 @@ Result<Bytes> InvalidationPropagator::Handle(AttestedChannel& channel, ByteView 
     ++stats_.applied;
   }
   // Fresh epoch: retire our cached verdicts for the pair. Reordering is
-  // harmless — a bump is a bump, whichever epoch lands first.
-  kernel::OpId op = kernel::InternOp(ToString(*op_name));
-  kernel::ObjectId obj = kernel::InternObject(ToString(*obj_name));
+  // harmless — a bump is a bump, whichever epoch lands first. The names
+  // come from a peer, so they are looked up, never interned: a pair this
+  // node never interned has no cached verdict, and its epoch is consumed
+  // with nothing to retire.
+  std::optional<kernel::OpId> op = kernel::FindOp(ToString(*op_name));
+  std::optional<kernel::ObjectId> obj = kernel::FindObject(ToString(*obj_name));
+  if (!op.has_value() || !obj.has_value()) {
+    return Bytes{};
+  }
   std::vector<uint64_t> post_gens;
-  node_->nexus().kernel().decision_cache().InvalidateSubregion(op, obj, &post_gens);
+  node_->nexus().kernel().decision_cache().InvalidateSubregion(*op, *obj, &post_gens);
   if (options_.stamp_observability) {
     // Mutation record FIRST, then the trace event: the auditor drains
     // mutations before events each harvest, so an event it sees can join
@@ -135,8 +142,8 @@ Result<Bytes> InvalidationPropagator::Handle(AttestedChannel& channel, ByteView 
     if (log.enabled()) {
       kernel::MutationRecord record;
       record.kind = kernel::MutationKind::kRemoteInvalidate;
-      record.op = op;
-      record.obj = obj;
+      record.op = *op;
+      record.obj = *obj;
       record.detail = *epoch;
       record.generations = post_gens;
       log.Append(record);
@@ -146,8 +153,8 @@ Result<Bytes> InvalidationPropagator::Handle(AttestedChannel& channel, ByteView 
       kernel::TraceScope scope;  // Fresh id if the thread is untraced.
       kernel::TraceEvent event;
       event.trace_id = scope.id();
-      event.op = op;
-      event.obj = obj;
+      event.op = *op;
+      event.obj = *obj;
       event.aux = *epoch;
       event.flags = kernel::kTraceFlagRemote;
       event.stage = kernel::TraceStage::kRemoteInvalidate;

@@ -43,9 +43,7 @@ bool DeviceDriverMonitor::Evaluate(const kernel::IpcMessage& message) {
     return false;
   }
   if (message.op == kIpcSendOp && !policy_.allowed_ipc_targets.empty()) {
-    // The target port is an integer slot (or legacy decimal text, decoded
-    // at the accessor's single validated point — malformed text is a deny,
-    // never a std::stoull throw out of the monitor).
+    // The target port is an integer slot; anything else is a deny.
     Result<kernel::PortId> target = message.ArgPort(0);
     if (!target.ok() || !policy_.allowed_ipc_targets.contains(*target)) {
       return false;
@@ -58,12 +56,11 @@ kernel::InterposeVerdict DeviceDriverMonitor::OnCall(const kernel::IpcContext& c
                                                      kernel::IpcMessage& message) {
   (void)context;
   bool allowed;
-  // Only memoize calls the integer key can represent faithfully: a
-  // resolved op, and — for ipc_send — a parseable target. Everything else
-  // (unresolved legacy ops reaching OnCall directly, garbage targets)
+  // Only memoize calls the integer key can represent faithfully: for
+  // ipc_send, a port-id target. Everything else (garbage targets)
   // evaluates fresh, so no verdict is ever replayed for a different call
   // shape than the one that produced it.
-  bool memoizable = cache_decisions_ && !message.needs_op_resolution();
+  bool memoizable = cache_decisions_;
   MemoKey key{message.op, MemoShape::kPlain, 0};
   if (memoizable && message.op == kIpcSendOp && !message.args.empty()) {
     Result<kernel::PortId> target = message.ArgPort(0);

@@ -62,8 +62,8 @@ class DeviceDriverMonitor : public kernel::Interceptor {
   // reference-monitor decision cache measured in Fig. 7 (min vs max).
   // Integer keys — the cached path builds no strings (typed ABI v2). The
   // shape discriminator keeps a no-arg ipc_send distinct from "port 0",
-  // and calls the memo cannot key faithfully (unresolved legacy ops,
-  // unparseable targets) are simply not memoized.
+  // and calls the memo cannot key faithfully (targets that are not port
+  // ids) are simply not memoized.
   enum class MemoShape : uint8_t { kPlain, kTarget };
   using MemoKey = std::tuple<kernel::OpId, MemoShape, uint64_t>;
   std::map<MemoKey, bool> decision_memo_;

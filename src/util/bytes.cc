@@ -23,24 +23,6 @@ std::string HexEncode(ByteView bytes) {
   return out;
 }
 
-std::optional<uint64_t> ParseDecimalU64(std::string_view text) {
-  if (text.empty() || text.size() > 20) {  // 2^64-1 has 20 digits.
-    return std::nullopt;
-  }
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return std::nullopt;
-    }
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return std::nullopt;  // Overflow.
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 namespace {
 
 int HexNibble(char c) {

@@ -3,7 +3,6 @@
 #define NEXUS_UTIL_BYTES_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,13 +32,6 @@ void Append(Bytes& dst, ByteView suffix);
 
 // Constant-time equality over byte buffers (length leaks; contents do not).
 bool ConstantTimeEquals(ByteView a, ByteView b);
-
-// Parses an unsigned decimal integer. nullopt on empty input, any
-// non-digit character, or overflow — never throws, which makes it the
-// required parser for untrusted wire/IPC fields (std::stoull throws
-// std::invalid_argument/std::out_of_range and would let a hostile caller
-// kill the process).
-std::optional<uint64_t> ParseDecimalU64(std::string_view text);
 
 // Serialization helpers used for canonical message encodings: a 32-bit
 // big-endian length prefix followed by the raw bytes.

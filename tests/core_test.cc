@@ -131,15 +131,19 @@ class AuthorizationFlowTest : public NexusTest {
     nexus_.engine().RegisterObject("file:/secret", owner_, kernel::kKernelProcessId);
   }
 
+  Status Authorize(kernel::ProcessId subject, std::string_view op, std::string_view object) {
+    return nexus_.kernel().Authorize(kernel::AuthzRequest::Of(subject, op, object));
+  }
+
   kernel::ProcessId owner_ = 0;
   kernel::ProcessId client_ = 0;
 };
 
 TEST_F(AuthorizationFlowTest, BootstrapPolicyOwnerOnly) {
-  EXPECT_TRUE(nexus_.kernel().Authorize(owner_, "read", "file:/secret").ok());
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(owner_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
   // Unregistered objects are unguarded.
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/public").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/public").ok());
 }
 
 TEST_F(AuthorizationFlowTest, GoalWithProofGrantsAccess) {
@@ -149,7 +153,7 @@ TEST_F(AuthorizationFlowTest, GoalWithProofGrantsAccess) {
   ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal).ok());
 
   // Without a proof: denied.
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
 
   // The certifier (a distinguished principal) issues the label system-side.
   nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
@@ -158,7 +162,7 @@ TEST_F(AuthorizationFlowTest, GoalWithProofGrantsAccess) {
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", *proof).ok());
 
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
 }
 
 TEST_F(AuthorizationFlowTest, DecisionCacheMakesRepeatsCheap) {
@@ -172,7 +176,7 @@ TEST_F(AuthorizationFlowTest, DecisionCacheMakesRepeatsCheap) {
 
   uint64_t checks_before = nexus_.guard().stats().checks;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+    EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   }
   // Only the first call reaches the guard; the rest hit the kernel cache.
   EXPECT_EQ(nexus_.guard().stats().checks, checks_before + 1);
@@ -187,12 +191,12 @@ TEST_F(AuthorizationFlowTest, SetGoalIsItselfGuarded) {
 
 TEST_F(AuthorizationFlowTest, GoalUpdateInvalidatesDecisions) {
   nexus_.engine().SetGoal(owner_, "read", "file:/secret", F("true"));
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   // Owner tightens the policy; the cached ALLOW must not survive.
   std::string client_name = nexus_.kernel().ProcessPrincipal(client_).ToString();
   nexus_.engine().SetGoal(owner_, "read", "file:/secret",
                           F("Certifier says safe(" + client_name + ")"));
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
 }
 
 TEST_F(AuthorizationFlowTest, AuthorityBackedGoalReflectsDynamicState) {
@@ -213,9 +217,9 @@ TEST_F(AuthorizationFlowTest, AuthorityBackedGoalReflectsDynamicState) {
   nexus_.guard().AddEmbeddedAuthority(&clock);
   nexus_.engine().SetProof(client_, "read", "file:/secret", nal::proof::Authority(statement));
 
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   now = 2000;  // Deadline passes; no revocation machinery needed.
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
 }
 
 TEST_F(AuthorizationFlowTest, AuthorityDecisionsNeverCached) {
@@ -229,8 +233,8 @@ TEST_F(AuthorizationFlowTest, AuthorityDecisionsNeverCached) {
                         });
   nexus_.guard().AddEmbeddedAuthority(&clock);
   nexus_.engine().SetProof(client_, "read", "file:/secret", nal::proof::Authority(statement));
-  nexus_.kernel().Authorize(client_, "read", "file:/secret");
-  nexus_.kernel().Authorize(client_, "read", "file:/secret");
+  Authorize(client_, "read", "file:/secret");
+  Authorize(client_, "read", "file:/secret");
   EXPECT_EQ(queries, 2);  // Fresh consult per decision.
 }
 
@@ -248,7 +252,7 @@ TEST_F(AuthorizationFlowTest, ExternalAuthorityOverIpc) {
 
   nexus_.engine().SetProof(client_, "write", "file:/secret",
                            nal::proof::Authority(statement));
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "write", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "write", "file:/secret").ok());
 }
 
 TEST_F(AuthorizationFlowTest, DesignatedGuardOverIpc) {
@@ -267,17 +271,17 @@ TEST_F(AuthorizationFlowTest, DesignatedGuardOverIpc) {
   auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
   nexus_.engine().SetProof(client_, "read", "file:/secret", *nal::AutoProve(goal, creds));
 
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   EXPECT_EQ(designated.stats().checks, 1u);
   // A wrong proof is rejected by the designated guard too.
   nexus_.engine().SetProof(client_, "read", "file:/secret",
                            nal::proof::Premise(F("Nobody says nothing()")));
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
 }
 
 TEST_F(AuthorizationFlowTest, OwnershipTransferIssuesLabel) {
   ASSERT_TRUE(nexus_.engine().TransferOwnership(owner_, "file:/secret", client_).ok());
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   EXPECT_FALSE(nexus_.engine().TransferOwnership(owner_, "file:/secret", owner_).ok());
 }
 
@@ -293,9 +297,9 @@ TEST_F(AuthorizationFlowTest, GuardProofCacheHitsOnRepeatedChecks) {
 
   // Disable the kernel cache to reach the guard every time.
   nexus_.kernel().set_decision_cache_enabled(false);
-  nexus_.kernel().Authorize(client_, "read", "file:/secret");
+  Authorize(client_, "read", "file:/secret");
   uint64_t hits_before = nexus_.guard().stats().cache_hits;
-  nexus_.kernel().Authorize(client_, "read", "file:/secret");
+  Authorize(client_, "read", "file:/secret");
   EXPECT_GT(nexus_.guard().stats().cache_hits, hits_before);
 }
 
@@ -314,13 +318,13 @@ TEST_F(AuthorizationFlowTest, ProofCacheDoesNotReplayAcrossSubjects) {
   ASSERT_TRUE(nexus_.engine().Say(client_, "ok()").ok());
   nal::Proof proof = nal::proof::Premise(goal);
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
 
   // The child holds no label. Submitting the proof twice used to raise its
   // registration version until its sum matched the client's.
   ASSERT_TRUE(nexus_.engine().SetProof(child, "read", "file:/secret", proof).ok());
   ASSERT_TRUE(nexus_.engine().SetProof(child, "read", "file:/secret", proof).ok());
-  EXPECT_FALSE(nexus_.kernel().Authorize(child, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(child, "read", "file:/secret").ok());
   EXPECT_FALSE(
       nal::CheckProof(proof, goal, nexus_.engine().CollectCredentials(child, "file:/secret"))
           .status.ok());
@@ -336,12 +340,12 @@ TEST_F(AuthorizationFlowTest, ProofCacheDoesNotReplayAcrossObjects) {
   nexus_.engine().AddObjectLabel("file:/other", goal);
   nal::Proof proof = nal::proof::Premise(goal);
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/other", proof).ok());
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/other").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/other").ok());
 
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
   EXPECT_FALSE(nal::CheckProof(proof, goal,
                                nexus_.engine().CollectCredentials(client_, "file:/secret"))
                    .status.ok());
@@ -641,9 +645,8 @@ TEST(GuardPortHandlerTest, GarbageSubjectReturnsInvalidArgument) {
   ASSERT_TRUE(goals.SetGoal("op", "obj", F("A says ok()")).ok());
   GuardPortHandler handler(&guard, &goals);
 
-  // v1-shaped text arguments, as a script-style caller would send them
-  // (the kernel resolves the "check" op before dispatch; the ARGS stay
-  // text and must be decoded defensively by the handler).
+  // Text where the subject id belongs, as a script-style caller would send
+  // it: a string slot is not a process id, whatever it holds.
   auto check_msg = [](std::string subject) {
     kernel::IpcMessage msg = kernel::IpcMessage::Of("check");
     msg.AddString(subject).AddString("op").AddString("obj").AddString(
@@ -658,8 +661,14 @@ TEST(GuardPortHandlerTest, GarbageSubjectReturnsInvalidArgument) {
   reply = handler.Handle(context, check_msg("123456789012345678901234567890"));
   EXPECT_EQ(reply.status.code(), ErrorCode::kInvalidArgument);
 
-  // A well-formed subject still goes through the full guard path.
-  reply = handler.Handle(context, check_msg("7"));
+  // A well-formed check (typed subject, op and object ids) still goes
+  // through the full guard path.
+  kernel::IpcMessage typed = kernel::IpcMessage::Of("check");
+  typed.AddProcess(7)
+      .AddU64(kernel::InternOp("op"))
+      .AddObject(kernel::InternObject("obj"))
+      .AddString("(premise \"A says ok()\")");
+  reply = handler.Handle(context, typed);
   EXPECT_NE(reply.status.code(), ErrorCode::kInvalidArgument);
 }
 
@@ -844,9 +853,9 @@ TEST_F(AuthorizationFlowTest, RevocationViaValidityAuthority) {
       nal::proof::Authority(F("Vendor says Valid(lic1)")));
   nexus_.engine().SetProof(client_, "read", "file:/secret", proof);
 
-  EXPECT_TRUE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   revoked = true;  // Third-party revocation, no system infrastructure.
-  EXPECT_FALSE(nexus_.kernel().Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
 }
 
 // ----------------------------------------- Interned authorization API

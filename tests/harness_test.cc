@@ -546,6 +546,24 @@ TEST(WorkloadDriverTest, BatchedReadsRunCleanInterposed) {
   EXPECT_EQ(report->audit.interposition_violations, 0u) << SampleDump(report->audit);
 }
 
+TEST(WorkloadDriverTest, BatchedVerdictsAreAudited) {
+  // Every verdict in this mix comes from a batched read: the batched
+  // authorization path must emit the probe and verdict events the auditor
+  // value-checks, under goal flips and process churn.
+  WorkloadConfig config = SmallDriverConfig("ddrm");
+  config.callmany_batch = 4;
+  config.authorize_weight = 0;
+  config.write_weight = 0;
+  WorkloadDriver driver(config);
+  Result<WorkloadReport> report = driver.Run();
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_GT(report->read_ops, 0u);
+  EXPECT_GT(report->setgoal_ops, 0u);
+  EXPECT_GT(report->churn_ops, 0u);
+  EXPECT_TRUE(report->audit.clean()) << SampleDump(report->audit);
+  EXPECT_GT(report->audit.verdicts_checked, 0u) << SampleDump(report->audit);
+}
+
 TEST(WorkloadDriverTest, ReportJsonRoundTrips) {
   WorkloadConfig config = SmallDriverConfig("fauxbook");
   config.logical_calls = 500;

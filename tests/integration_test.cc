@@ -265,10 +265,11 @@ TEST(EndToEndConsistencyTest, CacheAndNoCacheAgreeOnVerdicts) {
       nexus.engine().SetProof(subject, "use", object, *nal::AutoProve(goal, creds));
     }
     nexus.kernel().set_decision_cache_enabled(true);
-    Status first = nexus.kernel().Authorize(subject, "use", object);
-    Status second = nexus.kernel().Authorize(subject, "use", object);  // Cached.
+    Status first = nexus.kernel().Authorize(kernel::AuthzRequest::Of(subject, "use", object));
+    Status second = nexus.kernel().Authorize(
+        kernel::AuthzRequest::Of(subject, "use", object));  // Cached.
     nexus.kernel().set_decision_cache_enabled(false);
-    Status uncached = nexus.kernel().Authorize(subject, "use", object);
+    Status uncached = nexus.kernel().Authorize(kernel::AuthzRequest::Of(subject, "use", object));
     EXPECT_EQ(first.ok(), grant) << round;
     EXPECT_EQ(first.ok(), second.ok()) << round;
     EXPECT_EQ(first.ok(), uncached.ok()) << round;

@@ -20,10 +20,16 @@ class EchoHandler : public PortHandler {
     ++calls;
     last_caller = context.caller;
     last_operation = std::string(message.operation());
-    // Legacy-shaped echo (text = op name, value = argc) through the v2
-    // quarantine: the compat accessors read the slots back.
-    return IpcReply::FromLegacy(OkStatus(), message.operation(), message.data,
-                                static_cast<int64_t>(message.args.size()));
+    // Echo: value() = argc, text() = the op name, data = the request data.
+    IpcReply reply = IpcReply::Ok();
+    if (!message.args.empty()) {
+      reply.AddU64(message.args.size());
+    }
+    if (!last_operation.empty()) {
+      reply.AddString(last_operation);
+    }
+    reply.data = message.data;
+    return reply;
   }
   int calls = 0;
   ProcessId last_caller = 0;
@@ -118,8 +124,9 @@ TEST(KernelProcessTest, RelinquishedSyscallDenied) {
   Kernel k;
   ProcessId pid = *k.CreateProcess("p", ToBytes("b"));
   k.RestrictSyscalls(pid, {Syscall::kNull});
-  EXPECT_TRUE(k.Invoke(pid, Syscall::kNull, {}).status.ok());
-  EXPECT_EQ(k.Invoke(pid, Syscall::kGetPpid, {}).status.code(), ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(k.Call(pid, SyscallIpcPort(Syscall::kNull), {}).status.ok());
+  EXPECT_EQ(k.Call(pid, SyscallIpcPort(Syscall::kGetPpid), {}).status.code(),
+            ErrorCode::kPermissionDenied);
 }
 
 // ------------------------------------------------------------------- IPC
@@ -213,18 +220,6 @@ TEST(IpcAbiV2Test, WireRoundTripAllSlotTypes) {
   EXPECT_EQ(*round->ArgString(5), "path with spaces");
 }
 
-TEST(IpcAbiV2Test, WireRoundTripPendingLegacyOp) {
-  // A never-interned operation stays TEXT across the wire (the charged
-  // resolution happens at the kernel boundary, not in the codec).
-  IpcMessage msg = IpcMessage::FromLegacy("never-interned-op-roundtrip", {"a"});
-  ASSERT_TRUE(msg.needs_op_resolution());
-  Result<IpcMessage> round = UnmarshalMessage(*MarshalMessage(msg));
-  ASSERT_TRUE(round.ok());
-  EXPECT_TRUE(round->needs_op_resolution());
-  EXPECT_EQ(round->operation(), "never-interned-op-roundtrip");
-  EXPECT_EQ(*round, msg);
-}
-
 TEST(IpcAbiV2Test, EveryTruncatedPrefixIsRejected) {
   IpcMessage msg = IpcMessage::Of("truncate-op");
   msg.AddU64(4).AddString("s").AddBytes(Bytes{1, 2});
@@ -258,11 +253,11 @@ TEST(IpcAbiV2Test, MalformedBuffersRejected) {
     wire[0] = 1;
     EXPECT_FALSE(UnmarshalMessage(wire).ok());
   }
-  {  // Bad op kind.
+  for (uint8_t kind : {1, 9}) {  // Bad op kind; 1 was the v1 op-text kind.
     Bytes wire = skeleton(0);
     AppendU32(wire, 0);
-    wire[1] = 9;
-    EXPECT_FALSE(UnmarshalMessage(wire).ok());
+    wire[1] = kind;
+    EXPECT_FALSE(UnmarshalMessage(wire).ok()) << int{kind};
   }
   {  // Unknown interned op id.
     Bytes wire;
@@ -321,6 +316,11 @@ TEST(IpcAbiV2Test, ScalarAccessorsRejectMismatchedTags) {
   EXPECT_FALSE(msg.ArgPort(1).ok());
   EXPECT_FALSE(msg.ArgObject(2).ok());
   EXPECT_TRUE(msg.ArgPort(2).ok());
+  // A string slot is not an integer, whatever text it holds.
+  msg.AddString("5");
+  EXPECT_FALSE(msg.ArgU64(3).ok());
+  EXPECT_FALSE(msg.ArgPort(3).ok());
+  EXPECT_FALSE(msg.ArgProcess(3).ok());
 }
 
 TEST(IpcAbiV2Test, ForgedObjectIdInU64SlotIsRejected) {
@@ -332,23 +332,6 @@ TEST(IpcAbiV2Test, ForgedObjectIdInU64SlotIsRejected) {
   IpcMessage known;
   known.AddU64(InternObject("file:/known-coerce"));
   EXPECT_TRUE(known.ArgObject(0).ok());
-}
-
-TEST(IpcAbiV2Test, OverlongLegacyOpNameIsRejectedNotTruncated) {
-  // Truncating would alias distinct long names to one identity while
-  // other surfaces intern the full text; the kernel boundary rejects.
-  Kernel k;
-  ProcessId server = *k.CreateProcess("s", ToBytes("s"));
-  PortId port = *k.CreatePort(server);
-  EchoHandler handler;
-  k.BindHandler(port, &handler);
-  std::string longname(kMaxLegacyOpName + 1, 'q');
-  IpcReply reply = k.Call(server, port, IpcMessage::FromLegacy(longname));
-  EXPECT_EQ(reply.status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(handler.calls, 0);
-  EXPECT_FALSE(FindOp(longname).has_value());
-  // The Authorize string shim applies the same bound.
-  EXPECT_EQ(k.Authorize(server, longname, "obj").code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(IpcAbiV2Test, WireBoundsHoldWithInterpositionDisabled) {
@@ -397,35 +380,18 @@ TEST(IpcAbiV2Test, ForgedIdsRejectedWithInterpositionDisabled) {
   EXPECT_TRUE(k.Call(server, port, fine).status.ok());
 }
 
-TEST(IpcAbiV2Test, DoomedLegacyMessageDoesNotBurnOpQuota) {
-  // Bounds are checked BEFORE the charged op resolution: a message that
-  // will be rejected anyway must not grow the op table or consume quota,
-  // with or without interposition.
-  Kernel k;
-  ProcessId caller = *k.CreateProcess("c", ToBytes("c"));
-  PortId port = *k.CreatePort(caller);
-  EchoHandler handler;
-  k.BindHandler(port, &handler);
-  IpcMessage doomed = IpcMessage::FromLegacy("doomed-novel-op");
-  doomed.data = Bytes(kMaxIpcData + 1, 0);
-  for (bool interposed : {false, true}) {
-    k.set_interposition_enabled(interposed);
-    IpcReply reply = k.Call(caller, port, doomed);
-    EXPECT_EQ(reply.status.code(), ErrorCode::kInvalidArgument) << interposed;
-    EXPECT_FALSE(FindOp("doomed-novel-op").has_value()) << interposed;
-  }
-}
-
 TEST(IpcAbiV2Test, SlotOverflowIsRejectedNotTruncated) {
-  // Ten legacy args exceed the eight typed slots: the kernel must refuse
-  // the call rather than silently drop arguments at a security boundary.
+  // Ten args exceed the eight typed slots: the kernel must refuse the call
+  // rather than silently drop arguments at a security boundary.
   Kernel k;
   ProcessId server = *k.CreateProcess("s", ToBytes("s"));
   PortId port = *k.CreatePort(server);
   EchoHandler handler;
   k.BindHandler(port, &handler);
-  IpcMessage overflow = IpcMessage::FromLegacy(
-      "x", {"1", "2", "3", "4", "5", "6", "7", "8", "9", "10"});
+  IpcMessage overflow = IpcMessage::Of("x");
+  for (int i = 1; i <= 10; ++i) {
+    overflow.AddString(std::to_string(i));
+  }
   EXPECT_TRUE(overflow.args_overflowed());
   IpcReply reply = k.Call(server, port, overflow);
   EXPECT_EQ(reply.status.code(), ErrorCode::kInvalidArgument);
@@ -631,9 +597,9 @@ TEST(ReplyAbiV2Test, MarshalRejectsOutOfBoundsReplies) {
 }
 
 TEST(ReplyAbiV2Test, MonitorPresenceDoesNotChangeVerdicts) {
-  // Equivalence: for legacy-shaped AND typed messages, good and doomed,
-  // the caller-visible verdict is identical with the interceptor chain
-  // empty and with a pass-through monitor installed — the structural
+  // Equivalence: for scalar and text-slot messages, good and doomed, the
+  // caller-visible verdict is identical with the interceptor chain empty
+  // and with a pass-through monitor installed — the structural
   // interposition path enforces exactly the wire bounds the bare path
   // does, nothing more.
   class PassThrough : public Interceptor {
@@ -644,11 +610,13 @@ TEST(ReplyAbiV2Test, MonitorPresenceDoesNotChangeVerdicts) {
   };
   IpcMessage typed = IpcMessage::Of("equiv-op");
   typed.AddU64(5).AddObject(InternObject("file:/equiv"));
-  IpcMessage legacy = IpcMessage::FromLegacy("equiv-legacy-op", {"arg"});
+  IpcMessage text = IpcMessage::Of("equiv-text-op");
+  text.AddString("arg");
   IpcMessage oversized = IpcMessage::Of("equiv-op");
   oversized.data = Bytes(kMaxIpcData + 1, 'x');
-  IpcMessage overlong = IpcMessage::FromLegacy(std::string(kMaxLegacyOpName + 1, 'q'));
-  const IpcMessage* probes[] = {&typed, &legacy, &oversized, &overlong};
+  IpcMessage forged;
+  forged.op = 0x7fffffff;
+  const IpcMessage* probes[] = {&typed, &text, &oversized, &forged};
 
   std::vector<ErrorCode> verdicts[2];
   for (int monitored = 0; monitored < 2; ++monitored) {
@@ -744,42 +712,6 @@ TEST(PayloadTest, LifetimeMatrix) {
   }
 }
 
-// §2.9 applied to the OP table (ROADMAP "Name-table quotas", op side):
-// operation names arriving through the legacy surfaces are charged to the
-// caller's quota root; past the cap the call is denied with a reason and
-// the table does not grow.
-TEST(KernelOpQuotaTest, OpNameQuotaBoundsUntrustedInterning) {
-  Kernel k;
-  ProcessId prober = *k.CreateProcess("prober", ToBytes("p"));
-  ProcessId child = *k.CreateProcess("accomplice", ToBytes("c"), prober);
-  ProcessId bystander = *k.CreateProcess("bystander", ToBytes("b"));
-  PortId port = *k.CreatePort(bystander);
-  EchoHandler handler;
-  k.BindHandler(port, &handler);
-  k.set_op_name_quota(2);
-
-  // Two novel op names fit the quota (the echo handler answers anything).
-  EXPECT_TRUE(k.Call(prober, port, IpcMessage::FromLegacy("opquota-novel-0")).status.ok());
-  EXPECT_TRUE(k.Call(prober, port, IpcMessage::FromLegacy("opquota-novel-1")).status.ok());
-  // The third is denied with a reason, and the table did not grow.
-  Status over = k.Call(prober, port, IpcMessage::FromLegacy("opquota-novel-2")).status;
-  EXPECT_EQ(over.code(), ErrorCode::kResourceExhausted);
-  EXPECT_NE(over.message().find("quota"), std::string::npos);
-  EXPECT_FALSE(FindOp("opquota-novel-2").has_value());
-  // Repeats of charged names stay free forever.
-  EXPECT_TRUE(k.Call(prober, port, IpcMessage::FromLegacy("opquota-novel-0")).status.ok());
-  // A child is charged to the same quota root.
-  EXPECT_EQ(k.Call(child, port, IpcMessage::FromLegacy("opquota-novel-3")).status.code(),
-            ErrorCode::kResourceExhausted);
-  // An unrelated root has its own budget.
-  EXPECT_TRUE(k.Call(bystander, port, IpcMessage::FromLegacy("opquota-novel-4")).status.ok());
-  // The Authorize string shim routes through the same charge.
-  EXPECT_EQ(k.Authorize(prober, "opquota-novel-5", "obj").code(),
-            ErrorCode::kResourceExhausted);
-  // Trusted interning (IpcMessage::Of, server startup) is never charged.
-  EXPECT_NE(IpcMessage::Of("opquota-trusted").op, 0u);
-}
-
 TEST(SyscallTest, IpcCallForwardsTypedSlots) {
   Kernel k;
   ProcessId server = *k.CreateProcess("s", ToBytes("s"));
@@ -788,27 +720,26 @@ TEST(SyscallTest, IpcCallForwardsTypedSlots) {
   EchoHandler handler;
   k.BindHandler(port, &handler);
 
-  // Inner operation as text (script-style): resolved through the charged
-  // surface inside the nested Call.
+  // The inner operation is a typed op id: no text anywhere.
   IpcMessage outer;
-  outer.AddPort(port).AddString("ping").AddU64(5);
-  IpcReply reply = k.Invoke(client, Syscall::kIpcCall, outer);
+  outer.AddPort(port).AddU64(InternOp("ping")).AddU64(5).AddU64(6);
+  IpcReply reply = k.Call(client, SyscallIpcPort(Syscall::kIpcCall), outer);
   ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
   EXPECT_EQ(reply.text(), "ping");
-  EXPECT_EQ(reply.value(), 1);  // One forwarded slot.
+  EXPECT_EQ(reply.value(), 2);  // Two forwarded slots.
 
-  // Inner operation as a typed op id: no text anywhere.
+  // Operation text is not an op id, and is never interned.
   IpcMessage outer2;
-  outer2.AddPort(port).AddU64(InternOp("ping")).AddU64(5).AddU64(6);
-  reply = k.Invoke(client, Syscall::kIpcCall, outer2);
-  ASSERT_TRUE(reply.status.ok());
-  EXPECT_EQ(reply.text(), "ping");
-  EXPECT_EQ(reply.value(), 2);
+  outer2.AddPort(port).AddString("ipc-call-text-op").AddU64(5);
+  EXPECT_EQ(k.Call(client, SyscallIpcPort(Syscall::kIpcCall), outer2).status.code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(FindOp("ipc-call-text-op").has_value());
+  EXPECT_EQ(handler.calls, 1);
 
   // A forged op id is rejected before dispatch.
   IpcMessage outer3;
   outer3.AddPort(port).AddU64(0x7eadbeef);
-  EXPECT_EQ(k.Invoke(client, Syscall::kIpcCall, outer3).status.code(),
+  EXPECT_EQ(k.Call(client, SyscallIpcPort(Syscall::kIpcCall), outer3).status.code(),
             ErrorCode::kInvalidArgument);
 }
 
@@ -821,14 +752,14 @@ TEST(SyscallTest, ProcReadMemoizesProcObjects) {
   size_t memo_before = k.ProcObjectMemoSize();
   IpcMessage msg;
   msg.AddString("/proc/memo-test-unique");
-  IpcReply first = k.Invoke(pid, Syscall::kProcRead, msg);
+  IpcReply first = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), msg);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
   EXPECT_EQ(first.text(), "v");
   EXPECT_EQ(k.ProcObjectMemoSize(), memo_before + 1);
 
   // The repeat read hits the memo: no growth, no re-charge (the quota of 1
   // is already spent, so a second charge would deny).
-  IpcReply again = k.Invoke(pid, Syscall::kProcRead, msg);
+  IpcReply again = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), msg);
   EXPECT_TRUE(again.status.ok());
   EXPECT_EQ(again.text(), "v");
   EXPECT_EQ(k.ProcObjectMemoSize(), memo_before + 1);
@@ -836,7 +767,7 @@ TEST(SyscallTest, ProcReadMemoizesProcObjects) {
   // A novel path still pays: the quota root is exhausted.
   IpcMessage other;
   other.AddString("/proc/memo-test-other");
-  EXPECT_EQ(k.Invoke(pid, Syscall::kProcRead, other).status.code(),
+  EXPECT_EQ(k.Call(pid, SyscallIpcPort(Syscall::kProcRead), other).status.code(),
             ErrorCode::kResourceExhausted);
 }
 
@@ -855,8 +786,10 @@ class CountingInterceptor : public Interceptor {
                            IpcReply& reply) override {
     ++returns;
     if (!annotate.empty()) {
-      reply = IpcReply::FromLegacy(reply.status, std::string(reply.text()) + annotate,
-                                   std::move(reply.data), reply.value());
+      IpcReply annotated(reply.status);
+      annotated.AddString(std::string(reply.text()) + annotate);
+      annotated.data = std::move(reply.data);
+      reply = std::move(annotated);
     }
     return deny_reply ? InterposeVerdict::kDeny : InterposeVerdict::kAllow;
   }
@@ -966,9 +899,34 @@ TEST(InterposeTest, SyscallInterpositionObservesAllSyscalls) {
   ASSERT_TRUE(k.Interpose(kKernelProcessId, SyscallIpcPort(Syscall::kNull), &interceptor).ok());
   ASSERT_TRUE(
       k.Interpose(kKernelProcessId, SyscallIpcPort(Syscall::kGetPpid), &interceptor).ok());
-  k.Invoke(pid, Syscall::kNull, {});
-  k.Invoke(pid, Syscall::kGetPpid, {});
+  k.Call(pid, SyscallIpcPort(Syscall::kNull), {});
+  k.Call(pid, SyscallIpcPort(Syscall::kGetPpid), {});
   EXPECT_EQ(interceptor.calls, 2);
+}
+
+TEST(InterposeTest, SyscallRepliesPassReplyWireBounds) {
+  // A syscall reply gets the bounds check every port reply gets, with or
+  // without a monitor on the syscall's port: a procfs value past the
+  // per-slot payload cap cannot come back in a string slot.
+  Kernel k;
+  ProcessId pid = *k.CreateProcess("p", ToBytes("b"));
+  k.procfs().PublishValue(kKernelProcessId, "/proc/oversized",
+                          std::string(kMaxArgPayload + 10, 'v'));
+  IpcMessage read;
+  read.AddString("/proc/oversized");
+  for (bool monitored : {false, true}) {
+    CountingInterceptor monitor;
+    uint64_t token = 0;
+    if (monitored) {
+      token = *k.Interpose(kKernelProcessId, SyscallIpcPort(Syscall::kProcRead), &monitor);
+    }
+    IpcReply reply = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), read);
+    EXPECT_EQ(reply.status.code(), ErrorCode::kInvalidArgument) << monitored;
+    if (monitored) {
+      EXPECT_EQ(monitor.returns, 1);
+      ASSERT_TRUE(k.RemoveInterposition(token).ok());
+    }
+  }
 }
 
 // -------------------------------------------------------------- CallMany
@@ -1009,7 +967,7 @@ TEST(CallManyTest, MissingAndUnboundPortsFailPerMessage) {
 
 TEST(CallManyTest, SyscallPortBatchInvokes) {
   // A batch aimed at a reserved syscall port dispatches the syscall per
-  // message — same verdicts as N Invokes.
+  // message — same verdicts as N Calls.
   Kernel k;
   ProcessId parent = *k.CreateProcess("p", ToBytes("p"));
   ProcessId child = *k.CreateProcess("c", ToBytes("c"), parent);
@@ -1095,15 +1053,16 @@ TEST(CallManyTest, ReplyDenyBlocksReply) {
 }
 
 TEST(CallManyTest, VerdictsMatchSerialCalls) {
-  // Equivalence: for good, oversized, and legacy-overlong messages, a
-  // batch produces exactly the per-message verdicts N serial Calls do —
-  // with and without a monitor (fast path vs general path).
+  // Equivalence: for good, oversized, and forged-op messages, a batch
+  // produces exactly the per-message verdicts N serial Calls do — with and
+  // without a monitor (fast path vs general path).
   IpcMessage good = IpcMessage::Of("equiv-op");
   good.AddU64(5);
   IpcMessage oversized = IpcMessage::Of("equiv-op");
   oversized.data = Bytes(kMaxIpcData + 1, 'x');
-  IpcMessage overlong = IpcMessage::FromLegacy(std::string(kMaxLegacyOpName + 1, 'q'));
-  std::vector<IpcMessage> messages = {good, oversized, overlong};
+  IpcMessage forged;
+  forged.op = 0x7fffffff;
+  std::vector<IpcMessage> messages = {good, oversized, forged};
 
   for (int monitored = 0; monitored < 2; ++monitored) {
     Kernel k;
@@ -1161,9 +1120,10 @@ TEST(SyscallTest, BasicCalls) {
   Kernel k;
   ProcessId parent = *k.CreateProcess("parent", ToBytes("p"));
   ProcessId child = *k.CreateProcess("child", ToBytes("c"), parent);
-  EXPECT_TRUE(k.Invoke(child, Syscall::kNull, {}).status.ok());
-  EXPECT_EQ(k.Invoke(child, Syscall::kGetPpid, {}).value(), static_cast<int64_t>(parent));
-  IpcReply time1 = k.Invoke(child, Syscall::kGetTimeOfDay, {});
+  EXPECT_TRUE(k.Call(child, SyscallIpcPort(Syscall::kNull), {}).status.ok());
+  EXPECT_EQ(k.Call(child, SyscallIpcPort(Syscall::kGetPpid), {}).value(),
+            static_cast<int64_t>(parent));
+  IpcReply time1 = k.Call(child, SyscallIpcPort(Syscall::kGetTimeOfDay), {});
   EXPECT_TRUE(time1.status.ok());
   EXPECT_GT(time1.value(), 0);
 }
@@ -1172,7 +1132,7 @@ TEST(SyscallTest, YieldDrivesScheduler) {
   Kernel k;
   ProcessId a = *k.CreateProcess("a", ToBytes("a"));
   k.scheduler().AddClient(a, 1);
-  IpcReply reply = k.Invoke(a, Syscall::kYield, {});
+  IpcReply reply = k.Call(a, SyscallIpcPort(Syscall::kYield), {});
   EXPECT_TRUE(reply.status.ok());
   EXPECT_EQ(k.scheduler().TotalQuanta(), 1u);
 }
@@ -1180,7 +1140,9 @@ TEST(SyscallTest, YieldDrivesScheduler) {
 TEST(SyscallTest, FileOpsWithoutFsServerFail) {
   Kernel k;
   ProcessId pid = *k.CreateProcess("p", ToBytes("b"));
-  EXPECT_EQ(k.Invoke(pid, Syscall::kOpen, IpcMessage::FromLegacy("", {"/x"})).status.code(),
+  IpcMessage open;
+  open.AddString("/x");
+  EXPECT_EQ(k.Call(pid, SyscallIpcPort(Syscall::kOpen), open).status.code(),
             ErrorCode::kUnavailable);
 }
 
@@ -1188,20 +1150,21 @@ TEST(SyscallTest, DeadProcessCannotInvoke) {
   Kernel k;
   ProcessId pid = *k.CreateProcess("p", ToBytes("b"));
   k.KillProcess(pid);
-  EXPECT_FALSE(k.Invoke(pid, Syscall::kNull, {}).status.ok());
+  EXPECT_FALSE(k.Call(pid, SyscallIpcPort(Syscall::kNull), {}).status.ok());
 }
 
 TEST(SyscallTest, IpcCallRejectsNonNumericPortWithoutThrowing) {
-  // The port argument is caller-controlled; a non-numeric or overlong
-  // string must come back InvalidArgument, not escape as a std::stoull
-  // exception that kills the simulation.
+  // The port argument is caller-controlled; a string slot is not a port
+  // id, whatever it holds, and comes back InvalidArgument, never a throw.
   Kernel k;
   ProcessId pid = *k.CreateProcess("p", ToBytes("b"));
-  IpcReply garbage = k.Invoke(pid, Syscall::kIpcCall, IpcMessage::FromLegacy("", {"garbage"}));
-  EXPECT_EQ(garbage.status.code(), ErrorCode::kInvalidArgument);
-  IpcReply huge = k.Invoke(pid, Syscall::kIpcCall,
-                           IpcMessage::FromLegacy("", {"99999999999999999999999999"}));
-  EXPECT_EQ(huge.status.code(), ErrorCode::kInvalidArgument);
+  for (const char* text : {"garbage", "99999999999999999999999999", "5"}) {
+    IpcMessage outer;
+    outer.AddString(text);
+    EXPECT_EQ(k.Call(pid, SyscallIpcPort(Syscall::kIpcCall), outer).status.code(),
+              ErrorCode::kInvalidArgument)
+        << text;
+  }
 }
 
 TEST(SyscallTest, ProcReadGoesThroughAuthorization) {
@@ -1210,17 +1173,19 @@ TEST(SyscallTest, ProcReadGoesThroughAuthorization) {
   k.procfs().PublishValue(kKernelProcessId, "/proc/secret", "42");
   DenyAllEngine engine;
   k.set_engine(&engine);
-  IpcReply denied = k.Invoke(pid, Syscall::kProcRead, IpcMessage::FromLegacy("", {"/proc/secret"}));
+  IpcMessage read;
+  read.AddString("/proc/secret");
+  IpcReply denied = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), read);
   EXPECT_EQ(denied.status.code(), ErrorCode::kPermissionDenied);
   k.set_engine(nullptr);
-  IpcReply allowed = k.Invoke(pid, Syscall::kProcRead, IpcMessage::FromLegacy("", {"/proc/secret"}));
+  IpcReply allowed = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), read);
   EXPECT_EQ(allowed.text(), "42");
 }
 
 // §2.9 applied to the name tables: novel object names arriving through the
-// untrusted authorize-with-string surface are charged to the subject's
-// quota root; past the cap the request is denied with a reason instead of
-// growing the append-only table (ROADMAP "Name-table quotas").
+// charged intern surface (file, proc and interpose paths) are charged to
+// the subject's quota root; past the cap the name is denied with a reason
+// instead of growing the append-only table (ROADMAP "Name-table quotas").
 TEST(KernelAuthorizeTest, ObjectNameQuotaBoundsUntrustedInterning) {
   Kernel k;
   ProcessId prober = *k.CreateProcess("prober", ToBytes("p"));
@@ -1228,26 +1193,37 @@ TEST(KernelAuthorizeTest, ObjectNameQuotaBoundsUntrustedInterning) {
   ProcessId bystander = *k.CreateProcess("bystander", ToBytes("b"));
   k.set_object_name_quota(4);
 
-  // Four novel names fit the quota (no engine: every decision is allow,
-  // but the intern charge happens regardless).
+  // Four novel names fit the quota.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(k.Authorize(prober, "open", "probe:" + std::to_string(i)).ok());
+    EXPECT_TRUE(k.InternObjectCharged(prober, "probe:" + std::to_string(i)).ok());
   }
   // The fifth novel name is denied with a reason, and the table did not
   // grow (Find still misses).
-  Status over = k.Authorize(prober, "open", "probe:4");
+  Status over = k.InternObjectCharged(prober, "probe:4").status();
   EXPECT_EQ(over.code(), ErrorCode::kResourceExhausted);
   EXPECT_NE(over.message().find("quota"), std::string::npos);
   EXPECT_FALSE(FindObject("probe:4").has_value());
 
-  // Quota counts NOVEL names: already-interned names stay authorized
-  // forever (the working set is unaffected).
-  EXPECT_TRUE(k.Authorize(prober, "open", "probe:0").ok());
+  // Quota counts NOVEL names: already-interned names stay free forever
+  // (the working set is unaffected).
+  EXPECT_TRUE(k.InternObjectCharged(prober, "probe:0").ok());
   // A child is charged to the same quota root — spawning accomplices does
   // not refresh the budget (§2.9's principal-spawning defense).
-  EXPECT_EQ(k.Authorize(child, "open", "probe:5").code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(k.InternObjectCharged(child, "probe:5").status().code(),
+            ErrorCode::kResourceExhausted);
   // An unrelated quota root has its own budget.
-  EXPECT_TRUE(k.Authorize(bystander, "open", "fresh:0").ok());
+  EXPECT_TRUE(k.InternObjectCharged(bystander, "fresh:0").ok());
+  // The file server charges caller paths through the same surface.
+  FileServer fs(&k);
+  PortId port = *k.CreatePort(bystander);
+  k.BindHandler(port, &fs);
+  k.set_fs_port(port);
+  fs.CreateFile("/probe-file", ToBytes("x"));
+  IpcMessage open;
+  open.AddString("/probe-file");
+  EXPECT_EQ(k.Call(prober, SyscallIpcPort(Syscall::kOpen), open).status.code(),
+            ErrorCode::kResourceExhausted);
+  EXPECT_FALSE(FindObject("file:/probe-file").has_value());
   // And trusted interning (control-plane InternObject) is not charged.
   ObjectId direct = InternObject("trusted:name");
   EXPECT_NE(direct, 0u);
@@ -1265,10 +1241,20 @@ class FileServerTest : public ::testing::Test {
     kernel_.set_fs_port(port_);
   }
 
-  // The legacy text shim, exactly as a script-style caller would use it.
-  IpcReply Syscall4(Syscall sc, std::vector<std::string> args, Bytes data = {}) {
-    return kernel_.Invoke(client_, sc,
-                          IpcMessage::FromLegacy("", std::move(args), std::move(data)));
+  IpcReply Open(std::string_view path) {
+    IpcMessage message;
+    message.AddString(path);
+    return kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), message);
+  }
+
+  // read/write/close: the fd, then any offset and length, as u64 slots.
+  IpcReply FdCall(Syscall sc, std::initializer_list<uint64_t> args, Bytes data = {}) {
+    IpcMessage message;
+    for (uint64_t arg : args) {
+      message.AddU64(arg);
+    }
+    message.data = std::move(data);
+    return kernel_.Call(client_, SyscallIpcPort(sc), message);
   }
 
   Kernel kernel_;
@@ -1280,82 +1266,48 @@ class FileServerTest : public ::testing::Test {
 
 TEST_F(FileServerTest, OpenReadWriteClose) {
   fs_.CreateFile("/etc/motd", ToBytes("hello nexus"));
-  IpcReply open = Syscall4(Syscall::kOpen, {"/etc/motd"});
+  IpcReply open = Open("/etc/motd");
   ASSERT_TRUE(open.status.ok());
-  int64_t fd = open.value();
+  uint64_t fd = open.value();
 
-  IpcReply read = Syscall4(Syscall::kRead, {std::to_string(fd)});
+  IpcReply read = FdCall(Syscall::kRead, {fd});
   EXPECT_EQ(ToString(read.data), "hello nexus");
 
-  IpcReply write =
-      Syscall4(Syscall::kWrite, {std::to_string(fd), "0"}, ToBytes("HELLO"));
+  IpcReply write = FdCall(Syscall::kWrite, {fd, 0}, ToBytes("HELLO"));
   EXPECT_TRUE(write.status.ok());
   EXPECT_EQ(ToString(*fs_.ReadFile("/etc/motd")), "HELLO nexus");
 
-  EXPECT_TRUE(Syscall4(Syscall::kClose, {std::to_string(fd)}).status.ok());
-  EXPECT_FALSE(Syscall4(Syscall::kRead, {std::to_string(fd)}).status.ok());
+  EXPECT_TRUE(FdCall(Syscall::kClose, {fd}).status.ok());
+  EXPECT_FALSE(FdCall(Syscall::kRead, {fd}).status.ok());
 }
 
 TEST_F(FileServerTest, PartialReads) {
   fs_.CreateFile("/data", ToBytes("0123456789"));
-  int64_t fd = Syscall4(Syscall::kOpen, {"/data"}).value();
-  IpcReply read = Syscall4(Syscall::kRead, {std::to_string(fd), "3", "4"});
+  uint64_t fd = Open("/data").value();
+  IpcReply read = FdCall(Syscall::kRead, {fd, 3, 4});
   EXPECT_EQ(ToString(read.data), "3456");
-  EXPECT_FALSE(Syscall4(Syscall::kRead, {std::to_string(fd), "11"}).status.ok());
+  EXPECT_FALSE(FdCall(Syscall::kRead, {fd, 11}).status.ok());
 }
 
 TEST_F(FileServerTest, WriteExtendsFile) {
   fs_.CreateFile("/log", ToBytes("ab"));
-  int64_t fd = Syscall4(Syscall::kOpen, {"/log"}).value();
-  Syscall4(Syscall::kWrite, {std::to_string(fd), "2"}, ToBytes("cdef"));
+  uint64_t fd = Open("/log").value();
+  FdCall(Syscall::kWrite, {fd, 2}, ToBytes("cdef"));
   EXPECT_EQ(ToString(*fs_.ReadFile("/log")), "abcdef");
 }
 
 TEST_F(FileServerTest, OpenMissingFileFails) {
-  EXPECT_EQ(Syscall4(Syscall::kOpen, {"/nope"}).status.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(Open("/nope").status.code(), ErrorCode::kNotFound);
 }
 
 TEST_F(FileServerTest, ForeignFdRejected) {
   fs_.CreateFile("/private", ToBytes("secret"));
-  int64_t fd = Syscall4(Syscall::kOpen, {"/private"}).value();
+  uint64_t fd = Open("/private").value();
   ProcessId intruder = *kernel_.CreateProcess("intruder", ToBytes("i"));
   IpcMessage read_msg;
-  read_msg.AddU64(static_cast<uint64_t>(fd));
-  IpcReply read = kernel_.Invoke(intruder, Syscall::kRead, read_msg);
+  read_msg.AddU64(fd);
+  IpcReply read = kernel_.Call(intruder, SyscallIpcPort(Syscall::kRead), read_msg);
   EXPECT_FALSE(read.status.ok());
-}
-
-TEST_F(FileServerTest, LegacyAndTypedCallsYieldIdenticalReplies) {
-  // The legacy-shim equivalence guarantee: the same call expressed as v1
-  // strings and as v2 typed slots produces byte-identical replies.
-  fs_.CreateFile("/equiv", ToBytes("0123456789"));
-  IpcMessage open_msg;
-  open_msg.AddString("/equiv");
-  int64_t fd = kernel_.Invoke(client_, Syscall::kOpen, open_msg).value();
-
-  IpcReply legacy = Syscall4(Syscall::kRead, {std::to_string(fd), "2", "3"});
-  IpcMessage typed;
-  typed.AddU64(static_cast<uint64_t>(fd)).AddU64(2).AddU64(3);
-  IpcReply v2 = kernel_.Invoke(client_, Syscall::kRead, typed);
-  EXPECT_EQ(legacy.status.code(), v2.status.code());
-  EXPECT_EQ(legacy.text(), v2.text());
-  EXPECT_EQ(legacy.data, v2.data);
-  EXPECT_EQ(legacy.value(), v2.value());
-  EXPECT_EQ(ToString(v2.data), "234");
-
-  IpcReply legacy_write =
-      Syscall4(Syscall::kWrite, {std::to_string(fd), "0"}, ToBytes("AB"));
-  IpcMessage typed_write;
-  typed_write.AddU64(static_cast<uint64_t>(fd)).AddU64(0);
-  typed_write.data = ToBytes("AB");
-  IpcReply v2_write = kernel_.Invoke(client_, Syscall::kWrite, typed_write);
-  EXPECT_EQ(legacy_write.status.code(), v2_write.status.code());
-  EXPECT_EQ(legacy_write.value(), v2_write.value());
-
-  // Garbage where an integer belongs fails identically through both forms
-  // (the string form decodes at the single legacy decode point).
-  IpcReply legacy_bad = Syscall4(Syscall::kRead, {"garbage"});
-  EXPECT_EQ(legacy_bad.status.code(), ErrorCode::kInvalidArgument);
 }
 
 TEST_F(FileServerTest, TypedReadPathBuildsNoTextPayloads) {
@@ -1367,14 +1319,15 @@ TEST_F(FileServerTest, TypedReadPathBuildsNoTextPayloads) {
   fs_.CreateFile("/hot", ToBytes("0123456789"));
   IpcMessage open_msg;
   open_msg.AddString("/hot");
-  int64_t fd = kernel_.Invoke(client_, Syscall::kOpen, open_msg).value();
+  int64_t fd = kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), open_msg).value();
   IpcMessage read_msg;
   read_msg.AddU64(static_cast<uint64_t>(fd)).AddU64(0).AddU64(4);
-  ASSERT_TRUE(kernel_.Invoke(client_, Syscall::kRead, read_msg).status.ok());  // Warm.
+  ASSERT_TRUE(kernel_.Call(
+      client_, SyscallIpcPort(Syscall::kRead), read_msg).status.ok());  // Warm.
 
   uint64_t before = IpcTextPayloadCount();
   for (int i = 0; i < 100; ++i) {
-    IpcReply reply = kernel_.Invoke(client_, Syscall::kRead, read_msg);
+    IpcReply reply = kernel_.Call(client_, SyscallIpcPort(Syscall::kRead), read_msg);
     ASSERT_TRUE(reply.status.ok());
     ASSERT_EQ(ToString(reply.data), "0123");
   }
@@ -1390,16 +1343,16 @@ TEST_F(FileServerTest, TypedReadPerformsZeroPayloadCopies) {
   fs_.CreateFile("/bench/big", Bytes(kBig, 0x5a));
   IpcMessage open_msg;
   open_msg.AddString("/bench/big");
-  int64_t fd = kernel_.Invoke(client_, Syscall::kOpen, open_msg).value();
+  int64_t fd = kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), open_msg).value();
 
   IpcMessage read_msg;
   read_msg.AddU64(static_cast<uint64_t>(fd)).AddU64(0).AddU64(kBig);
-  kernel_.Invoke(client_, Syscall::kRead, read_msg);  // Warm caches/interning.
+  kernel_.Call(client_, SyscallIpcPort(Syscall::kRead), read_msg);  // Warm caches/interning.
 
   uint64_t copies_before = IpcPayloadCopyCount();
   IpcReply read;
   for (int i = 0; i < 100; ++i) {
-    read = kernel_.Invoke(client_, Syscall::kRead, read_msg);
+    read = kernel_.Call(client_, SyscallIpcPort(Syscall::kRead), read_msg);
   }
   ASSERT_TRUE(read.status.ok());
   EXPECT_EQ(IpcPayloadCopyCount(), copies_before);
@@ -1413,22 +1366,20 @@ TEST_F(FileServerTest, WriteDetachesOutstandingReadSlices) {
   // Copy-on-write isolation: a read slice handed out before a write keeps
   // observing the pre-write bytes; the write lands in a fresh arena.
   fs_.CreateFile("/cow", ToBytes("original-content"));
-  int64_t fd = Syscall4(Syscall::kOpen, {"/cow"}).value();
-  IpcReply before = Syscall4(Syscall::kRead, {std::to_string(fd)});
+  uint64_t fd = Open("/cow").value();
+  IpcReply before = FdCall(Syscall::kRead, {fd});
   ASSERT_EQ(ToString(before.data), "original-content");
 
-  ASSERT_TRUE(
-      Syscall4(Syscall::kWrite, {std::to_string(fd), "0"}, ToBytes("REWRITTEN"))
-          .status.ok());
+  ASSERT_TRUE(FdCall(Syscall::kWrite, {fd, 0}, ToBytes("REWRITTEN")).status.ok());
   EXPECT_EQ(ToString(before.data), "original-content");  // Slice unaffected.
-  IpcReply after = Syscall4(Syscall::kRead, {std::to_string(fd)});
+  IpcReply after = FdCall(Syscall::kRead, {fd});
   EXPECT_EQ(ToString(after.data), "REWRITTENcontent");
 }
 
 TEST_F(FileServerTest, UnlinkLeavesOutstandingSlicesAlive) {
   fs_.CreateFile("/doomed", ToBytes("still-here-after-unlink"));
-  int64_t fd = Syscall4(Syscall::kOpen, {"/doomed"}).value();
-  IpcReply read = Syscall4(Syscall::kRead, {std::to_string(fd)});
+  uint64_t fd = Open("/doomed").value();
+  IpcReply read = FdCall(Syscall::kRead, {fd});
   ASSERT_TRUE(read.status.ok());
   IpcMessage unlink = IpcMessage::Of("unlink");
   unlink.AddString("/doomed");
@@ -1442,11 +1393,11 @@ TEST_F(FileServerTest, BatchedReadsViaCallMany) {
   // CallMany straight at the fileserver port exercises HandleMany's
   // prefetch-batch authorization path; replies stay zero-copy slices.
   fs_.CreateFile("/batch", ToBytes("abcdefgh"));
-  int64_t fd = Syscall4(Syscall::kOpen, {"/batch"}).value();
+  uint64_t fd = Open("/batch").value();
   std::vector<IpcMessage> messages(4);
   for (size_t i = 0; i < messages.size(); ++i) {
     messages[i] = IpcMessage::Of("read");
-    messages[i].AddU64(static_cast<uint64_t>(fd)).AddU64(i * 2).AddU64(2);
+    messages[i].AddU64(fd).AddU64(i * 2).AddU64(2);
   }
   std::vector<IpcReply> replies(4);
   uint64_t copies_before = IpcPayloadCopyCount();
@@ -1462,8 +1413,7 @@ TEST_F(FileServerTest, AccessControlEnforcedPerFile) {
   fs_.CreateFile("/guarded", ToBytes("x"));
   DenyAllEngine engine;
   kernel_.set_engine(&engine);
-  EXPECT_EQ(Syscall4(Syscall::kOpen, {"/guarded"}).status.code(),
-            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(Open("/guarded").status.code(), ErrorCode::kPermissionDenied);
 }
 
 // --------------------------------------------------------- DecisionCache
@@ -1651,16 +1601,16 @@ TEST(DecisionCacheTest, GenerationGuardedInsertDropsStaleVerdict) {
 
 TEST(KernelAuthorizeTest, NoEngineAllowsEverything) {
   Kernel k;
-  EXPECT_TRUE(k.Authorize(1, "read", "anything").ok());
+  EXPECT_TRUE(k.Authorize(AuthzRequest::Of(1, "read", "anything")).ok());
 }
 
 TEST(KernelAuthorizeTest, CacheShortCircuitsEngine) {
   Kernel k;
   AllowAllEngine engine;
   k.set_engine(&engine);
-  EXPECT_TRUE(k.Authorize(1, "read", "o").ok());
-  EXPECT_TRUE(k.Authorize(1, "read", "o").ok());
-  EXPECT_TRUE(k.Authorize(1, "read", "o").ok());
+  EXPECT_TRUE(k.Authorize(AuthzRequest::Of(1, "read", "o")).ok());
+  EXPECT_TRUE(k.Authorize(AuthzRequest::Of(1, "read", "o")).ok());
+  EXPECT_TRUE(k.Authorize(AuthzRequest::Of(1, "read", "o")).ok());
   EXPECT_EQ(engine.upcalls, 1);
 }
 
@@ -1669,8 +1619,8 @@ TEST(KernelAuthorizeTest, NonCacheableDecisionsAlwaysUpcall) {
   AllowAllEngine engine;
   engine.cacheable = false;
   k.set_engine(&engine);
-  k.Authorize(1, "read", "o");
-  k.Authorize(1, "read", "o");
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
   EXPECT_EQ(engine.upcalls, 2);
 }
 
@@ -1679,8 +1629,8 @@ TEST(KernelAuthorizeTest, DisabledCacheAlwaysUpcalls) {
   AllowAllEngine engine;
   k.set_engine(&engine);
   k.set_decision_cache_enabled(false);
-  k.Authorize(1, "read", "o");
-  k.Authorize(1, "read", "o");
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
   EXPECT_EQ(engine.upcalls, 2);
 }
 
@@ -1688,9 +1638,9 @@ TEST(KernelAuthorizeTest, GoalUpdateInvalidatesCachedDecisions) {
   Kernel k;
   AllowAllEngine engine;
   k.set_engine(&engine);
-  k.Authorize(1, "read", "o");
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
   k.OnGoalUpdate("read", "o");
-  k.Authorize(1, "read", "o");
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
   EXPECT_EQ(engine.upcalls, 2);
 }
 
@@ -1698,9 +1648,9 @@ TEST(KernelAuthorizeTest, ProofUpdateInvalidatesCachedDecision) {
   Kernel k;
   AllowAllEngine engine;
   k.set_engine(&engine);
-  k.Authorize(1, "read", "o");
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
   k.OnProofUpdate(1, "read", "o");
-  k.Authorize(1, "read", "o");
+  k.Authorize(AuthzRequest::Of(1, "read", "o"));
   EXPECT_EQ(engine.upcalls, 2);
 }
 

@@ -376,6 +376,31 @@ TEST(MeshInvalidationTest, ForgedOriginInvalidationIsRejected) {
   EXPECT_EQ(w.meshes[1]->invalidation().stats().applied, 0u);
 }
 
+TEST(MeshInvalidationTest, UnknownPairIsNotInternedButConsumesItsEpoch) {
+  MeshWorld w(2, MeshWorld::kChain);
+  w.JoinChain();
+  ASSERT_TRUE(w.Converge(4));
+
+  // A first-hand invalidation naming a pair no node ever interned: the
+  // receiver has no verdict to retire, and peer-supplied names must not
+  // grow its process-wide name tables.
+  Bytes payload;
+  AppendLengthPrefixed(payload, ToBytes(std::string("n0")));
+  AppendU64(payload, 5);
+  AppendLengthPrefixed(payload, ToBytes(std::string("mesh-never-seen-op")));
+  AppendLengthPrefixed(payload, ToBytes(std::string("mesh:never-seen-object")));
+  AttestedChannel* channel = w.nodes[0]->ChannelTo("n1");
+  ASSERT_NE(channel, nullptr);
+  ASSERT_TRUE(
+      channel->SendSecure(std::string(InvalidationPropagator::kServiceName), payload).ok());
+  w.transport.DeliverAll();
+
+  EXPECT_FALSE(kernel::FindOp("mesh-never-seen-op").has_value());
+  EXPECT_FALSE(kernel::FindObject("mesh:never-seen-object").has_value());
+  EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n0"), 5u);
+  EXPECT_EQ(w.meshes[1]->invalidation().stats().applied, 1u);
+}
+
 // ------------------------------------------------------------- quorum
 
 // One client plus N authority members, star-pinned, equal link latencies.

@@ -320,7 +320,7 @@ TEST(MtAuthzStressTest, TwoSubjectRemoteMissesOverlapInOneRtt) {
 // Authorization misses racing process/port lifecycle churn: the kernel's
 // sharded process/port tables let spawn, kill, and port create/destroy run
 // while worker threads miss (the PR-3 quiescence rule is gone). Workers
-// also exercise Invoke(kProcRead) — procfs reads and the charged intern
+// also exercise the kProcRead syscall — procfs reads and the charged intern
 // surface — mid-churn. TSan-clean is the real assertion; the end-state
 // checks catch lost updates without it.
 TEST(MtAuthzStressTest, AuthorizeMissesVsProcessAndPortLifecycleChurn) {
@@ -371,7 +371,7 @@ TEST(MtAuthzStressTest, AuthorizeMissesVsProcessAndPortLifecycleChurn) {
           kernel::IpcMessage msg;
           msg.AddString("/proc/kernel/name");
           kernel::IpcReply reply =
-              kernel.Invoke(subjects[t], kernel::Syscall::kProcRead, msg);
+              kernel.Call(subjects[t], kernel::SyscallIpcPort(kernel::Syscall::kProcRead), msg);
           if (reply.status.ok()) {
             ++proc_reads;
           }

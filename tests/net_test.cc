@@ -657,11 +657,12 @@ TEST(RemoteAuthorityTest, GuardConsultsRemoteAuthorityThroughProofLeaf) {
   ASSERT_TRUE(w.nexus_a.engine()
                   .SetProof(subject, "open", "door", nal::proof::Authority(goal))
                   .ok());
-  EXPECT_TRUE(w.nexus_a.kernel().Authorize(subject, "open", "door").ok());
+  EXPECT_TRUE(w.nexus_a.kernel().Authorize(kernel::AuthzRequest::Of(subject, "open", "door")).ok());
   EXPECT_GE(w.nexus_a.guard().stats().remote_queries, 1u);
 
   w.vouch = false;
-  EXPECT_FALSE(w.nexus_a.kernel().Authorize(subject, "open", "door").ok());
+  EXPECT_FALSE(w.nexus_a.kernel().Authorize(
+      kernel::AuthzRequest::Of(subject, "open", "door")).ok());
 }
 
 // ---------------------------------------------------- Federated scenario

@@ -50,10 +50,16 @@ class ObservabilityTest : public ::testing::Test {
     client_ = *nexus_.CreateProcess("client", ToBytes("client-bin"));
   }
 
-  kernel::IpcReply Syscall(kernel::ProcessId caller, kernel::Syscall sc,
-                           std::vector<std::string> args) {
-    return nexus_.kernel().Invoke(caller, sc,
-                                  kernel::IpcMessage::FromLegacy("", std::move(args)));
+  // open and proc_read take a path slot, read an fd slot.
+  kernel::IpcReply Syscall(kernel::ProcessId caller, kernel::Syscall sc, std::string_view path) {
+    kernel::IpcMessage message;
+    message.AddString(path);
+    return nexus_.kernel().Call(caller, kernel::SyscallIpcPort(sc), message);
+  }
+  kernel::IpcReply Syscall(kernel::ProcessId caller, kernel::Syscall sc, uint64_t fd) {
+    kernel::IpcMessage message;
+    message.AddU64(fd);
+    return nexus_.kernel().Call(caller, kernel::SyscallIpcPort(sc), message);
   }
 
   Rng rng_;
@@ -72,7 +78,7 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
   ASSERT_TRUE(nexus_.fs().CreateFile("/data", ToBytes("payload")).ok());
   // Open while the file object is unguarded; the read below is the guarded
   // operation under test.
-  kernel::IpcReply open = Syscall(client_, kernel::Syscall::kOpen, {"/data"});
+  kernel::IpcReply open = Syscall(client_, kernel::Syscall::kOpen, "/data");
   ASSERT_TRUE(open.status.ok()) << open.status.ToString();
   int64_t fd = open.value();
 
@@ -94,7 +100,7 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
   ASSERT_TRUE(token.ok()) << token.status().ToString();
 
   ScopedRecorder recorder;
-  kernel::IpcReply read = Syscall(client_, kernel::Syscall::kRead, {std::to_string(fd)});
+  kernel::IpcReply read = Syscall(client_, kernel::Syscall::kRead, fd);
   ASSERT_TRUE(read.status.ok()) << read.status.ToString();
   EXPECT_EQ(ToString(read.data), "payload");
   EXPECT_EQ(monitor.calls, 1);
@@ -137,7 +143,7 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
 
   // The same chain is visible through the introspection namespace.
   kernel::IpcReply trace_read =
-      Syscall(client_, kernel::Syscall::kProcRead, {"/trace/recent"});
+      Syscall(client_, kernel::Syscall::kProcRead, "/trace/recent");
   ASSERT_TRUE(trace_read.status.ok()) << trace_read.status.ToString();
   EXPECT_NE(trace_read.text().find("trace=" + std::to_string(id)), std::string::npos);
   EXPECT_NE(trace_read.text().find("stage=guard_check"), std::string::npos);
@@ -149,10 +155,11 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
 // shrinks to probe + verdict with the hit flag, no engine or guard stage.
 TEST_F(ObservabilityTest, CachedRepeatTracesAsHit) {
   kernel::Kernel& k = nexus_.kernel();
-  ASSERT_TRUE(k.Authorize(client_, "use", "widget:1").ok());  // Warm the cache.
+  ASSERT_TRUE(k.Authorize(
+      kernel::AuthzRequest::Of(client_, "use", "widget:1")).ok());  // Warm the cache.
 
   ScopedRecorder recorder;
-  ASSERT_TRUE(k.Authorize(client_, "use", "widget:1").ok());
+  ASSERT_TRUE(k.Authorize(kernel::AuthzRequest::Of(client_, "use", "widget:1")).ok());
   std::vector<kernel::TraceEvent> recent = kernel::FlightRecorder::Global().Recent();
   ASSERT_FALSE(recent.empty());
   std::vector<kernel::TraceEvent> chain =
@@ -173,13 +180,13 @@ TEST_F(ObservabilityTest, CachedRepeatTracesAsHit) {
 TEST_F(ObservabilityTest, ProcStatsExportIsGuarded) {
   kernel::Kernel& k = nexus_.kernel();
   // Generate some kernel activity so the counters are visibly nonzero.
-  ASSERT_TRUE(k.Authorize(client_, "use", "widget:2").ok());
+  ASSERT_TRUE(k.Authorize(kernel::AuthzRequest::Of(client_, "use", "widget:2")).ok());
 
   // Unguarded: anyone can read the export (bootstrap fail-open).
-  kernel::IpcReply stats = Syscall(client_, kernel::Syscall::kProcRead, {"/stats/kernel"});
+  kernel::IpcReply stats = Syscall(client_, kernel::Syscall::kProcRead, "/stats/kernel");
   ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
   EXPECT_NE(stats.text().find("kernel.authorize_requests"), std::string::npos);
-  kernel::IpcReply cache_stats = Syscall(client_, kernel::Syscall::kProcRead, {"/stats/cache"});
+  kernel::IpcReply cache_stats = Syscall(client_, kernel::Syscall::kProcRead, "/stats/cache");
   ASSERT_TRUE(cache_stats.status.ok());
   EXPECT_NE(cache_stats.text().find("cache.misses"), std::string::npos);
 
@@ -191,22 +198,22 @@ TEST_F(ObservabilityTest, ProcStatsExportIsGuarded) {
   ASSERT_TRUE(nexus_.engine()
                   .SetGoal(owner_, "read", "proc:/stats/kernel", F("Auditor says cleared(nobody)"))
                   .ok());
-  kernel::IpcReply denied = Syscall(client_, kernel::Syscall::kProcRead, {"/stats/kernel"});
+  kernel::IpcReply denied = Syscall(client_, kernel::Syscall::kProcRead, "/stats/kernel");
   EXPECT_EQ(denied.status.code(), ErrorCode::kPermissionDenied);
 
   // Unrelated stats nodes stay readable.
-  kernel::IpcReply still_ok = Syscall(client_, kernel::Syscall::kProcRead, {"/stats/engine"});
+  kernel::IpcReply still_ok = Syscall(client_, kernel::Syscall::kProcRead, "/stats/engine");
   EXPECT_TRUE(still_ok.status.ok());
 }
 
 // proc:/stats/trace reports the recorder's own state.
 TEST_F(ObservabilityTest, TraceStatsNodeReportsRecorderState) {
-  kernel::IpcReply off = Syscall(client_, kernel::Syscall::kProcRead, {"/stats/trace"});
+  kernel::IpcReply off = Syscall(client_, kernel::Syscall::kProcRead, "/stats/trace");
   ASSERT_TRUE(off.status.ok());
   EXPECT_NE(off.text().find("enabled 0"), std::string::npos);
 
   ScopedRecorder recorder;
-  kernel::IpcReply on = Syscall(client_, kernel::Syscall::kProcRead, {"/stats/trace"});
+  kernel::IpcReply on = Syscall(client_, kernel::Syscall::kProcRead, "/stats/trace");
   ASSERT_TRUE(on.status.ok());
   EXPECT_NE(on.text().find("enabled 1"), std::string::npos);
 }
@@ -219,7 +226,7 @@ TEST_F(ObservabilityTest, AnalyzerSeesObservedTraffic) {
                                  *nexus_.CreateProcess("ipcanalyzer", ToBytes("a")));
 
   ASSERT_TRUE(nexus_.fs().CreateFile("/traffic", ToBytes("x")).ok());
-  kernel::IpcReply open = Syscall(client_, kernel::Syscall::kOpen, {"/traffic"});
+  kernel::IpcReply open = Syscall(client_, kernel::Syscall::kOpen, "/traffic");
   ASSERT_TRUE(open.status.ok());
 
   kernel::ProcessId fs_pid = *k.PortOwner(k.fs_port());
@@ -230,7 +237,7 @@ TEST_F(ObservabilityTest, AnalyzerSeesObservedTraffic) {
   EXPECT_EQ(analyzer.ObservedTraffic(client_, fs_pid), 0u);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        Syscall(client_, kernel::Syscall::kRead, {std::to_string(open.value())}).status.ok());
+        Syscall(client_, kernel::Syscall::kRead, open.value()).status.ok());
   }
   EXPECT_EQ(analyzer.ObservedTraffic(client_, fs_pid), 3u);
   auto edges = analyzer.ObservedEdges();
@@ -245,7 +252,7 @@ TEST_F(ObservabilityTest, DisabledRecorderRetainsNothing) {
   kernel::FlightRecorder& recorder = kernel::FlightRecorder::Global();
   recorder.Clear();
   ASSERT_FALSE(recorder.enabled());
-  ASSERT_TRUE(nexus_.kernel().Authorize(client_, "use", "widget:3").ok());
+  ASSERT_TRUE(nexus_.kernel().Authorize(kernel::AuthzRequest::Of(client_, "use", "widget:3")).ok());
   EXPECT_TRUE(recorder.Recent().empty());
 }
 

@@ -244,12 +244,6 @@ TEST(DdrmTest, MemoDoesNotCollapseDistinctCallShapes) {
   // Cached repeats keep their own verdicts.
   EXPECT_EQ(monitor.OnCall(context, to_zero), kernel::InterposeVerdict::kAllow);
   EXPECT_EQ(monitor.OnCall(context, no_target), kernel::InterposeVerdict::kDeny);
-  // Unresolved legacy ops reaching OnCall directly are never memoized, so
-  // two distinct never-interned operations cannot share a verdict.
-  kernel::IpcMessage legacy_a = kernel::IpcMessage::FromLegacy("ddrm-legacy-novel-a");
-  kernel::IpcMessage legacy_b = kernel::IpcMessage::FromLegacy("ddrm-legacy-novel-b");
-  EXPECT_EQ(monitor.OnCall(context, legacy_a), kernel::InterposeVerdict::kDeny);
-  EXPECT_EQ(monitor.OnCall(context, legacy_b), kernel::InterposeVerdict::kDeny);
 }
 
 TEST(DdrmTest, DecisionMemoDoesNotChangeVerdicts) {
@@ -382,7 +376,8 @@ class RedactionTest : public ::testing::Test {
   int64_t Open(const std::string& path) {
     kernel::IpcMessage msg;
     msg.AddString(path);
-    kernel::IpcReply reply = kernel_.Invoke(client_, kernel::Syscall::kOpen, msg);
+    kernel::IpcReply reply =
+        kernel_.Call(client_, kernel::SyscallIpcPort(kernel::Syscall::kOpen), msg);
     EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
     return reply.value();
   }
@@ -390,7 +385,7 @@ class RedactionTest : public ::testing::Test {
   kernel::IpcReply Read(int64_t fd) {
     kernel::IpcMessage msg;
     msg.AddU64(static_cast<uint64_t>(fd));
-    return kernel_.Invoke(client_, kernel::Syscall::kRead, msg);
+    return kernel_.Call(client_, kernel::SyscallIpcPort(kernel::Syscall::kRead), msg);
   }
 
   kernel::Kernel kernel_;
@@ -443,7 +438,8 @@ TEST_F(RedactionTest, ShortAndNonReadRepliesPassUntouched) {
   kernel::IpcMessage write_msg;
   write_msg.AddU64(static_cast<uint64_t>(fd)).AddU64(0);
   write_msg.data = ToBytes("SH");
-  EXPECT_TRUE(kernel_.Invoke(client_, kernel::Syscall::kWrite, write_msg).status.ok());
+  EXPECT_TRUE(kernel_.Call(
+      client_, kernel::SyscallIpcPort(kernel::Syscall::kWrite), write_msg).status.ok());
   EXPECT_EQ(ToString(*fs_.ReadFile("/plain")), "SHort");
   EXPECT_EQ(monitor.rewrites(), 0u);
 }
