@@ -10,7 +10,7 @@
 //   serial : one Kernel::Authorize per tuple — every remote leaf pays its
 //            own attested round trip (AES+HMAC framing both ways).
 //   batched: one Kernel::AuthorizeBatch — all remote leaves travel in a
-//            single VouchBatch message per remote authority.
+//            single Vouch message per remote authority.
 //
 // The simulated clock makes link latency free; what the numbers show is the
 // real CPU cost of per-message channel crypto and dispatch, which is what
@@ -62,8 +62,7 @@ struct World {
         [](const nexus::nal::Formula&) { return true; });
     service->AddAuthority(session.get());
 
-    remote = std::make_unique<nexus::net::RemoteAuthority>(node_a.get(), "b", nullptr,
-                                                           /*default_timeout_us=*/100000);
+    remote = std::make_unique<nexus::net::RemoteAuthority>(node_a.get(), "b", nullptr);
     nexus_a.guard().AddRemoteAuthority(remote.get());
     nexus_a.guard().set_remote_query_timeout_us(100000);
 

@@ -21,7 +21,7 @@
 //
 //   BM_mt_authorize_batch (threads × remote%): cache-miss batches flow
 //     through the engine's striped core; remote-leaning batches
-//     additionally pay attested VouchBatch round trips (issued as
+//     additionally pay attested Vouch round trips (issued as
 //     overlapping futures by the async guard pipeline, overlapping across
 //     subjects thanks to the stripes).
 //
@@ -74,8 +74,7 @@ struct World {
         },
         [](const nexus::nal::Formula&) { return true; });
     service->AddAuthority(session.get());
-    remote = std::make_unique<nexus::net::RemoteAuthority>(node_a.get(), "b", nullptr,
-                                                           /*default_timeout_us=*/100000);
+    remote = std::make_unique<nexus::net::RemoteAuthority>(node_a.get(), "b", nullptr);
     nexus_a.guard().AddRemoteAuthority(remote.get());
     nexus_a.guard().set_remote_query_timeout_us(100000);
 

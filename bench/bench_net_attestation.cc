@@ -94,7 +94,7 @@ struct EstablishedPair {
         always_yes(
             [](const nexus::nal::Formula&) { return true; },
             [](const nexus::nal::Formula&) { return true; }),
-        remote(&node_a, "b", nullptr, /*default_timeout_us=*/1000000) {
+        remote(&node_a, "b", nullptr) {
     authority_service.AddAuthority(&always_yes);
     node_a.Connect("b");
   }
@@ -133,7 +133,7 @@ void BM_RemoteAuthorityQuery(benchmark::State& state) {
   EstablishedPair& p = P();
   nexus::nal::Formula statement = *nexus::nal::ParseFormula("Session says sessionActive(u)");
   for (auto _ : state) {
-    bool vouched = p.remote.Vouches(statement);
+    bool vouched = p.remote.VouchOne(statement, /*timeout_us=*/1000000);
     benchmark::DoNotOptimize(vouched);
     if (!vouched) {
       state.SkipWithError("remote authority denied");
@@ -260,8 +260,7 @@ MeshSweepResult RunMeshConfig(size_t n, double drop) {
     services.push_back(std::make_unique<nexus::net::AuthorityService>(w.nodes[i].get()));
     services.back()->AddAuthority(&always_yes);
     remotes.push_back(std::make_unique<nexus::net::RemoteAuthority>(
-        w.nodes[0].get(), MeshSweepWorld::Name(i), nullptr,
-        /*default_timeout_us=*/50000));
+        w.nodes[0].get(), MeshSweepWorld::Name(i), nullptr));
   }
   nexus::net::mesh::QuorumPolicy policy;
   policy.quorum = (n - 1) / 2 + 1;
@@ -280,7 +279,7 @@ MeshSweepResult RunMeshConfig(size_t n, double drop) {
   // backoff window so a member sidelined by an unlucky drop returns (the
   // simulated clock only moves on deliveries, so back-to-back queries
   // would pin sidelined members in backoff forever).
-  (void)quorum.VouchesWithin(statement, /*timeout_us=*/50000);
+  (void)quorum.VouchOne(statement, /*timeout_us=*/50000);
   // Deny-on-no-quorum is the SAFE answer under loss, not a failure of the
   // mesh: with a 1-of-1 or 2-of-3 quorum a single dropped message denies
   // correctly. Availability comes from the caller retrying, so each
@@ -293,7 +292,7 @@ MeshSweepResult RunMeshConfig(size_t n, double drop) {
     for (int attempt = 0; attempt < kTriesPerQuery; ++attempt) {
       AdvanceSimClock(w.transport, policy.backoff_us + 50000);
       uint64_t t0 = w.transport.now_us();
-      bool ok = quorum.VouchesWithin(statement, /*timeout_us=*/50000);
+      bool ok = quorum.VouchOne(statement, /*timeout_us=*/50000);
       if (ok) {
         ++result.vouch_ok;
         total_us += w.transport.now_us() - t0;

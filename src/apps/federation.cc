@@ -104,9 +104,8 @@ PresenceFederation::PresenceFederation(core::Nexus* provider,
     home->authority_service->AddAuthority(home->liveness.get());
 
     // The provider's leg to this home, one quorum member.
-    home->remote = std::make_unique<net::RemoteAuthority>(
-        provider_net_.get(), home->node_id, IsSessionStatement,
-        config_.remote_timeout_us);
+    home->remote = std::make_unique<net::RemoteAuthority>(provider_net_.get(),
+                                                          home->node_id, IsSessionStatement);
     homes_.push_back(std::move(home));
   }
 
@@ -121,8 +120,6 @@ PresenceFederation::PresenceFederation(core::Nexus* provider,
     session_quorum_->AddMember(home->remote.get());
   }
   provider_->guard().AddRemoteAuthority(session_quorum_.get());
-  // The guard owns the per-query deadline on its consultation path; keep
-  // the two knobs agreeing so the configured value actually applies.
   provider_->guard().set_remote_query_timeout_us(config_.remote_timeout_us);
 
   provider_->engine().RegisterObject(kSignupObject, fauxbook_->webserver_pid(),

@@ -4,39 +4,15 @@
 
 namespace nexus::core {
 
-namespace {
-
-// The trivial future: answers computed synchronously at issue time.
-class ReadyVouchFuture : public VouchFuture {
- public:
-  explicit ReadyVouchFuture(std::vector<bool> answers) : answers_(std::move(answers)) {}
-  std::vector<bool> Wait() override { return std::move(answers_); }
-
- private:
-  std::vector<bool> answers_;
-};
-
-// The trivial detailed future, mirroring ReadyVouchFuture.
-class ReadyDetailedVouchFuture : public DetailedVouchFuture {
- public:
-  explicit ReadyDetailedVouchFuture(VouchOutcome outcome) : outcome_(std::move(outcome)) {}
-  VouchOutcome Wait() override { return std::move(outcome_); }
-
- private:
-  VouchOutcome outcome_;
-};
-
-}  // namespace
-
-std::unique_ptr<VouchFuture> Authority::VouchBatchAsync(
-    std::span<const nal::Formula> statements, uint64_t timeout_us) {
-  return std::make_unique<ReadyVouchFuture>(VouchBatch(statements, timeout_us));
-}
-
-std::unique_ptr<DetailedVouchFuture> Authority::VouchBatchAsyncDetailed(
-    std::span<const nal::Formula> statements, uint64_t timeout_us) {
-  return std::make_unique<ReadyDetailedVouchFuture>(
-      VouchOutcome{VouchBatch(statements, timeout_us), /*responsive=*/true});
+VouchFuture LocalAuthority::Vouch(std::span<const nal::Formula> statements,
+                                  uint64_t timeout_us) {
+  (void)timeout_us;
+  VouchOutcome outcome;
+  outcome.answers.reserve(statements.size());
+  for (const nal::Formula& statement : statements) {
+    outcome.answers.push_back(Answer(statement));
+  }
+  return VouchFuture(std::move(outcome));
 }
 
 kernel::IpcReply AuthorityPortHandler::Handle(const kernel::IpcContext& context,
@@ -56,7 +32,8 @@ kernel::IpcReply AuthorityPortHandler::Handle(const kernel::IpcContext& context,
   if (!authority_->Handles(*statement)) {
     return kernel::IpcReply(NotFound("authority does not evaluate this statement"));
   }
-  bool vouches = authority_->Vouches(*statement);
+  // A local authority answers at issue time; no deadline binds.
+  bool vouches = authority_->VouchOne(*statement, /*timeout_us=*/0);
   return kernel::IpcReply::Ok().AddU64(vouches ? 1 : 0);
 }
 

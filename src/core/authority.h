@@ -5,11 +5,17 @@
 // querying IPC channel and may not be stored, cached, or forwarded. This
 // split — indefinitely-cacheable labels vs untransferable authority
 // answers — is what lets Nexus avoid a revocation infrastructure.
+//
+// Every consultation is one primitive, Authority::Vouch: a batch of
+// statements, a deadline, and a future of the answers. A single query is a
+// batch of one waited on at once (VouchOne). Local authorities answer at
+// issue time; a RemoteAuthority (src/net) puts the batch on the wire at
+// issue and collects it at Wait(), so a caller can have round trips to
+// several peers in flight together.
 #ifndef NEXUS_CORE_AUTHORITY_H_
 #define NEXUS_CORE_AUTHORITY_H_
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,113 +25,91 @@
 
 namespace nexus::core {
 
-// A handle to an in-flight multi-statement authority consultation. Wait()
-// completes the round trip (for remote authorities it pumps the simulated
-// fabric until the reply lands or the deadline passes) and returns one
-// answer per issued statement, aligned with the issuing order. Call Wait()
-// exactly once; answers follow the §2.7 rules — fresh, untransferable,
-// consumed by the decision batch that asked and nothing else.
-class VouchFuture {
- public:
-  virtual ~VouchFuture() = default;
-  virtual std::vector<bool> Wait() = 0;
-};
-
-// A batch answer that distinguishes "the authority said no" from "no answer
-// arrived at all". Both still read as deny to a guard — fail closed — but a
-// quorum layer aggregating several authorities needs the difference: an
-// unresponsive member is skipped/backed off, a responsive deny is a vote.
+// The answers to one consultation. `responsive` distinguishes "the
+// authority said no" from "no answer arrived at all". Both read as deny to
+// a guard — fail closed — but a quorum aggregating several authorities
+// needs the difference: an unresponsive member is skipped and backed off,
+// a responsive deny is a vote.
 struct VouchOutcome {
   std::vector<bool> answers;  // One per issued statement, issue order.
   bool responsive = true;     // False: timeout / loss / unreachable peer —
                               // `answers` is all-false filler, not votes.
 };
 
-// The detailed analogue of VouchFuture; same single-Wait contract, same
-// §2.7 freshness rules on the answers.
-class DetailedVouchFuture {
+// A handle to an issued consultation. Wait() completes it — for a remote
+// authority it pumps the simulated fabric until the reply lands or the
+// deadline passes — and returns the outcome. Call Wait() exactly once; the
+// answers are fresh, untransferable, and consumed by the decision that
+// asked and nothing else.
+class VouchFuture final {
  public:
-  virtual ~DetailedVouchFuture() = default;
-  virtual VouchOutcome Wait() = 0;
+  // Answered at issue time.
+  explicit VouchFuture(VouchOutcome ready) : ready_(std::move(ready)) {}
+  // Completed by `collect` at Wait().
+  explicit VouchFuture(std::function<VouchOutcome()> collect)
+      : collect_(std::move(collect)) {}
+
+  VouchOutcome Wait() { return collect_ ? collect_() : std::move(ready_); }
+
+ private:
+  VouchOutcome ready_;
+  std::function<VouchOutcome()> collect_;
 };
 
 class Authority {
  public:
   virtual ~Authority() = default;
-  // Does this authority currently believe `statement` holds? The statement
-  // is typically of the form `Self says <condition over dynamic state>`.
-  virtual bool Vouches(const nal::Formula& statement) = 0;
   // Which statements this authority is willing to evaluate at all (used by
-  // the guard to route queries).
+  // the guard to route queries). A statement is typically of the form
+  // `Self says <condition over dynamic state>`.
   virtual bool Handles(const nal::Formula& statement) const = 0;
+  // Starts consulting this authority on `statements`. The deadline clock
+  // starts now; an answer that cannot arrive within `timeout_us` is a
+  // deny. Answers align with `statements`.
+  virtual VouchFuture Vouch(std::span<const nal::Formula> statements, uint64_t timeout_us) = 0;
 
-  // True for authorities whose answer crosses an instance boundary (a
-  // RemoteAuthority in src/net). The guard budgets those queries: a remote
-  // authority that cannot answer within the deadline is treated as a DENY —
-  // fail closed, never block a guard evaluation on a dead peer.
-  virtual bool IsRemote() const { return false; }
-  // Deadline-bounded query. Local authorities answer instantly and ignore
-  // the budget; remote ones translate it into a wire-level timeout.
-  virtual bool VouchesWithin(const nal::Formula& statement, uint64_t timeout_us) {
-    (void)timeout_us;
-    return Vouches(statement);
+  // A batch of one, waited on at once.
+  bool VouchOne(const nal::Formula& statement, uint64_t timeout_us) {
+    VouchOutcome outcome = Vouch(std::span(&statement, 1), timeout_us).Wait();
+    return !outcome.answers.empty() && outcome.answers[0];
   }
-
-  // Multi-statement query. Local authorities answer element-wise; a remote
-  // authority overrides this to ship all statements in ONE attested round
-  // trip (the batch-guard path's duplicate-query-collapsing depends on it).
-  // Answers align with `statements`; like single answers they are fresh,
-  // untransferable, and must not outlive the consuming decision batch.
-  virtual std::vector<bool> VouchBatch(std::span<const nal::Formula> statements,
-                                       uint64_t timeout_us) {
-    std::vector<bool> answers;
-    answers.reserve(statements.size());
-    for (const nal::Formula& statement : statements) {
-      answers.push_back(VouchesWithin(statement, timeout_us));
-    }
-    return answers;
-  }
-
-  // Starts a VouchBatch without blocking on the answers, so a guard can
-  // overlap remote round trips with local proof checking (the async batch
-  // pipeline). Local authorities answer immediately and return a ready
-  // future; a RemoteAuthority overrides this to put the wire message in
-  // flight NOW and collect it at Wait(). The deadline clock starts at
-  // issue time, exactly as the blocking path's does.
-  virtual std::unique_ptr<VouchFuture> VouchBatchAsync(
-      std::span<const nal::Formula> statements, uint64_t timeout_us);
-
-  // VouchBatchAsync with responsiveness attached (see VouchOutcome). The
-  // default wraps VouchBatch and is always responsive — correct for local
-  // authorities, which cannot lose answers. RemoteAuthority overrides it;
-  // QuorumAuthority (src/net/mesh) consumes it to tell deny-votes from
-  // dead peers.
-  virtual std::unique_ptr<DetailedVouchFuture> VouchBatchAsyncDetailed(
-      std::span<const nal::Formula> statements, uint64_t timeout_us);
 };
 
-// Adapts an Authority to an IPC port: operation "check" with the formula
-// text in args[0]; the reply's value is 1 (vouches) or 0. The kernel's
-// port-to-process binding is what makes the answer attributable.
+// An authority that answers in-process from local state: at issue time,
+// always responsive, and no deadline ever binds.
+class LocalAuthority : public Authority {
+ public:
+  VouchFuture Vouch(std::span<const nal::Formula> statements, uint64_t timeout_us) final;
+
+ protected:
+  // The current answer for one statement.
+  virtual bool Answer(const nal::Formula& statement) = 0;
+};
+
+// Adapts a local authority to an IPC port: operation "check" with the
+// formula text in args[0]; the reply's value is 1 (vouches) or 0. The
+// kernel's port-to-process binding is what makes the answer attributable.
 class AuthorityPortHandler : public kernel::PortHandler {
  public:
-  explicit AuthorityPortHandler(Authority* authority) : authority_(authority) {}
+  explicit AuthorityPortHandler(LocalAuthority* authority) : authority_(authority) {}
   kernel::IpcReply Handle(const kernel::IpcContext& context,
                           const kernel::IpcMessage& message) override;
 
  private:
-  Authority* authority_;
+  LocalAuthority* authority_;
 };
 
 // A function-backed authority for simple dynamic predicates.
-class LambdaAuthority : public Authority {
+class LambdaAuthority : public LocalAuthority {
  public:
   using Predicate = std::function<bool(const nal::Formula&)>;
   LambdaAuthority(Predicate handles, Predicate vouches)
       : handles_(std::move(handles)), vouches_(std::move(vouches)) {}
 
-  bool Vouches(const nal::Formula& statement) override { return vouches_(statement); }
   bool Handles(const nal::Formula& statement) const override { return handles_(statement); }
+
+ protected:
+  bool Answer(const nal::Formula& statement) override { return vouches_(statement); }
 
  private:
   Predicate handles_;

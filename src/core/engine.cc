@@ -1,6 +1,6 @@
 #include "core/engine.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "nal/parser.h"
 
@@ -96,6 +96,29 @@ SnapshotHandle PinForThisThread(const SnapshotHandle& snapshot) {
   return SnapshotHandle(pin, pin->get());
 }
 
+// Holds the stripes in `set`, taken in ascending index order (a canonical
+// order, so concurrent batches never deadlock) and released on scope exit.
+class StripeLocks {
+ public:
+  StripeLocks(std::span<std::recursive_mutex> stripes, uint32_t set)
+      : stripes_(stripes), set_(set) {
+    for (uint32_t rest = set_; rest != 0; rest &= rest - 1) {
+      stripes_[std::countr_zero(rest)].lock();
+    }
+  }
+  ~StripeLocks() {
+    for (uint32_t rest = set_; rest != 0; rest &= rest - 1) {
+      stripes_[std::countr_zero(rest)].unlock();
+    }
+  }
+  StripeLocks(const StripeLocks&) = delete;
+  StripeLocks& operator=(const StripeLocks&) = delete;
+
+ private:
+  std::span<std::recursive_mutex> stripes_;
+  uint32_t set_;
+};
+
 }  // namespace
 
 Engine::Engine(kernel::Kernel* kernel, Guard* default_guard)
@@ -123,9 +146,8 @@ AuthzDecision Engine::DefaultPolicy(const AuthzRequest& request) {
       true);
 }
 
-AuthzDecision Engine::UpcallDesignatedGuard(const AuthzRequest& request,
-                                            const GoalEntry& goal, const nal::Proof& proof,
-                                            nal::CredentialView credentials) {
+AuthzDecision Engine::UpcallDesignatedGuard(const Guard::BatchItem& item,
+                                            kernel::PortId guard_port) {
   // Guard processes are user-level servers written to the one-Handle-at-a-
   // time contract; concurrent misses hitting designated goals must not run
   // their handlers in parallel. Recursive: a designated guard may re-enter
@@ -134,7 +156,7 @@ AuthzDecision Engine::UpcallDesignatedGuard(const AuthzRequest& request,
   // the guard process still work.)
   std::lock_guard<std::recursive_mutex> serialize(designated_mu_);
   designated_upcalls_->Increment();
-  EmitEngineEvent(request, kernel::TraceStage::kGuardUpcall, goal.guard_port,
+  EmitEngineEvent(item.request, kernel::TraceStage::kGuardUpcall, guard_port,
                   kernel::kTraceFlagUpcall);
   // Typed v2 upcall: subject/op/obj cross as id slots (no stringify), the
   // proof as serialized text (it is a subject-supplied tree), credentials
@@ -144,145 +166,132 @@ AuthzDecision Engine::UpcallDesignatedGuard(const AuthzRequest& request,
   // SetProof and referenced, not shipped inline per call.
   static const kernel::OpId check_op = kernel::InternOp("check");
   kernel::IpcMessage ipc_request = kernel::IpcMessage::Of(check_op);
-  ipc_request.AddProcess(request.subject)
-      .AddU64(request.op)
-      .AddObject(request.obj)
-      .AddString(proof == nullptr ? "(premise \"false\")" : nal::SerializeProof(proof));
+  ipc_request.AddProcess(item.request.subject)
+      .AddU64(item.request.op)
+      .AddObject(item.request.obj)
+      .AddString(item.proof == nullptr ? "(premise \"false\")"
+                                       : nal::SerializeProof(item.proof));
   std::string blob;
-  for (std::span<const nal::Formula> part : credentials.parts()) {
+  for (std::span<const nal::Formula> part : item.credentials.parts()) {
     for (const nal::Formula& cred : part) {
       blob += cred->ToString();
       blob += '\n';
     }
   }
   ipc_request.data = ToBytes(blob);
-  kernel::IpcReply reply = kernel_->Call(request.subject, goal.guard_port, ipc_request);
+  kernel::IpcReply reply = kernel_->Call(item.request.subject, guard_port, ipc_request);
   return AuthzDecision::FromStatus(reply.status, reply.value() == 1);
 }
 
 AuthzDecision Engine::Authorize(const AuthzRequest& request) {
-  misses_->Increment();
-  EmitEngineEvent(request, kernel::TraceStage::kEngineMiss, 0, 0);
-  std::optional<GoalEntry> goal = goals_.Get(request.op, request.obj);
-  if (!goal.has_value()) {
-    return DefaultPolicy(request);
-  }
-
-  // Snapshot the miss inputs under the reader side of the state plane, in
-  // one critical section: the pre-submitted proof and the three credential
-  // snapshots. All are shared_ptr copies of immutable data, safe to
-  // evaluate after the lock is gone.
-  nal::Proof proof;
+  AuthzDecision decision;
+  AuthzDecision verdict;
+  Guard::BatchItem item;
+  size_t slot = 0;
   Credentials credentials;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
-    auto proof_it = proofs_.find(KeyOf(request));
-    proof = proof_it == proofs_.end() ? nullptr : proof_it->second;
-    credentials = CredentialsLocked(request.subject, request.obj);
-  }
-
-  if (goal->guard_port != 0) {
-    // Arbitrary guard-process code: no engine lock may be held.
-    return UpcallDesignatedGuard(request, *goal, proof, credentials.View());
-  }
-
-  // Guard evaluation — including any remote-authority round trips — runs
-  // under only the subject's stripe, so independent subjects' misses
-  // overlap end to end.
-  std::lock_guard<std::recursive_mutex> stripe(stripes_[StripeOf(request.subject)]);
-  return default_guard_->Check(request, goal->goal, proof, credentials.View(),
-                               credentials.Stamp(), goal->goal_id);
+  Decide({&request, 1}, {&decision, 1},
+         Staging{{&item, 1}, {&slot, 1}, {&credentials, 1}, {&verdict, 1}});
+  return decision;
 }
 
 std::vector<AuthzDecision> Engine::AuthorizeBatch(std::span<const AuthzRequest> requests) {
-  misses_->Increment(requests.size());
-  std::vector<AuthzDecision> decisions(requests.size());
+  // Reused per-thread capacity: a warm batch allocates only its result.
+  // Moved out for the batch and back after, so an authority or designated
+  // guard that re-enters AuthorizeBatch on this thread stages its own.
+  struct Scratch {
+    std::vector<Guard::BatchItem> items;
+    std::vector<size_t> slots;
+    std::vector<Credentials> credentials;
+    std::vector<AuthzDecision> verdicts;
+  };
+  thread_local Scratch t_scratch;
+  Scratch scratch = std::move(t_scratch);
+  const size_t n = requests.size();
+  scratch.items.resize(n);
+  scratch.slots.resize(n);
+  scratch.credentials.resize(n);
+  scratch.verdicts.resize(n);
+  std::vector<AuthzDecision> decisions(n);
+  Decide(requests, decisions,
+         Staging{scratch.items, scratch.slots, scratch.credentials, scratch.verdicts});
+  // Park the capacity, not the proofs and snapshots the batch staged.
+  scratch.items.clear();
+  scratch.credentials.clear();
+  t_scratch = std::move(scratch);
+  return decisions;
+}
 
-  // The batch is processed in SEGMENTS bounded by designated-guard items:
+void Engine::Decide(std::span<const AuthzRequest> requests, std::span<AuthzDecision> decisions,
+                    const Staging& staging) {
+  misses_->Increment(requests.size());
+  // Requests are decided in SEGMENTS ended by a designated-guard item:
   // snapshot a segment under the reader lock, evaluate it under the
   // segment subjects' stripes, then run the designated upcall (which may
   // mutate label state) with no lock held, so everything after it
-  // re-snapshots and observes the mutation exactly as the serial path
+  // re-snapshots and observes the mutation exactly as the serial order
   // would.
   size_t i = 0;
   while (i < requests.size()) {
-    std::vector<Guard::BatchItem> guard_items;
-    std::vector<size_t> guard_slots;
-    // Keeps the snapshots behind guard_items' credential views alive.
-    std::vector<Credentials> pinned;
-    bool have_designated = false;
-    size_t designated_slot = 0;
-    GoalEntry designated_goal;
-    nal::Proof designated_proof;
-    Credentials designated_credentials;
-
+    size_t staged = 0;
+    kernel::PortId upcall_port = 0;  // Nonzero: items[staged] goes to this guard.
     {
-      std::shared_lock<std::shared_mutex> lock(state_mu_);
-      for (; i < requests.size(); ++i) {
+      // Each proof and its three credential snapshots are taken under the
+      // reader side of the state plane, entered at the segment's first
+      // goal (the bootstrap policy touches only the internally-locked
+      // object registry). All are shared_ptr copies of immutable data,
+      // safe to evaluate after the lock is gone.
+      std::shared_lock<std::shared_mutex> lock(state_mu_, std::defer_lock);
+      for (; i < requests.size() && upcall_port == 0; ++i) {
         const AuthzRequest& request = requests[i];
+        EmitEngineEvent(request, kernel::TraceStage::kEngineMiss, 0, 0);
         std::optional<GoalEntry> goal = goals_.Get(request.op, request.obj);
         if (!goal.has_value()) {
           decisions[i] = DefaultPolicy(request);
           continue;
         }
-
+        if (!lock.owns_lock()) {
+          lock.lock();
+        }
         auto proof_it = proofs_.find(KeyOf(request));
         nal::Proof proof = proof_it == proofs_.end() ? nullptr : proof_it->second;
-        Credentials credentials = CredentialsLocked(request.subject, request.obj);
-
-        if (goal->guard_port != 0) {
-          // End of segment: evaluate everything snapshotted so far first,
-          // then upcall.
-          have_designated = true;
-          designated_slot = i;
-          designated_goal = *goal;
-          designated_proof = std::move(proof);
-          designated_credentials = std::move(credentials);
-          ++i;
-          break;
+        Credentials& credentials = staging.credentials[staged];
+        credentials = CredentialsLocked(request.subject, request.obj);
+        staging.items[staged] =
+            Guard::BatchItem{request,          std::move(goal->goal), goal->goal_id,
+                             std::move(proof), credentials.View(),    credentials.Stamp()};
+        staging.slots[staged] = i;
+        // A designated goal ends the segment: everything staged before it
+        // is evaluated first, then the upcall.
+        upcall_port = goal->guard_port;
+        if (upcall_port == 0) {
+          ++staged;
         }
-
-        guard_items.push_back(Guard::BatchItem{request, goal->goal, goal->goal_id,
-                                               std::move(proof), credentials.View(),
-                                               credentials.Stamp()});
-        guard_slots.push_back(i);
-        pinned.push_back(std::move(credentials));
       }
     }
 
-    if (!guard_items.empty()) {
-      // Acquire every involved subject's stripe in ascending index order —
-      // a canonical order, so concurrent batches never deadlock — and
-      // evaluate the segment. Remote round trips inside CheckBatch overlap
-      // across peers; other subjects' single misses overlap with this
-      // batch unless their stripe is involved.
-      std::vector<size_t> stripe_indices;
-      stripe_indices.reserve(guard_items.size());
-      for (const Guard::BatchItem& item : guard_items) {
-        stripe_indices.push_back(StripeOf(item.request.subject));
+    if (staged > 0) {
+      // Guard evaluation — including any remote-authority round trips —
+      // runs under only the stripes of the segment's subjects, so
+      // independent subjects' misses overlap end to end, and round trips
+      // inside CheckBatch overlap across peers.
+      static_assert(kNumStripes <= 32, "the stripe set is a 32-bit mask");
+      uint32_t stripes = 0;
+      for (const Guard::BatchItem& item : staging.items.first(staged)) {
+        stripes |= 1u << StripeOf(item.request.subject);
       }
-      std::sort(stripe_indices.begin(), stripe_indices.end());
-      stripe_indices.erase(std::unique(stripe_indices.begin(), stripe_indices.end()),
-                           stripe_indices.end());
-      for (size_t s : stripe_indices) {
-        stripes_[s].lock();
-      }
-      std::vector<AuthzDecision> guard_decisions = default_guard_->CheckBatch(guard_items);
-      for (auto it = stripe_indices.rbegin(); it != stripe_indices.rend(); ++it) {
-        stripes_[*it].unlock();
-      }
-      for (size_t j = 0; j < guard_slots.size(); ++j) {
-        decisions[guard_slots[j]] = std::move(guard_decisions[j]);
+      StripeLocks held(stripes_, stripes);
+      default_guard_->CheckBatch(staging.items.first(staged), staging.verdicts);
+      for (size_t j = 0; j < staged; ++j) {
+        decisions[staging.slots[j]] = std::move(staging.verdicts[j]);
       }
     }
 
-    if (have_designated) {
-      decisions[designated_slot] = UpcallDesignatedGuard(
-          requests[designated_slot], designated_goal, designated_proof,
-          designated_credentials.View());
+    if (upcall_port != 0) {
+      // Arbitrary guard-process code: no engine lock may be held.
+      decisions[staging.slots[staged]] =
+          UpcallDesignatedGuard(staging.items[staged], upcall_port);
     }
   }
-  return decisions;
 }
 
 Result<LabelHandle> Engine::Say(kernel::ProcessId speaker, const std::string& statement_text) {

@@ -9,8 +9,9 @@
 // resources, or any guard process the goal names (§2.5, §2.6).
 //
 // The engine is identity-based end to end: access-control tuples are
-// (ProcessId, OpId, ObjectId) — interned integers, no string keys — and the
-// batched entry point AuthorizeBatch lets the guard collapse duplicate
+// (ProcessId, OpId, ObjectId) — interned integers, no string keys. It has
+// one miss routine over spans: Authorize runs it on one request staged on
+// the stack, AuthorizeBatch on many, letting the guard collapse duplicate
 // authority consultations across the batch. Credentials are never copied
 // per miss: a miss holds three shared, immutable snapshots (subject store,
 // system store, object labels) and hands the guard a view over them. The
@@ -63,9 +64,9 @@ namespace nexus::core {
 //    the SAME subject serialize, preserving per-subject decision ordering.
 //    The stripes are recursive (an embedded authority or the setgoal
 //    permission check may re-enter authorization for the same subject on
-//    the same thread). AuthorizeBatch acquires the stripes of every
-//    subject in the segment in ascending index order, so concurrent
-//    batches cannot deadlock against each other.
+//    the same thread). A miss acquires the stripes of every subject in
+//    its segment in ascending index order, so concurrent batches cannot
+//    deadlock against each other.
 //
 // Designated-guard upcalls hold NO state or stripe lock — the guard
 // process executes arbitrary code (it may Say, SetProof, or re-authorize),
@@ -98,8 +99,8 @@ class Engine : public kernel::AuthorizationEngine {
   // ---------------------------------------------- kernel upcall interface
   kernel::AuthzDecision Authorize(const kernel::AuthzRequest& request) override;
   // Batched authorization: duplicate authority queries are collapsed
-  // batch-wide (a remote authority consulted by K requests costs one
-  // VouchBatch round trip, not K).
+  // batch-wide (a remote authority consulted by K requests costs one Vouch
+  // round trip, not K).
   std::vector<kernel::AuthzDecision> AuthorizeBatch(
       std::span<const kernel::AuthzRequest> requests) override;
 
@@ -217,11 +218,25 @@ class Engine : public kernel::AuthorizationEngine {
   Credentials CredentialsLocked(kernel::ProcessId subject,
                                 std::optional<kernel::ObjectId> object) const;
 
+  // Where the miss routine stages its default-guard work: the guard items,
+  // each item's slot in the caller's span, the snapshots behind each
+  // item's credential view, and the guard's verdicts. Each span holds at
+  // least as many slots as the routine has requests. A single request
+  // stages on the stack, a batch in reusable per-thread scratch.
+  struct Staging {
+    std::span<Guard::BatchItem> items;
+    std::span<size_t> slots;
+    std::span<Credentials> credentials;
+    std::span<kernel::AuthzDecision> verdicts;
+  };
+  // The engine's one miss routine: decisions[i] answers requests[i].
+  void Decide(std::span<const kernel::AuthzRequest> requests,
+              std::span<kernel::AuthzDecision> decisions, const Staging& staging);
+
   // Designated guard: serialize the request and upcall over IPC. Runs with
   // no engine lock held.
-  kernel::AuthzDecision UpcallDesignatedGuard(const kernel::AuthzRequest& request,
-                                              const GoalEntry& goal, const nal::Proof& proof,
-                                              nal::CredentialView credentials);
+  kernel::AuthzDecision UpcallDesignatedGuard(const Guard::BatchItem& item,
+                                              kernel::PortId guard_port);
 
   // The read-mostly state plane (see class comment): guards stores_,
   // system_store_, object_labels_, proofs_. Never held across guard

@@ -1,5 +1,8 @@
 #include "core/guard.h"
 
+#include <functional>
+#include <utility>
+
 #include "nal/parser.h"
 #include "nal/proof.h"
 
@@ -40,6 +43,17 @@ void EmitGuardCheck(const AuthzRequest& request, uint16_t flags, bool allowed,
   recorder.Emit(e);
 }
 
+// The first of `authorities` that evaluates `statement`, if any.
+Authority* FirstHandling(std::span<Authority* const> authorities,
+                         const nal::Formula& statement) {
+  for (Authority* authority : authorities) {
+    if (authority->Handles(statement)) {
+      return authority;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Guard::Guard(kernel::Kernel* kernel) : Guard(kernel, Config{}) {}
@@ -56,12 +70,12 @@ void Guard::AddRemoteAuthority(Authority* authority) {
   remote_authorities_.push_back(authority);
 }
 
-bool Guard::ResolveLocalAuthority(const nal::Formula& statement, bool* handled) {
-  *handled = true;
-  for (Authority* authority : embedded_authorities_) {
-    if (authority->Handles(statement)) {
-      return authority->Vouches(statement);
-    }
+Authority* Guard::ResolveLocally(const nal::Formula& statement, bool* answer) {
+  stats_.authority_queries->Increment();
+  *answer = false;
+  if (Authority* embedded = FirstHandling(embedded_authorities_, statement)) {
+    *answer = embedded->VouchOne(statement, config_.remote_query_timeout_us);
+    return nullptr;
   }
   // External authorities: one IPC round trip each. The answer is consumed
   // immediately and never stored (§2.7). The statement crosses as text —
@@ -73,78 +87,55 @@ bool Guard::ResolveLocalAuthority(const nal::Formula& statement, bool* handled) 
     query.AddString(statement->ToString());
     kernel::IpcReply reply = kernel_->Call(kernel::kKernelProcessId, port, query);
     if (reply.status.ok()) {
-      return reply.value() == 1;
+      *answer = reply.value() == 1;
+      return nullptr;
     }
     if (reply.status.code() != ErrorCode::kNotFound) {
-      return false;  // Authority reachable but erroring: fail closed.
+      return nullptr;  // Authority reachable but erroring: fail closed.
     }
-  }
-  *handled = false;
-  return false;
-}
-
-Authority* Guard::RemoteAuthorityFor(const nal::Formula& statement) {
-  for (Authority* authority : remote_authorities_) {
-    if (authority->Handles(statement)) {
-      return authority;
-    }
-  }
-  return nullptr;
-}
-
-bool Guard::QueryAuthorities(const nal::Formula& statement) {
-  stats_.authority_queries->Increment();
-  bool handled = false;
-  bool answer = ResolveLocalAuthority(statement, &handled);
-  if (handled) {
-    return answer;
   }
   // Remote authorities: a query crossing the instance boundary, budgeted by
   // the configured deadline. No answer in time means DENY (§2.7 answers are
   // fresh-or-nothing; a stale late answer is worthless).
-  if (Authority* remote = RemoteAuthorityFor(statement)) {
+  return FirstHandling(remote_authorities_, statement);
+}
+
+bool Guard::Consult(const nal::Formula& statement, AuthorityMemo* memo) {
+  using State = MemoEntry::State;
+  auto known = memo->find(statement);
+  if (known != memo->end() && known->second.state != State::kPending) {
+    if (std::exchange(known->second.state, State::kRead) == State::kRead) {
+      stats_.batch_collapsed_queries->Increment();  // Asked before: not asked again.
+    }
+    return known->second.answer;
+  }
+  // Never asked (a local leaf, or a remote one past the prefetch cap), or
+  // in flight for an item checked later: consult now, a remote leaf as a
+  // round trip of one.
+  bool answer = false;
+  if (Authority* remote = ResolveLocally(statement, &answer)) {
     stats_.remote_queries->Increment();
-    return remote->VouchesWithin(statement, config_.remote_query_timeout_us);
+    answer = remote->VouchOne(statement, config_.remote_query_timeout_us);
   }
-  return false;  // No authority evaluates this statement.
-}
-
-const bool* Guard::AuthorityMemo::Find(const nal::Formula& statement) const {
-  auto bucket = buckets_.find(nal::StructuralHash(statement));
-  if (bucket == buckets_.end()) {
-    return nullptr;
-  }
-  for (const Entry& entry : bucket->second) {
-    if (nal::Equals(entry.statement, statement)) {
-      return &entry.answer;
-    }
-  }
-  return nullptr;
-}
-
-void Guard::AuthorityMemo::Insert(const nal::Formula& statement, bool answer) {
-  std::vector<Entry>& bucket = buckets_[nal::StructuralHash(statement)];
-  for (Entry& entry : bucket) {
-    if (nal::Equals(entry.statement, statement)) {
-      entry.answer = answer;
-      return;
-    }
-  }
-  bucket.push_back(Entry{statement, answer});
+  memo->insert_or_assign(statement, MemoEntry{answer, State::kRead});
+  return answer;
 }
 
 std::vector<Guard::InFlightBatch> Guard::IssuePrefetches(std::span<const BatchItem> items,
                                                          AuthorityMemo* memo,
-                                                         AuthorityMemo* pending,
-                                                         std::vector<bool>* blocked) {
+                                                         std::vector<size_t>* blocked) {
+  using State = MemoEntry::State;
+  if (remote_authorities_.empty()) {
+    return {};  // Nothing could be in flight: every leaf is consulted lazily.
+  }
   // Serial checking stops at the first declined leaf, so a malicious proof
   // stuffed with authority leaves must not amplify into unbounded eager
-  // consultations (or a giant VouchBatch payload). Leaves beyond the cap
-  // are simply not prefetched; the per-check callback falls back to the
-  // lazy serial path for them, preserving correctness.
+  // consultations (or a giant Vouch payload). Leaves beyond the cap are
+  // simply not prefetched; the checker consults them lazily as round
+  // trips of one, preserving correctness.
   constexpr size_t kMaxPrefetchLeavesPerProof = 64;
-  // Statements bound for one remote peer travel in a single VouchBatch
-  // round trip; groups accumulate in first-seen order within each peer.
+  // Statements bound for one remote peer travel in a single Vouch round
+  // trip; groups accumulate in first-seen order within each peer.
   std::map<Authority*, std::vector<nal::Formula>> remote_groups;
   for (size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
@@ -157,32 +148,33 @@ std::vector<Guard::InFlightBatch> Guard::IssuePrefetches(std::span<const BatchIt
     }
     std::vector<nal::Formula> leaves = nal::AuthorityLeaves(item.proof);
     size_t considered = std::min(leaves.size(), kMaxPrefetchLeavesPerProof);
+    bool depends = false;
     for (size_t j = 0; j < considered; ++j) {
       const nal::Formula& leaf = leaves[j];
-      if (pending->Contains(leaf)) {
-        // Already riding an issued (or soon-issued) round trip.
-        stats_.batch_collapsed_queries->Increment();
-        (*blocked)[i] = true;
+      if (auto known = memo->find(leaf); known != memo->end()) {
+        // Already answered, or riding an issued (or soon-issued) round trip.
+        depends = depends || known->second.state == State::kPending;
         continue;
       }
-      if (memo->Contains(leaf)) {
-        stats_.batch_collapsed_queries->Increment();  // Answered locally already.
+      // Only a remote-bound leaf gains from going out early. An embedded
+      // authority answers it first, lazily; an IPC-port one is asked now,
+      // since only its reply says whether it handles the leaf.
+      if (FirstHandling(remote_authorities_, leaf) == nullptr ||
+          FirstHandling(embedded_authorities_, leaf) != nullptr) {
         continue;
       }
-      stats_.authority_queries->Increment();
-      bool handled = false;
-      bool answer = ResolveLocalAuthority(leaf, &handled);
-      if (handled) {
-        memo->Insert(leaf, answer);
+      bool answer = false;
+      Authority* remote = ResolveLocally(leaf, &answer);
+      if (remote == nullptr) {
+        memo->emplace(leaf, MemoEntry{answer, State::kUnread});
         continue;
       }
-      if (Authority* remote = RemoteAuthorityFor(leaf)) {
-        pending->Insert(leaf, false);
-        remote_groups[remote].push_back(leaf);
-        (*blocked)[i] = true;
-        continue;
-      }
-      memo->Insert(leaf, false);  // No authority evaluates it: deny.
+      memo->emplace(leaf, MemoEntry{false, State::kPending});
+      remote_groups[remote].push_back(leaf);
+      depends = true;
+    }
+    if (depends) {
+      blocked->push_back(i);
     }
   }
   // Issue every round trip BEFORE waiting on any: all wire messages are in
@@ -192,10 +184,8 @@ std::vector<Guard::InFlightBatch> Guard::IssuePrefetches(std::span<const BatchIt
   inflight.reserve(remote_groups.size());
   for (auto& [remote, statements] : remote_groups) {
     stats_.remote_queries->Increment();  // One attested round trip for the whole group.
-    InFlightBatch batch;
-    batch.future = remote->VouchBatchAsync(statements, config_.remote_query_timeout_us);
-    batch.statements = std::move(statements);
-    inflight.push_back(std::move(batch));
+    VouchFuture future = remote->Vouch(statements, config_.remote_query_timeout_us);
+    inflight.push_back(InFlightBatch{std::move(future), std::move(statements)});
   }
   return inflight;
 }
@@ -258,13 +248,17 @@ void Guard::InsertCacheEntryLocked(CacheShard& shard, kernel::ProcessId quota_ro
 AuthzDecision Guard::Check(const AuthzRequest& request, const nal::Formula& goal,
                            const nal::Proof& proof, nal::CredentialView credentials,
                            CredentialStamp stamp, nal::FormulaId goal_id) {
-  return CheckImpl(request, goal, goal_id, proof, credentials, stamp, nullptr);
+  const BatchItem item{request, goal, goal_id, proof, credentials, stamp};
+  AuthzDecision decision;
+  CheckBatch(std::span(&item, 1), std::span(&decision, 1));
+  return decision;
 }
 
-AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& goal,
-                               nal::FormulaId goal_id, const nal::Proof& proof,
-                               nal::CredentialView credentials, CredentialStamp stamp,
-                               const AuthorityMemo* memo) {
+AuthzDecision Guard::CheckImpl(const BatchItem& item, AuthorityMemo* memo) {
+  const AuthzRequest& request = item.request;
+  const nal::Formula& goal = item.goal;
+  const nal::Proof& proof = item.proof;
+  nal::FormulaId goal_id = item.goal_id;
   stats_.checks->Increment();
 
   if (goal == nullptr) {
@@ -288,7 +282,7 @@ AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& 
   // and only when the caller supplied a credential stamp (the stamp is what
   // ties a cached verdict to the credential set it was checked under).
   bool static_proof = nal::IsStaticallyCacheable(proof);
-  bool may_cache = static_proof && stamp.enabled();
+  bool may_cache = static_proof && item.stamp.enabled();
   CacheKey cache_key;
   if (may_cache) {
     if (goal_id == nal::kInvalidFormulaId) {
@@ -298,7 +292,7 @@ AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& 
     }
     // ProofHash, not the proof's address: address reuse after free must
     // not replay a dead proof's verdict for a different proof (ABA).
-    cache_key = CacheKey{goal_id, nal::ProofHash(proof), stamp.ids()};
+    cache_key = CacheKey{goal_id, nal::ProofHash(proof), item.stamp.ids()};
     CacheShard& shard = ShardFor(quota_root);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(cache_key);
@@ -319,16 +313,12 @@ AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& 
   }
 
   uint32_t consulted = 0;
-  nal::AuthorityCallback authority = [this, memo, &consulted](const nal::Formula& f) {
+  auto consult = [this, memo, &consulted](const nal::Formula& statement) {
     ++consulted;
-    if (memo != nullptr) {
-      if (const bool* answer = memo->Find(f)) {
-        return *answer;  // Prefetched batch-wide; consumed, not stored.
-      }
-    }
-    return QueryAuthorities(f);
+    return Consult(statement, memo);
   };
-  nal::CheckResult result = nal::CheckProof(proof, goal, credentials, authority);
+  nal::CheckResult result =
+      nal::CheckProof(proof, goal, item.credentials, std::ref(consult));
 
   // A denial caused by a missing credential must not be cached anywhere:
   // the subject may acquire the label later without touching its proof.
@@ -353,40 +343,34 @@ AuthzDecision Guard::CheckImpl(const AuthzRequest& request, const nal::Formula& 
   return decision;
 }
 
-std::vector<AuthzDecision> Guard::CheckBatch(std::span<const BatchItem> items) {
-  AuthorityMemo memo;     // Resolved answers (local, no-authority denies).
-  AuthorityMemo pending;  // Statements riding an in-flight remote future.
-  std::vector<bool> blocked(items.size(), false);
-  std::vector<InFlightBatch> inflight = IssuePrefetches(items, &memo, &pending, &blocked);
+void Guard::CheckBatch(std::span<const BatchItem> items, std::span<AuthzDecision> decisions) {
+  AuthorityMemo memo;
+  std::vector<size_t> blocked;
+  std::vector<InFlightBatch> inflight = IssuePrefetches(items, &memo, &blocked);
 
-  std::vector<AuthzDecision> decisions(items.size());
   // Overlap phase: while the remote round trips are on the wire, check
-  // every item whose leaves are already resolved (or that short-circuits
-  // before proof checking). Their verdicts cannot depend on the fabric.
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (!blocked[i]) {
-      const BatchItem& item = items[i];
-      decisions[i] = CheckImpl(item.request, item.goal, item.goal_id, item.proof,
-                               item.credentials, item.stamp, &memo);
+  // every item that does not depend on one. Its verdict cannot depend on
+  // the fabric.
+  for (size_t i = 0, next = 0; i < items.size(); ++i) {
+    if (next < blocked.size() && blocked[next] == i) {
+      ++next;
+      continue;
     }
+    decisions[i] = CheckImpl(items[i], &memo);
   }
   // Harvest: fold every future's answers into the memo. A lost or late
-  // reply yields fail-closed denies, exactly as the blocking path.
+  // reply yields fail-closed denies.
   for (InFlightBatch& batch : inflight) {
-    std::vector<bool> answers = batch.future->Wait();
+    VouchOutcome outcome = batch.future.Wait();
     for (size_t k = 0; k < batch.statements.size(); ++k) {
-      memo.Insert(batch.statements[k], k < answers.size() && answers[k]);
+      bool answer = k < outcome.answers.size() && outcome.answers[k];
+      memo.insert_or_assign(batch.statements[k], MemoEntry{answer, MemoEntry::State::kUnread});
     }
   }
-  // Remaining items: every leaf now has its answer in the memo.
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (blocked[i]) {
-      const BatchItem& item = items[i];
-      decisions[i] = CheckImpl(item.request, item.goal, item.goal_id, item.proof,
-                               item.credentials, item.stamp, &memo);
-    }
+  // Remaining items: every prefetched leaf now has its answer in the memo.
+  for (size_t i : blocked) {
+    decisions[i] = CheckImpl(items[i], &memo);
   }
-  return decisions;
 }
 
 void Guard::FlushCache() {

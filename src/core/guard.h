@@ -15,16 +15,19 @@
 // and per-process-tree quotas bound the damage of principal-spawning
 // exhaustion attacks.
 //
-// CheckBatch evaluates many requests at once as an ASYNC PIPELINE:
-// authority leaves are classified across the whole batch, identical
-// queries are collapsed to one consultation, and all statements bound for
-// one remote authority travel in a single VouchBatch round trip instead
-// of N. Remote round trips are issued as futures on the simulated clock,
-// and local proof checking for items whose leaves are already resolved
-// proceeds while those round trips are on the wire — remote latency
-// overlaps local work instead of serializing ahead of it. Items that
-// depend on an in-flight answer are checked after the futures are
-// harvested, so every verdict equals the serial path's.
+// Check is CheckBatch run over one item, and CheckBatch is an ASYNC
+// PIPELINE. Leaves bound for a remote authority are collected across the
+// batch, identical queries are collapsed, and all statements bound for one
+// remote authority travel in a single Vouch round trip instead of N. The
+// round trips are issued as futures on the simulated clock before any is
+// waited on, and local proof checking for items whose leaves are not in
+// flight proceeds meanwhile — remote latency overlaps local work instead
+// of serializing ahead of it. Every other leaf (local authorities, and
+// remote leaves past the per-proof prefetch cap) is consulted lazily, when
+// the checker reaches it, through the same batch memo, so a proof whose
+// first leaf declines costs one consultation. Items that depend on an
+// in-flight answer are checked after the futures are harvested, so every
+// verdict equals the serial one.
 //
 // Threading: the guard is safe for concurrent Check/CheckBatch callers.
 // The proof-check cache is SHARDED by Mix64(quota root) — every entry a
@@ -80,12 +83,12 @@ class Guard {
     uint64_t checks = 0;
     uint64_t cache_hits = 0;
     uint64_t authority_queries = 0;
-    // Remote round trips: one per serial consultation, one per VouchBatch
-    // (however many statements it carried).
+    // Remote round trips: one per Vouch issued (however many statements
+    // it carried).
     uint64_t remote_queries = 0;
     uint64_t evictions = 0;
-    // Batch accounting: consultations saved by collapsing duplicate
-    // authority queries within a batch.
+    // Consultations saved by collapsing duplicate authority queries within
+    // one Check or CheckBatch.
     uint64_t batch_collapsed_queries = 0;
   };
 
@@ -142,40 +145,34 @@ class Guard {
   // configured deadline and an expired or unanswered query denies.
   void AddRemoteAuthority(Authority* authority);
 
-  // Full guard evaluation. `proof` may be null (denied unless the goal is
-  // `true`). The proof-check cache is keyed on (goal identity, proof
-  // identity, `stamp`), so a credential change — which publishes a new
-  // snapshot id — reaches a fresh entry without hashing the credential set
-  // per call. The default stamp disables verdict caching for this check.
+  // Full guard evaluation: CheckBatch over one item. `proof` may be null
+  // (denied unless the goal is `true`). The proof-check cache is keyed on
+  // (goal identity, proof identity, `stamp`), so a credential change —
+  // which publishes a new snapshot id — reaches a fresh entry without
+  // hashing the credential set per call. The default stamp disables
+  // verdict caching for this check.
   // `goal_id` is the goal's interned identity if the caller already has it
   // (GoalEntry carries one); kInvalidFormulaId makes the guard intern.
   kernel::AuthzDecision Check(const kernel::AuthzRequest& request, const nal::Formula& goal,
                               const nal::Proof& proof, nal::CredentialView credentials,
                               CredentialStamp stamp = {},
                               nal::FormulaId goal_id = nal::kInvalidFormulaId);
-  // Legacy string surface: interns and forwards.
-  kernel::AuthzDecision Check(kernel::ProcessId subject, const std::string& operation,
-                              const std::string& object, const nal::Formula& goal,
-                              const nal::Proof& proof, nal::CredentialView credentials,
-                              CredentialStamp stamp = {}) {
-    return Check(kernel::AuthzRequest::Of(subject, operation, object), goal, proof,
-                 credentials, stamp);
-  }
 
-  // Batched evaluation. Verdict-equivalent to calling Check per item;
-  // authority consultations are deduplicated batch-wide, remote
-  // consultations are coalesced into one VouchBatch round trip per remote
-  // authority, and those round trips overlap local proof checking (see
-  // the class comment). The consultation SET may exceed serial's: leaves
-  // are prefetched eagerly (bounded per proof), so a proof that serial
-  // checking would abandon early still has its first leaves consulted —
-  // answers affect nothing beyond what the per-check callback reads.
-  // Authority answers stay decision-scoped: the batch memo and every
+  // Batched evaluation: decisions[i] answers items[i] (`decisions` holds
+  // at least items.size() slots). Verdict-equivalent to calling Check per
+  // item; authority consultations are deduplicated batch-wide, remote
+  // consultations are coalesced into one Vouch round trip per remote
+  // authority, and those round trips overlap local proof checking (see the
+  // class comment). The consultation SET may exceed serial's only for
+  // remote-bound leaves: those are prefetched (up to 64 per proof), so a
+  // proof that serial checking would abandon early still has its remote
+  // leaves consulted — answers affect nothing beyond what the checker
+  // reads. Authority answers stay decision-scoped: the memo and every
   // future are drained before this call returns (§2.7 untransferability).
-  // The caller (Engine::AuthorizeBatch) flushes at designated-guard items,
-  // so in-batch label mutations stay serially observable; within one
-  // CheckBatch no item mutates label state.
-  std::vector<kernel::AuthzDecision> CheckBatch(std::span<const BatchItem> items);
+  // The caller (the engine's miss routine) flushes at designated-guard
+  // items, so in-batch label mutations stay serially observable; within
+  // one CheckBatch no item mutates label state.
+  void CheckBatch(std::span<const BatchItem> items, std::span<kernel::AuthzDecision> decisions);
 
   Stats stats() const;  // Snapshot by value: counters move concurrently.
   void FlushCache();
@@ -202,57 +199,57 @@ class Guard {
     friend auto operator<=>(const CacheKey&, const CacheKey&) = default;
   };
 
-  // Batch-scope memo of authority answers, keyed by structural hash with
-  // Equals() confirmation. Deliberately NOT the global interner: proof
+  // Decision-scope memo of authority answers, keyed by structural hash
+  // with Equals() confirmation. Deliberately NOT the global interner: proof
   // leaves are subject-supplied, and interning them would let SetProof
   // spam grow the append-only interner without bound. The memo dies with
-  // the batch (§2.7 untransferability).
-  class AuthorityMemo {
-   public:
-    // The memoized answer, or nullptr if this statement was never seen.
-    // The pointer is invalidated by the next Insert; consume immediately.
-    const bool* Find(const nal::Formula& statement) const;
-    // Records the answer for `statement` (overwrites an existing slot).
-    void Insert(const nal::Formula& statement, bool answer);
-    bool Contains(const nal::Formula& statement) const {
-      return Find(statement) != nullptr;
-    }
-
-   private:
-    struct Entry {
-      nal::Formula statement;
-      bool answer;
+  // the Check or CheckBatch call (§2.7 untransferability).
+  struct MemoEntry {
+    enum class State {
+      kPending,  // Riding an in-flight remote future; no answer yet.
+      kUnread,   // Prefetched and not yet read by the checker.
+      kRead,
     };
-    std::unordered_map<uint64_t, std::vector<Entry>> buckets_;
+    bool answer;
+    State state;
   };
+  struct StatementHash {
+    size_t operator()(const nal::Formula& f) const { return nal::StructuralHash(f); }
+  };
+  struct StatementEqual {
+    bool operator()(const nal::Formula& a, const nal::Formula& b) const {
+      return nal::Equals(a, b);
+    }
+  };
+  using AuthorityMemo =
+      std::unordered_map<nal::Formula, MemoEntry, StatementHash, StatementEqual>;
 
-  bool QueryAuthorities(const nal::Formula& statement);
-  // Embedded + IPC-port authorities. Sets *handled; the answer is valid
-  // only when *handled is true.
-  bool ResolveLocalAuthority(const nal::Formula& statement, bool* handled);
-  // The remote authority that would evaluate `statement`, if any.
-  Authority* RemoteAuthorityFor(const nal::Formula& statement);
+  // Consults the local authorities on `statement`: embedded ones, then
+  // IPC-port ones. Returns the remote authority that must answer instead
+  // when no local one handles it; otherwise sets *answer (a deny when no
+  // authority evaluates the statement at all).
+  Authority* ResolveLocally(const nal::Formula& statement, bool* answer);
+  // The checker's authority callback: the memoized answer, else a fresh
+  // consultation (a remote one as a round trip of one) recorded in `memo`.
+  bool Consult(const nal::Formula& statement, AuthorityMemo* memo);
 
   // One coalesced remote round trip in flight: the future plus the
   // statements it will answer (in issue order), to be folded into the memo
   // at harvest time.
   struct InFlightBatch {
-    std::unique_ptr<VouchFuture> future;
+    VouchFuture future;
     std::vector<nal::Formula> statements;
   };
-  // Phase 1 of the async pipeline: walks every item's authority leaves,
-  // resolves local authorities into `memo`, collapses duplicates, and
-  // issues one VouchBatchAsync per remote authority. Statements awaiting a
-  // future are recorded in `pending`; blocked[i] is set for items that
-  // depend on one (they must be checked after the harvest).
+  // Phase 1 of the async pipeline: walks the remote-bound leaves of every
+  // item (at most 64 per proof), collapses duplicates, and issues one Vouch
+  // per remote authority. A leaf an IPC-port authority answers first is
+  // resolved into `memo`, a leaf awaiting a future is recorded there as
+  // pending, and the items depending on one are appended to `blocked` in
+  // ascending order (they must be checked after the harvest).
   std::vector<InFlightBatch> IssuePrefetches(std::span<const BatchItem> items,
-                                             AuthorityMemo* memo, AuthorityMemo* pending,
-                                             std::vector<bool>* blocked);
+                                             AuthorityMemo* memo, std::vector<size_t>* blocked);
 
-  kernel::AuthzDecision CheckImpl(const kernel::AuthzRequest& request,
-                                  const nal::Formula& goal, nal::FormulaId goal_id,
-                                  const nal::Proof& proof, nal::CredentialView credentials,
-                                  CredentialStamp stamp, const AuthorityMemo* memo);
+  kernel::AuthzDecision CheckImpl(const BatchItem& item, AuthorityMemo* memo);
 
   struct CacheEntry {
     CacheKey key;

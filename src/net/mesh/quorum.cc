@@ -2,29 +2,6 @@
 
 namespace nexus::net::mesh {
 
-namespace {
-
-class ReadyQuorumFuture : public core::VouchFuture {
- public:
-  explicit ReadyQuorumFuture(std::vector<bool> answers) : answers_(std::move(answers)) {}
-  std::vector<bool> Wait() override { return std::move(answers_); }
-
- private:
-  std::vector<bool> answers_;
-};
-
-class PendingQuorumFuture : public core::VouchFuture {
- public:
-  explicit PendingQuorumFuture(std::function<std::vector<bool>()> collect)
-      : collect_(std::move(collect)) {}
-  std::vector<bool> Wait() override { return collect_(); }
-
- private:
-  std::function<std::vector<bool>()> collect_;
-};
-
-}  // namespace
-
 QuorumAuthority::QuorumAuthority(Transport* transport, QuorumPolicy policy,
                                  HandlesPredicate handles)
     : transport_(transport), policy_(std::move(policy)), handles_(std::move(handles)) {}
@@ -60,13 +37,11 @@ void QuorumAuthority::RecordOutcome(size_t member, bool responsive) {
   }
 }
 
-std::vector<bool> QuorumAuthority::Tally(
-    std::span<const nal::Formula> statements,
-    const std::vector<std::pair<size_t, core::VouchOutcome>>& outcomes) {
-  size_t count = statements.size();
+core::VouchOutcome QuorumAuthority::Tally(size_t count, std::span<MemberFuture> futures) {
   std::vector<size_t> yes(count, 0);
   size_t responsive = 0;
-  for (const auto& [member, outcome] : outcomes) {
+  for (auto& [member, future] : futures) {
+    core::VouchOutcome outcome = future.Wait();
     RecordOutcome(member, outcome.responsive);
     if (!outcome.responsive || outcome.answers.size() != count) {
       continue;
@@ -78,32 +53,34 @@ std::vector<bool> QuorumAuthority::Tally(
       }
     }
   }
-  std::vector<bool> verdicts(count, false);
+  // Responsive iff enough members answered for K yes-votes to have been
+  // possible; otherwise every deny is unresponsiveness, not dissent, and an
+  // enclosing quorum must see this one as a dead member, not a no-vote.
+  core::VouchOutcome verdict{std::vector<bool>(count, false),
+                             /*responsive=*/responsive >= policy_.quorum};
   for (size_t i = 0; i < count; ++i) {
-    verdicts[i] = yes[i] >= policy_.quorum;
-    if (verdicts[i]) {
+    verdict.answers[i] = yes[i] >= policy_.quorum;
+    if (verdict.answers[i]) {
       stats_.vouched->Increment();
-    } else if (responsive < policy_.quorum) {
-      // Not enough LIVE members for K yes-votes to have been possible:
-      // the deny's cause is unresponsiveness, not dissent.
+    } else if (!verdict.responsive) {
       stats_.denied_timeout->Increment();
     } else {
       stats_.denied_no_quorum->Increment();
     }
   }
-  return verdicts;
+  return verdict;
 }
 
-std::unique_ptr<core::VouchFuture> QuorumAuthority::VouchBatchAsync(
-    std::span<const nal::Formula> statements, uint64_t timeout_us) {
+core::VouchFuture QuorumAuthority::Vouch(std::span<const nal::Formula> statements,
+                                         uint64_t timeout_us) {
   size_t count = statements.size();
-  if (count == 0 || members_.empty()) {
-    return std::make_unique<ReadyQuorumFuture>(std::vector<bool>(count, false));
+  if (count == 0) {
+    return core::VouchFuture(core::VouchOutcome{});
   }
   stats_.statements->Increment(count);
   // Issue phase: EVERY live member's batch goes on the wire before any
   // Wait — the overlap that makes the round cost max-of-K latency.
-  std::vector<std::pair<size_t, std::unique_ptr<core::DetailedVouchFuture>>> futures;
+  std::vector<MemberFuture> futures;
   futures.reserve(members_.size());
   uint64_t now = transport_->now_us();
   for (size_t i = 0; i < members_.size(); ++i) {
@@ -115,34 +92,11 @@ std::unique_ptr<core::VouchFuture> QuorumAuthority::VouchBatchAsync(
       }
     }
     stats_.member_rounds->Increment();
-    futures.emplace_back(i, members_[i]->VouchBatchAsyncDetailed(statements, timeout_us));
+    futures.emplace_back(i, members_[i]->Vouch(statements, timeout_us));
   }
-  std::vector<nal::Formula> owned(statements.begin(), statements.end());
-  return std::make_unique<PendingQuorumFuture>(
-      [this, owned = std::move(owned), futures = std::make_shared<decltype(futures)>(
-                                           std::move(futures))]() mutable {
-        std::vector<std::pair<size_t, core::VouchOutcome>> outcomes;
-        outcomes.reserve(futures->size());
-        for (auto& [member, future] : *futures) {
-          outcomes.emplace_back(member, future->Wait());
-        }
-        return Tally(owned, outcomes);
-      });
-}
-
-std::vector<bool> QuorumAuthority::VouchBatch(std::span<const nal::Formula> statements,
-                                              uint64_t timeout_us) {
-  return VouchBatchAsync(statements, timeout_us)->Wait();
-}
-
-bool QuorumAuthority::VouchesWithin(const nal::Formula& statement, uint64_t timeout_us) {
-  return VouchBatch(std::span<const nal::Formula>(&statement, 1), timeout_us)[0];
-}
-
-bool QuorumAuthority::Vouches(const nal::Formula& statement) {
-  // The guard supplies the deadline on its paths; direct callers get a
-  // generous default matched to the simulated fabric.
-  return VouchesWithin(statement, /*timeout_us=*/10000);
+  return core::VouchFuture([this, count, futures = std::move(futures)]() mutable {
+    return Tally(count, futures);
+  });
 }
 
 }  // namespace nexus::net::mesh

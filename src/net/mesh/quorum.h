@@ -9,11 +9,17 @@
 // members answered, fewer than K said yes) vs timeout (so many members
 // were unresponsive that K yes-votes were arithmetically impossible).
 //
-// Latency: the batch is issued to ALL live members via
-// VouchBatchAsyncDetailed BEFORE any Wait, so the round trips overlap on
-// the fabric and the consultation costs max-of-K, not sum-of-K — the same
-// discipline Guard::CheckBatch applies across authorities, proven on the
-// simulated clock by the mesh tests.
+// Responsiveness: a quorum answers responsively iff enough members
+// answered for K yes-votes to have been possible — the same test that
+// classifies its own timeout-denies. A quorum that is itself a member of
+// another quorum therefore reports its timeouts as a dead member, and the
+// enclosing quorum backs it off like any other unresponsive peer.
+//
+// Latency: the batch is issued to ALL live members via Vouch BEFORE any
+// Wait, so the round trips overlap on the fabric and the consultation
+// costs max-of-K, not sum-of-K — the same discipline Guard::CheckBatch
+// applies across authorities, proven on the simulated clock by the mesh
+// tests. The deadline is the caller's and applies to every member.
 //
 // Backoff: a member that fails to answer `failures_before_backoff`
 // consecutive times is sidelined for `backoff_us` of simulated time —
@@ -23,8 +29,10 @@
 #ifndef NEXUS_NET_MESH_QUORUM_H_
 #define NEXUS_NET_MESH_QUORUM_H_
 
-#include <memory>
+#include <functional>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/authority.h"
@@ -64,14 +72,9 @@ class QuorumAuthority : public core::Authority {
   size_t member_count() const { return members_.size(); }
 
   bool Handles(const nal::Formula& statement) const override;
-  bool Vouches(const nal::Formula& statement) override;
-  bool VouchesWithin(const nal::Formula& statement, uint64_t timeout_us) override;
-  std::vector<bool> VouchBatch(std::span<const nal::Formula> statements,
-                               uint64_t timeout_us) override;
   // Issues to every live member before any Wait: max-of-K latency.
-  std::unique_ptr<core::VouchFuture> VouchBatchAsync(
-      std::span<const nal::Formula> statements, uint64_t timeout_us) override;
-  bool IsRemote() const override { return true; }
+  core::VouchFuture Vouch(std::span<const nal::Formula> statements,
+                          uint64_t timeout_us) override;
 
   Stats stats() const {
     return Stats{stats_.statements->Value(),      stats_.vouched->Value(),
@@ -85,10 +88,10 @@ class QuorumAuthority : public core::Authority {
     uint64_t backoff_until_us = 0;  // Simulated-clock instant; 0 = live.
   };
 
-  // Tally one completed round; returns per-statement verdicts.
-  std::vector<bool> Tally(
-      std::span<const nal::Formula> statements,
-      const std::vector<std::pair<size_t, core::VouchOutcome>>& outcomes);
+  // One member's in-flight round: its index and its future.
+  using MemberFuture = std::pair<size_t, core::VouchFuture>;
+  // Waits on one round's member futures and tallies `count` verdicts.
+  core::VouchOutcome Tally(size_t count, std::span<MemberFuture> futures);
   void RecordOutcome(size_t member, bool responsive);
 
   Transport* transport_;

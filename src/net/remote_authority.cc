@@ -32,22 +32,16 @@ void EmitRemoteVouch(uint64_t statements, bool ok) {
 
 }  // namespace
 
-Result<Bytes> AuthorityBatchEndpoint::Handle(AttestedChannel& channel, ByteView request) {
-  (void)channel;
-  return parent_->HandleBatch(request);
-}
-
-AuthorityService::AuthorityService(NetNode* node)
-    : node_(node), batch_endpoint_(std::make_unique<AuthorityBatchEndpoint>(this)) {
+AuthorityService::AuthorityService(NetNode* node) : node_(node) {
   node_->RegisterService(std::string(kServiceName), this);
-  node_->RegisterService(std::string(kBatchServiceName), batch_endpoint_.get());
 }
 
 bool AuthorityService::Evaluate(const nal::Formula& statement) {
   ++queries_served_;
-  for (core::Authority* authority : authorities_) {
+  for (core::LocalAuthority* authority : authorities_) {
     if (authority->Handles(statement)) {
-      return authority->Vouches(statement);
+      // A local authority answers at issue time; no deadline binds.
+      return authority->VouchOne(statement, /*timeout_us=*/0);
     }
   }
   return false;  // No local authority evaluates it: deny.
@@ -55,24 +49,6 @@ bool AuthorityService::Evaluate(const nal::Formula& statement) {
 
 Result<Bytes> AuthorityService::Handle(AttestedChannel& channel, ByteView request) {
   (void)channel;
-  Bytes reply(1, 0);  // Default: deny.
-  // The statement is untrusted remote text; it shares the IPC ABI's
-  // per-payload wire bound, so a hostile peer cannot feed the NAL parser
-  // an arbitrarily large formula.
-  if (request.size() > kernel::kMaxArgPayload) {
-    ++queries_served_;
-    return reply;
-  }
-  Result<nal::Formula> statement = nal::ParseFormula(ToString(request));
-  if (!statement.ok()) {
-    ++queries_served_;
-    return reply;
-  }
-  reply[0] = Evaluate(*statement) ? 1 : 0;
-  return reply;
-}
-
-Result<Bytes> AuthorityService::HandleBatch(ByteView request) {
   // Wire format: u32 count, then `count` length-prefixed statement texts.
   // Reply: a marshaled typed IpcReply — slot 0 the verdict count (u64),
   // slot 1 the verdict bytes — so the client consumes the batch through
@@ -97,8 +73,10 @@ Result<Bytes> AuthorityService::HandleBatch(ByteView request) {
     if (!text.ok()) {
       break;  // Remaining statements stay denied.
     }
-    // Same per-statement bound as the single-query surface: an oversized
-    // statement is a deny, and the rest of the batch still answers.
+    // Statements are untrusted remote text sharing the IPC ABI's
+    // per-payload wire bound, so a hostile peer cannot feed the NAL parser
+    // an arbitrarily large formula. An oversized statement is a deny, and
+    // the rest of the batch still answers.
     if (text->size() > kernel::kMaxArgPayload) {
       ++queries_served_;
       continue;
@@ -117,85 +95,24 @@ Result<Bytes> AuthorityService::HandleBatch(ByteView request) {
   return kernel::MarshalReply(typed);
 }
 
-RemoteAuthority::RemoteAuthority(NetNode* node, NodeId peer, HandlesPredicate handles,
-                                 uint64_t default_timeout_us)
-    : node_(node),
-      peer_(std::move(peer)),
-      handles_(std::move(handles)),
-      default_timeout_us_(default_timeout_us) {}
+RemoteAuthority::RemoteAuthority(NetNode* node, NodeId peer, HandlesPredicate handles)
+    : node_(node), peer_(std::move(peer)), handles_(std::move(handles)) {}
 
 bool RemoteAuthority::Handles(const nal::Formula& statement) const {
   return handles_ == nullptr || handles_(statement);
 }
 
-bool RemoteAuthority::Vouches(const nal::Formula& statement) {
-  return VouchesWithin(statement, default_timeout_us_);
-}
-
-bool RemoteAuthority::VouchesWithin(const nal::Formula& statement, uint64_t timeout_us) {
-  stats_.queries->Increment();
-  Result<AttestedChannel*> channel = node_->Connect(peer_);
-  if (!channel.ok()) {
-    stats_.denied_unreachable->Increment();
-    EmitRemoteVouch(1, false);
-    return false;  // Unreachable or untrusted peer: fail closed.
-  }
-  Result<Bytes> answer = (*channel)->Call(std::string(AuthorityService::kServiceName),
-                                          ToBytes(statement->ToString()), timeout_us);
-  if (!answer.ok()) {
-    // The request was in flight on an established channel; the reply was
-    // lost or late. A timeout-deny, not an unreachable-deny — the metrics
-    // split tells a flapping peer from a dead one.
-    stats_.denied_timeout->Increment();
-    EmitRemoteVouch(1, false);
-    return false;  // Lost or late: the deadline IS the answer (deny).
-  }
-  bool vouched = !answer->empty() && (*answer)[0] == 1;
-  (vouched ? stats_.vouched : stats_.denied)->Increment();
-  EmitRemoteVouch(1, true);
-  return vouched;
-}
-
-namespace {
-
-// A future whose Wait() runs a deferred collection step (or, for failures
-// detected at issue time, just returns the fail-closed outcome).
-class FunctionDetailedVouchFuture : public core::DetailedVouchFuture {
- public:
-  explicit FunctionDetailedVouchFuture(std::function<core::VouchOutcome()> collect)
-      : collect_(std::move(collect)) {}
-  core::VouchOutcome Wait() override { return collect_(); }
-
- private:
-  std::function<core::VouchOutcome()> collect_;
-};
-
-// Adapter stripping the responsiveness bit for the plain-future surface.
-class AnswersOnlyVouchFuture : public core::VouchFuture {
- public:
-  explicit AnswersOnlyVouchFuture(std::unique_ptr<core::DetailedVouchFuture> detailed)
-      : detailed_(std::move(detailed)) {}
-  std::vector<bool> Wait() override { return detailed_->Wait().answers; }
-
- private:
-  std::unique_ptr<core::DetailedVouchFuture> detailed_;
-};
-
-}  // namespace
-
-std::unique_ptr<core::DetailedVouchFuture> RemoteAuthority::VouchBatchAsyncDetailed(
-    std::span<const nal::Formula> statements, uint64_t timeout_us) {
+core::VouchFuture RemoteAuthority::Vouch(std::span<const nal::Formula> statements,
+                                         uint64_t timeout_us) {
   size_t count = statements.size();
   // Answers are all-false filler; `responsive` records whether they are
   // real votes. Everything unresponsive still denies — fail closed.
   auto unresponsive = [count] {
-    return std::make_unique<FunctionDetailedVouchFuture>([count] {
-      return core::VouchOutcome{std::vector<bool>(count, false), /*responsive=*/false};
-    });
+    return core::VouchFuture(
+        core::VouchOutcome{std::vector<bool>(count, false), /*responsive=*/false});
   };
   if (count == 0) {
-    return std::make_unique<FunctionDetailedVouchFuture>(
-        [] { return core::VouchOutcome{{}, /*responsive=*/true}; });
+    return core::VouchFuture(core::VouchOutcome{});
   }
   stats_.queries->Increment(count);
   stats_.batch_round_trips->Increment();
@@ -213,8 +130,8 @@ std::unique_ptr<core::DetailedVouchFuture> RemoteAuthority::VouchBatchAsyncDetai
   for (const nal::Formula& statement : statements) {
     AppendLengthPrefixed(payload, ToBytes(statement->ToString()));
   }
-  Result<uint64_t> request = (*channel)->CallStart(
-      std::string(AuthorityService::kBatchServiceName), payload, timeout_us);
+  Result<uint64_t> request =
+      (*channel)->CallStart(std::string(AuthorityService::kServiceName), payload, timeout_us);
   if (!request.ok()) {
     stats_.denied_unreachable->Increment(count);
     EmitRemoteVouch(count, false);
@@ -222,7 +139,7 @@ std::unique_ptr<core::DetailedVouchFuture> RemoteAuthority::VouchBatchAsyncDetai
   }
   AttestedChannel* ch = *channel;
   uint64_t request_id = *request;
-  return std::make_unique<FunctionDetailedVouchFuture>([this, ch, request_id, count] {
+  return core::VouchFuture([this, ch, request_id, count] {
     core::VouchOutcome outcome{std::vector<bool>(count, false), /*responsive=*/true};
     Result<Bytes> reply = ch->CallFinish(request_id);
     if (!reply.ok()) {
@@ -259,19 +176,6 @@ std::unique_ptr<core::DetailedVouchFuture> RemoteAuthority::VouchBatchAsyncDetai
     EmitRemoteVouch(count, true);
     return outcome;
   });
-}
-
-std::unique_ptr<core::VouchFuture> RemoteAuthority::VouchBatchAsync(
-    std::span<const nal::Formula> statements, uint64_t timeout_us) {
-  return std::make_unique<AnswersOnlyVouchFuture>(
-      VouchBatchAsyncDetailed(statements, timeout_us));
-}
-
-std::vector<bool> RemoteAuthority::VouchBatch(std::span<const nal::Formula> statements,
-                                              uint64_t timeout_us) {
-  // The blocking path is just issue-then-wait; stats and deadline behavior
-  // are shared with the pipelined path by construction.
-  return VouchBatchAsync(statements, timeout_us)->Wait();
 }
 
 }  // namespace nexus::net

@@ -8,17 +8,16 @@
 // proof checker already marks proofs with authority leaves uncacheable, so
 // every guard evaluation re-crosses the channel.
 //
-// Batched guard evaluation uses the multi-statement VouchBatch wire
-// message: N statements travel in one attested round trip and come back as
-// N independent fresh answers. Batching changes the transport economics,
-// not the trust model — each answer is still consumed exactly once, by the
-// decision batch that asked.
+// Every query uses one wire message: N statements travel in one attested
+// round trip and come back as N independent fresh answers, and a single
+// query is a batch of one. Batching changes the transport economics, not
+// the trust model — each answer is still consumed exactly once, by the
+// decision that asked. The deadline is the caller's: the guard passes its
+// `remote_query_timeout_us` on every consultation.
 #ifndef NEXUS_NET_REMOTE_AUTHORITY_H_
 #define NEXUS_NET_REMOTE_AUTHORITY_H_
 
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,31 +27,17 @@
 
 namespace nexus::net {
 
-class AuthorityService;
-
-// Adapter binding the "authority_batch" service name to the owning
-// AuthorityService (the node's service registry dispatches by name only).
-class AuthorityBatchEndpoint : public Service {
- public:
-  explicit AuthorityBatchEndpoint(AuthorityService* parent) : parent_(parent) {}
-  Result<Bytes> Handle(AttestedChannel& channel, ByteView request) override;
-
- private:
-  AuthorityService* parent_;
-};
-
 // Server side: exposes local authorities to peers as the "authority"
-// service (single statement) and the "authority_batch" service
-// (length-prefixed statement list -> one verdict byte per statement).
-// Unhandled or erroring queries answer deny — never "ask someone else".
+// service (length-prefixed statement list -> one verdict byte per
+// statement). Unhandled or erroring queries answer deny — never "ask
+// someone else".
 class AuthorityService : public Service {
  public:
   static constexpr std::string_view kServiceName = "authority";
-  static constexpr std::string_view kBatchServiceName = "authority_batch";
 
   explicit AuthorityService(NetNode* node);
 
-  void AddAuthority(core::Authority* authority) { authorities_.push_back(authority); }
+  void AddAuthority(core::LocalAuthority* authority) { authorities_.push_back(authority); }
 
   Result<Bytes> Handle(AttestedChannel& channel, ByteView request) override;
 
@@ -62,14 +47,10 @@ class AuthorityService : public Service {
   uint64_t batches_served() const { return batches_served_; }
 
  private:
-  friend class AuthorityBatchEndpoint;
-
   bool Evaluate(const nal::Formula& statement);
-  Result<Bytes> HandleBatch(ByteView request);
 
   NetNode* node_;
-  std::vector<core::Authority*> authorities_;
-  std::unique_ptr<AuthorityBatchEndpoint> batch_endpoint_;
+  std::vector<core::LocalAuthority*> authorities_;
   uint64_t queries_served_ = 0;
   uint64_t batches_served_ = 0;
 };
@@ -92,33 +73,23 @@ class RemoteAuthority : public core::Authority {
                                       // failure, send failure).
     uint64_t denied_timeout = 0;      // Request went out; the reply was lost
                                       // or landed past the deadline.
-    uint64_t batch_round_trips = 0;   // VouchBatch wire calls issued
+    uint64_t batch_round_trips = 0;   // Vouch wire calls issued (a single
+                                      // query is a round trip of one).
   };
 
   // `handles` scopes which statements this authority forwards (nullptr =
-  // all); `default_timeout_us` applies to plain Vouches() calls.
-  RemoteAuthority(NetNode* node, NodeId peer, HandlesPredicate handles = nullptr,
-                  uint64_t default_timeout_us = 10000);
+  // all).
+  RemoteAuthority(NetNode* node, NodeId peer, HandlesPredicate handles = nullptr);
 
   bool Handles(const nal::Formula& statement) const override;
-  bool Vouches(const nal::Formula& statement) override;
-  bool VouchesWithin(const nal::Formula& statement, uint64_t timeout_us) override;
-  // N statements, ONE attested round trip. A lost or late reply denies all
-  // of them (fail closed, same as the single-statement path).
-  std::vector<bool> VouchBatch(std::span<const nal::Formula> statements,
-                               uint64_t timeout_us) override;
-  // The pipelined variant: the VouchBatch wire message goes out NOW and the
-  // reply is collected at Wait(), so the caller overlaps this round trip
-  // with other round trips and with local proof checking. Deadline
-  // semantics are identical to VouchBatch (the clock starts at issue).
-  std::unique_ptr<core::VouchFuture> VouchBatchAsync(
-      std::span<const nal::Formula> statements, uint64_t timeout_us) override;
-  // The primary implementation: VouchBatchAsync with responsiveness, which
-  // is what QuorumAuthority aggregates (a dead peer is skipped and backed
-  // off; a responsive deny is a real no-vote). The plain future wraps this.
-  std::unique_ptr<core::DetailedVouchFuture> VouchBatchAsyncDetailed(
-      std::span<const nal::Formula> statements, uint64_t timeout_us) override;
-  bool IsRemote() const override { return true; }
+  // N statements, ONE attested round trip: the wire message goes out NOW
+  // and the reply is collected at Wait(), so the caller overlaps this round
+  // trip with others and with local proof checking. A lost or late reply
+  // denies all of them (fail closed) and reads as unresponsive, which is
+  // what QuorumAuthority aggregates: a dead peer is skipped and backed off,
+  // a responsive deny is a real no-vote.
+  core::VouchFuture Vouch(std::span<const nal::Formula> statements,
+                          uint64_t timeout_us) override;
 
   Stats stats() const {
     return Stats{stats_.queries->Value(),
@@ -133,7 +104,6 @@ class RemoteAuthority : public core::Authority {
   NetNode* node_;
   NodeId peer_;
   HandlesPredicate handles_;
-  uint64_t default_timeout_us_;
   // Registry instruments ("remote_authority.*"): relaxed-atomic tallies;
   // stats() snapshots them per instance, the registry aggregates across
   // instances.

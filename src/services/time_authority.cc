@@ -36,7 +36,7 @@ bool TimeAuthority::Handles(const nal::Formula& statement) const {
          (is_const(body->lhs()) && is_time(body->rhs()));
 }
 
-bool TimeAuthority::Vouches(const nal::Formula& statement) {
+bool TimeAuthority::Answer(const nal::Formula& statement) {
   if (!Handles(statement)) {
     return false;
   }

@@ -16,7 +16,7 @@
 
 namespace nexus::services {
 
-class TimeAuthority : public core::Authority {
+class TimeAuthority : public core::LocalAuthority {
  public:
   // `name` is the principal statements are attributed to (e.g. "NTP" or a
   // process principal). `clock` supplies the current time.
@@ -24,13 +24,15 @@ class TimeAuthority : public core::Authority {
       : name_(std::move(name)), clock_(std::move(clock)) {}
 
   bool Handles(const nal::Formula& statement) const override;
-  bool Vouches(const nal::Formula& statement) override;
 
   // Deliberately unsupported: a time label would expire while cached.
   // Returns FAILED_PRECONDITION always; exists to document the contract.
   Status SignTimeLabel() const {
     return FailedPrecondition("a trustworthy clock never issues transferable time statements");
   }
+
+ protected:
+  bool Answer(const nal::Formula& statement) override;
 
  private:
   nal::Principal name_;

@@ -1,15 +1,18 @@
-// Pins that the kernel's single-request paths make no heap allocation.
-// Call is CallMany over a one-element span and Authorize is the batch
-// pipeline run on one request; a batch container built on either path
-// would fail here. This binary replaces the global operator new to count
-// allocations made by the calling thread.
+// Pins that the single-request paths make no heap allocation. Call is
+// CallMany over a one-element span, Kernel::Authorize is the batch pipeline
+// run on one request, and Engine::Authorize is the engine's miss routine
+// run on one request; a batch container built on any of them would fail
+// here. This binary replaces the global operator new to count allocations
+// made by the calling thread.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "core/nexus.h"
 #include "kernel/kernel.h"
+#include "nal/parser.h"
 
 namespace {
 
@@ -144,6 +147,27 @@ TEST_F(AllocTest, MonitoredCallsAllocateAtMostTheChainSnapshot) {
   EXPECT_LE(AllocationsAfterWarmUp(
                 [&] { ASSERT_EQ(kernel_.CallMany(client_, port_, messages, replies), 8u); }),
             1u);
+}
+
+// An uncached engine miss: the decision cache is bypassed, so every call
+// runs the goal lookup, proof lookup, credential snapshot, stripe locking
+// and the guard. After warm-up the guard answers from its proof cache.
+TEST(EngineAllocTest, UncachedSingleMissAllocatesNothing) {
+  Rng rng(5);
+  tpm::Tpm tpm(rng);
+  core::Nexus nexus(&tpm);
+  ProcessId owner = *nexus.CreateProcess("owner", ToBytes("o"));
+  ProcessId subject = *nexus.CreateProcess("subject", ToBytes("s"));
+  ASSERT_TRUE(nexus.engine().RegisterObject("alloc:doc", owner, kKernelProcessId).ok());
+  nal::Formula goal = *nal::ParseFormula("Certifier says safe(alloc)");
+  ASSERT_TRUE(nexus.engine().SetGoal(owner, "read", "alloc:doc", goal).ok());
+  nexus.engine().SayAs(nal::Principal("Certifier"), *nal::ParseFormula("safe(alloc)"));
+  const AuthzRequest request = AuthzRequest::Of(subject, "read", "alloc:doc");
+  ASSERT_TRUE(nexus.engine().SetProof(request, nal::proof::Premise(goal)).ok());
+
+  EXPECT_EQ(AllocationsAfterWarmUp(
+                [&] { ASSERT_TRUE(nexus.engine().Authorize(request).allowed()); }),
+            0u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/nexus.h"
 #include "nal/parser.h"
 #include "nal/prover.h"
@@ -486,8 +488,8 @@ TEST(GuardQuotaTest, PerRootQuotaEvictsOwnEntriesFirst) {
     nal::Formula goal =
         nal::ParseFormula("A says ok" + std::to_string(i) + "()").value();
     std::vector<nal::Formula> creds = {goal};
-    guard.Check(spammer, "op", "obj" + std::to_string(i), goal, nal::proof::Premise(goal),
-                creds, /*stamp=*/1);
+    guard.Check(kernel::AuthzRequest::Of(spammer, "op", "obj" + std::to_string(i)), goal,
+                nal::proof::Premise(goal), creds, /*stamp=*/1);
   }
   EXPECT_GE(guard.stats().evictions, 32u - config.per_root_quota);
   (void)goal_base;
@@ -512,7 +514,8 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
     victim_goals.push_back(goal);
     victim_proofs.push_back(nal::proof::Premise(goal));
     std::vector<nal::Formula> creds = {goal};
-    guard.Check(victim, "op", "obj", goal, victim_proofs.back(), creds, /*stamp=*/1);
+    guard.Check(kernel::AuthzRequest::Of(victim, "op", "obj"), goal, victim_proofs.back(), creds,
+                /*stamp=*/1);
   }
 
   // The spawning-principal exhaustion attack (§2.9): way more insertions
@@ -520,8 +523,8 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
   for (int i = 0; i < 48; ++i) {
     nal::Formula goal = nal::ParseFormula("S says ok" + std::to_string(i) + "()").value();
     std::vector<nal::Formula> creds = {goal};
-    guard.Check(spammer, "op", "obj", goal, nal::proof::Premise(goal), creds,
-                /*stamp=*/1);
+    guard.Check(kernel::AuthzRequest::Of(spammer, "op", "obj"), goal, nal::proof::Premise(goal),
+                creds, /*stamp=*/1);
   }
 
   // Every victim verdict is still cached: eviction charged the spammer's
@@ -529,8 +532,8 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
   uint64_t hits_before = guard.stats().cache_hits;
   for (int i = 0; i < 4; ++i) {
     std::vector<nal::Formula> creds = {victim_goals[i]};
-    guard.Check(victim, "op", "obj", victim_goals[i], victim_proofs[i], creds,
-                /*stamp=*/1);
+    guard.Check(kernel::AuthzRequest::Of(victim, "op", "obj"), victim_goals[i], victim_proofs[i],
+                creds, /*stamp=*/1);
   }
   EXPECT_EQ(guard.stats().cache_hits, hits_before + 4);
 }
@@ -545,18 +548,18 @@ TEST(GuardCacheTest, ZeroStampBypassesVerdictCache) {
 
   // Stamp 0 disables caching entirely: no hits on repeats, and nothing is
   // inserted for later calls to hit.
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/0);
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/0);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/0);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/0);
   EXPECT_EQ(guard.stats().cache_hits, 0u);
 
   // A versioned check after the bypassed ones must MISS (nothing was
   // cached), then hit on its own repeat.
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/5);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/5);
   EXPECT_EQ(guard.stats().cache_hits, 0u);
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/5);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/5);
   EXPECT_EQ(guard.stats().cache_hits, 1u);
   // And a bypassed check between versioned ones still refuses the cache.
-  guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/0);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/0);
   EXPECT_EQ(guard.stats().cache_hits, 1u);
 }
 
@@ -576,7 +579,8 @@ TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
 
   for (int i = 0; i < 4; ++i) {
     kernel::AuthzDecision d =
-        guard.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/1);
+        guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds,
+                    /*stamp=*/1);
     EXPECT_TRUE(d.allowed());
   }
   EXPECT_EQ(guard.stats().cache_hits, 0u);  // Nothing was ever inserted.
@@ -585,8 +589,8 @@ TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
   Guard::Config no_capacity;
   no_capacity.proof_cache_capacity = 0;
   Guard uncached(&k, no_capacity);
-  uncached.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/1);
-  uncached.Check(subject, "op", "obj", goal, proof, creds, /*stamp=*/1);
+  uncached.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/1);
+  uncached.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/1);
   EXPECT_EQ(uncached.stats().cache_hits, 0u);
 }
 
@@ -607,12 +611,14 @@ TEST(GuardCacheTest, FreedProofAddressReuseDoesNotReplayVerdict) {
   for (int i = 0; i < 16; ++i) {
     nal::Proof valid = nal::proof::Premise(goal);
     kernel::AuthzDecision allowed =
-        guard.Check(subject, "op", "obj", goal, valid, creds, /*stamp=*/7);
+        guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, valid, creds,
+                    /*stamp=*/7);
     ASSERT_TRUE(allowed.allowed());
     valid.reset();  // Free the node; its storage may be reused...
     nal::Proof imposter = nal::proof::Premise(bogus);  // ...by this proof.
     kernel::AuthzDecision denied =
-        guard.Check(subject, "op", "obj", goal, imposter, creds, /*stamp=*/7);
+        guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, imposter, creds,
+                    /*stamp=*/7);
     EXPECT_FALSE(denied.allowed()) << "stale cached verdict replayed, iteration " << i;
   }
 }
@@ -627,11 +633,11 @@ TEST(GuardCacheTest, StructurallyEqualResubmittedProofStillHits) {
   nal::Formula goal = F("A says ok()");
   std::vector<nal::Formula> creds = {goal};
 
-  guard.Check(subject, "op", "obj", goal, nal::proof::Premise(goal), creds,
-              /*stamp=*/3);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, nal::proof::Premise(goal),
+              creds, /*stamp=*/3);
   EXPECT_EQ(guard.stats().cache_hits, 0u);
-  guard.Check(subject, "op", "obj", goal, nal::proof::Premise(F("A says ok()")), creds,
-              /*stamp=*/3);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal,
+              nal::proof::Premise(F("A says ok()")), creds, /*stamp=*/3);
   EXPECT_EQ(guard.stats().cache_hits, 1u);
 }
 
@@ -956,8 +962,8 @@ TEST(GuardQuotaTest, FlushCacheResetsQuotaAccounting) {
                                             std::to_string(i) + "()")
                               .value();
       std::vector<nal::Formula> creds = {goal};
-      guard.Check(subject, "op", "obj", goal, nal::proof::Premise(goal), creds,
-                  /*stamp=*/1);
+      guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, nal::proof::Premise(goal),
+                  creds, /*stamp=*/1);
     }
   };
 
@@ -972,8 +978,8 @@ TEST(GuardQuotaTest, FlushCacheResetsQuotaAccounting) {
   // Quota still enforced after the flush: one more distinct entry evicts.
   nal::Formula extra = nal::ParseFormula("A says okExtra()").value();
   std::vector<nal::Formula> creds = {extra};
-  guard.Check(subject, "op", "obj", extra, nal::proof::Premise(extra), creds,
-              /*stamp=*/1);
+  guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), extra, nal::proof::Premise(extra),
+              creds, /*stamp=*/1);
   EXPECT_EQ(guard.stats().evictions, evictions_before + 1);
 }
 
@@ -1078,6 +1084,106 @@ TEST_F(BatchAuthorizationTest, BatchCollapsesDuplicateAuthorityQueries) {
   EXPECT_EQ(consultations, 1);
   EXPECT_GE(nexus_.guard().stats().batch_collapsed_queries,
             requests.size() - 1);
+}
+
+TEST_F(BatchAuthorizationTest, ProofsPastThePrefetchCapAgreeAndConsultEachLeafOnce) {
+  // 65 AndIntro-chained embedded-authority leaves: one past the guard's
+  // per-proof prefetch cap of 64. A single miss and a batch of one are the
+  // same routine, so they must agree on the verdict and on how many
+  // leaves they consulted, and no leaf may be consulted twice.
+  constexpr int kLeaves = 65;
+  std::vector<nal::Formula> statements;
+  for (int i = 1; i <= kLeaves; ++i) {
+    statements.push_back(F("Gate says open(" + std::to_string(i) + ")"));
+  }
+  nal::Formula goal = statements.back();
+  nal::Proof proof = nal::proof::Authority(statements.back());
+  for (int i = kLeaves - 2; i >= 0; --i) {
+    goal = nal::FormulaNode::And(statements[i], goal);
+    proof = nal::proof::AndIntro(nal::proof::Authority(statements[i]), proof);
+  }
+  int declined = 0;  // 1-based index of the leaf that declines; 0: none.
+  std::map<std::string, int> consulted;
+  LambdaAuthority gate([](const nal::Formula&) { return true; },
+                       [&](const nal::Formula& f) {
+                         std::string text = f->ToString();
+                         ++consulted[text];
+                         return declined == 0 || text != statements[declined - 1]->ToString();
+                       });
+  nexus_.guard().AddEmbeddedAuthority(&gate);
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "use", objects_[0], goal).ok());
+  ASSERT_TRUE(nexus_.engine().SetProof(subjects_[0], "use", objects_[0], proof).ok());
+  const kernel::AuthzRequest request = kernel::AuthzRequest::Of(subjects_[0], "use", objects_[0]);
+
+  struct Case {
+    int declined;
+    bool allowed;
+    size_t consultations;
+  };
+  for (const Case& c : {Case{0, true, 65}, Case{65, false, 65}, Case{1, false, 1}}) {
+    SCOPED_TRACE("leaf " + std::to_string(c.declined) + " declines");
+    declined = c.declined;
+    auto tally = [&] {
+      size_t total = 0;
+      for (const auto& [text, count] : consulted) {
+        EXPECT_EQ(count, 1) << text << " consulted more than once";
+        total += count;
+      }
+      consulted.clear();
+      return total;
+    };
+    kernel::AuthzDecision single = nexus_.engine().Authorize(request);
+    size_t single_consulted = tally();
+    std::vector<kernel::AuthzDecision> batch =
+        nexus_.engine().AuthorizeBatch(std::span(&request, 1));
+    size_t batch_consulted = tally();
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(single.allowed(), c.allowed);
+    EXPECT_EQ(batch[0].allowed(), single.allowed());
+    EXPECT_EQ(single_consulted, c.consultations);
+    EXPECT_EQ(batch_consulted, single_consulted);
+  }
+}
+
+TEST_F(BatchAuthorizationTest, AuthorityMayReenterAuthorization) {
+  // The engine's stripes are recursive, and a batch stages in scratch it
+  // moves out for its duration, so an authority may re-enter authorization
+  // on its own thread — here for the consulting subject on another tuple,
+  // with the decision cache off so every re-entry reaches the engine.
+  nexus_.kernel().set_decision_cache_enabled(false);
+  GrantAccess(subjects_[0], objects_[2]);
+  const kernel::AuthzRequest reentry =
+      kernel::AuthzRequest::Of(subjects_[0], "use", objects_[2]);
+  int consultations = 0;
+  LambdaAuthority gate([](const nal::Formula& f) { return nal::ScopeMatches(f, "open"); },
+                       [&](const nal::Formula&) {
+                         ++consultations;
+                         return nexus_.kernel().Authorize(reentry).ok();
+                       });
+  nexus_.guard().AddEmbeddedAuthority(&gate);
+  for (int i = 0; i < 2; ++i) {
+    nal::Formula statement = F("Gate says open(" + std::to_string(i) + ")");
+    ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "use", objects_[i], statement).ok());
+    ASSERT_TRUE(nexus_.engine()
+                    .SetProof(subjects_[0], "use", objects_[i], nal::proof::Authority(statement))
+                    .ok());
+  }
+
+  // Two subjects: the holder's miss consults (and re-enters); the subject
+  // without a proof is denied before any consultation.
+  EXPECT_TRUE(
+      nexus_.kernel().Authorize(kernel::AuthzRequest::Of(subjects_[0], "use", objects_[0])).ok());
+  EXPECT_FALSE(
+      nexus_.kernel().Authorize(kernel::AuthzRequest::Of(subjects_[1], "use", objects_[0])).ok());
+  // A batch of two distinct requests: each consults, each re-enters.
+  std::vector<kernel::AuthzRequest> requests = {
+      kernel::AuthzRequest::Of(subjects_[0], "use", objects_[0]),
+      kernel::AuthzRequest::Of(subjects_[0], "use", objects_[1])};
+  std::vector<Status> decisions = nexus_.kernel().AuthorizeBatch(requests);
+  ASSERT_EQ(decisions.size(), 2u);
+  EXPECT_TRUE(decisions[0].ok()) << decisions[0].ToString();
+  EXPECT_TRUE(decisions[1].ok()) << decisions[1].ToString();
+  EXPECT_EQ(consultations, 3);
 }
 
 }  // namespace

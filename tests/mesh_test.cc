@@ -433,7 +433,7 @@ struct QuorumWorld {
           [this](const nal::Formula&) { return vouch; }));
       services.back()->AddAuthority(authorities.back().get());
       remotes.push_back(std::make_unique<RemoteAuthority>(
-          nodes[0].get(), Name(i), nullptr, /*default_timeout_us=*/100000));
+          nodes[0].get(), Name(i), nullptr));
     }
   }
 
@@ -470,7 +470,7 @@ TEST(QuorumAuthorityTest, QuorumConsultationCostsMaxOfKNotSumOfK) {
 
   nal::Formula statement = F("Session says sessionActive(alice)");
   uint64_t t0 = w.transport.now_us();
-  EXPECT_TRUE(quorum.VouchesWithin(statement, /*timeout_us=*/100000));
+  EXPECT_TRUE(quorum.VouchOne(statement, /*timeout_us=*/100000));
   uint64_t elapsed = w.transport.now_us() - t0;
 
   // All three member round trips were in flight before any wait, so on the
@@ -493,7 +493,7 @@ TEST(QuorumAuthorityTest, ResponsiveNoVotesAreNoQuorumNotTimeout) {
   QuorumAuthority::Stats base = quorum.stats();
 
   w.vouch = false;  // Everyone answers, nobody vouches.
-  EXPECT_FALSE(quorum.VouchesWithin(F("Session says sessionActive(alice)"), 100000));
+  EXPECT_FALSE(quorum.VouchOne(F("Session says sessionActive(alice)"), 100000));
   EXPECT_EQ(quorum.stats().denied_no_quorum - base.denied_no_quorum, 1u);
   EXPECT_EQ(quorum.stats().denied_timeout - base.denied_timeout, 0u);
 }
@@ -519,13 +519,13 @@ TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
                       LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 1.0});
   w.transport.SetLink("client", "m3",
                       LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 1.0});
-  EXPECT_FALSE(quorum.VouchesWithin(statement, /*timeout_us=*/10000));
+  EXPECT_FALSE(quorum.VouchOne(statement, /*timeout_us=*/10000));
   EXPECT_EQ(quorum.stats().denied_timeout - base.denied_timeout, 1u);
   EXPECT_EQ(quorum.stats().vouched - base.vouched, 0u);
 
   // The failed members are sidelined: the next query skips them entirely
   // instead of stalling on their timeout again.
-  EXPECT_FALSE(quorum.VouchesWithin(statement, /*timeout_us=*/10000));
+  EXPECT_FALSE(quorum.VouchOne(statement, /*timeout_us=*/10000));
   EXPECT_GE(quorum.stats().members_skipped - base.members_skipped, 2u);
 
   // Heal the links and let the backoff window lapse on the simulated
@@ -536,8 +536,43 @@ TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
                       LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 0.0});
   NullEndpoint sink;
   AdvanceClock(w.transport, sink, policy.backoff_us + 50000);
-  EXPECT_TRUE(quorum.VouchesWithin(statement, /*timeout_us=*/10000));
+  EXPECT_TRUE(quorum.VouchOne(statement, /*timeout_us=*/10000));
   EXPECT_EQ(quorum.stats().vouched - base.vouched, 1u);
+}
+
+TEST(QuorumAuthorityTest, NestedQuorumTimeoutIsADeadMemberNotANoVote) {
+  // An inner 2-of-3 quorum is the only member of an outer 1-of-1 quorum,
+  // and every inner link drops. The inner quorum times out, so the outer
+  // must see an unresponsive member: a timeout-deny that sidelines it, not
+  // a responsive no-vote.
+  QuorumWorld w(3);
+  w.ConnectAll();
+  QuorumPolicy inner_policy;
+  inner_policy.quorum = 2;
+  QuorumAuthority inner(&w.transport, inner_policy);
+  for (auto& remote : w.remotes) {
+    inner.AddMember(remote.get());
+  }
+  QuorumPolicy outer_policy;
+  outer_policy.quorum = 1;
+  outer_policy.failures_before_backoff = 1;
+  QuorumAuthority outer(&w.transport, outer_policy);
+  outer.AddMember(&inner);
+  for (size_t i = 1; i <= 3; ++i) {
+    w.transport.SetLink("client", QuorumWorld::Name(i),
+                        LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 1.0});
+  }
+  nal::Formula statement = F("Session says sessionActive(alice)");
+
+  EXPECT_FALSE(outer.VouchOne(statement, /*timeout_us=*/10000));
+  EXPECT_EQ(inner.stats().denied_timeout, 1u);
+  EXPECT_EQ(outer.stats().denied_timeout, 1u);
+  EXPECT_EQ(outer.stats().denied_no_quorum, 0u);
+
+  // The second round skips the sidelined inner quorum instead of stalling
+  // on its members' timeouts again.
+  EXPECT_FALSE(outer.VouchOne(statement, /*timeout_us=*/10000));
+  EXPECT_GE(outer.stats().members_skipped, 1u);
 }
 
 // --------------------------------------------- auditor + workload coupling
@@ -616,7 +651,7 @@ TEST(MeshSoakTest, PartitionHealChurnStaysConsistent) {
     services.push_back(std::make_unique<AuthorityService>(w.nodes[i].get()));
     services.back()->AddAuthority(&always_yes);
     remotes.push_back(std::make_unique<RemoteAuthority>(
-        w.nodes[0].get(), MeshWorld::Name(i), nullptr, /*default_timeout_us=*/20000));
+        w.nodes[0].get(), MeshWorld::Name(i), nullptr));
   }
   QuorumPolicy policy;
   policy.quorum = 2;
@@ -642,7 +677,7 @@ TEST(MeshSoakTest, PartitionHealChurnStaysConsistent) {
   nal::Formula statement = F("Session says sessionActive(soak)");
   std::thread voucher([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      if (quorum.VouchesWithin(statement, /*timeout_us=*/20000)) {
+      if (quorum.VouchOne(statement, /*timeout_us=*/20000)) {
         vouches.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -694,7 +729,7 @@ TEST(MeshSoakTest, PartitionHealChurnStaysConsistent) {
   EXPECT_TRUE(drained) << "invalidation stream did not drain after heal";
   NullEndpoint sink;
   AdvanceClock(w.transport, sink, policy.backoff_us + 10000);
-  EXPECT_TRUE(quorum.VouchesWithin(statement, /*timeout_us=*/100000));
+  EXPECT_TRUE(quorum.VouchOne(statement, /*timeout_us=*/100000));
 }
 
 }  // namespace

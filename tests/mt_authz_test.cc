@@ -264,7 +264,7 @@ TEST(MtAuthzStressTest, TwoSubjectRemoteMissesOverlapInOneRtt) {
       },
       [](const nal::Formula&) { return true; });
   service.AddAuthority(&session);
-  net::RemoteAuthority remote(&node_a, "b", nullptr, /*default_timeout_us=*/1000000);
+  net::RemoteAuthority remote(&node_a, "b", nullptr);
   nexus_a.guard().AddRemoteAuthority(&remote);
   nexus_a.guard().set_remote_query_timeout_us(1000000);
 
@@ -299,7 +299,7 @@ TEST(MtAuthzStressTest, TwoSubjectRemoteMissesOverlapInOneRtt) {
   uint64_t t0 = transport.now_us();
 
   // Rendezvous: no delivery (and no clock movement) until BOTH misses have
-  // their VouchBatch request on the wire.
+  // their Vouch request on the wire.
   transport.ArmPumpGate(2);
   Status st1, st2;
   std::thread w1([&] { st1 = nexus_a.kernel().Authorize(r1); });

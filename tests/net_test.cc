@@ -404,11 +404,12 @@ struct RemoteAuthorityWorld : TwoInstances {
 
 TEST(RemoteAuthorityTest, QueryCrossesTheChannel) {
   RemoteAuthorityWorld w;
-  RemoteAuthority remote(w.node_a.get(), "b", nullptr, /*default_timeout_us=*/100000);
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
   nal::Formula statement = F("Session says sessionActive(alice)");
-  EXPECT_TRUE(remote.Vouches(statement));
+  EXPECT_TRUE(remote.VouchOne(statement, /*timeout_us=*/100000));
   w.vouch = false;  // Dynamic state changed on the remote instance...
-  EXPECT_FALSE(remote.Vouches(statement));  // ...and the next answer is fresh.
+  // ...and the next answer is fresh.
+  EXPECT_FALSE(remote.VouchOne(statement, /*timeout_us=*/100000));
   EXPECT_EQ(w.service.queries_served(), 2u);
   EXPECT_EQ(remote.stats().vouched, 1u);
   EXPECT_EQ(remote.stats().denied, 1u);
@@ -420,8 +421,8 @@ TEST(RemoteAuthorityTest, LateAnswerIsADenial) {
   ASSERT_TRUE(w.node_a->Connect("b").ok());
   // ...then degrade it beyond the query deadline.
   w.transport.SetLink("a", "b", LinkConfig{.latency_us = 60000, .drop_rate = 0.0});
-  RemoteAuthority remote(w.node_a.get(), "b", nullptr, /*default_timeout_us=*/10000);
-  EXPECT_FALSE(remote.Vouches(F("Session says sessionActive(alice)")));
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
+  EXPECT_FALSE(remote.VouchOne(F("Session says sessionActive(alice)"), /*timeout_us=*/10000));
   // The request was in flight on an established channel: a timeout-deny,
   // not an unreachable-deny (the metrics split distinguishes the causes).
   EXPECT_EQ(remote.stats().denied_timeout, 1u);
@@ -432,21 +433,21 @@ TEST(RemoteAuthorityTest, LostAnswerIsADenial) {
   RemoteAuthorityWorld w;
   ASSERT_TRUE(w.node_a->Connect("b").ok());
   w.transport.SetLink("a", "b", LinkConfig{.latency_us = 10, .drop_rate = 1.0});
-  RemoteAuthority remote(w.node_a.get(), "b", nullptr, /*default_timeout_us=*/10000);
-  EXPECT_FALSE(remote.Vouches(F("Session says sessionActive(alice)")));
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
+  EXPECT_FALSE(remote.VouchOne(F("Session says sessionActive(alice)"), /*timeout_us=*/10000));
   EXPECT_EQ(remote.stats().denied_timeout, 1u);
   EXPECT_EQ(remote.stats().denied_unreachable, 0u);
 }
 
-TEST(RemoteAuthorityTest, VouchBatchAnswersAllStatementsInOneRoundTrip) {
+TEST(RemoteAuthorityTest, VouchAnswersAllStatementsInOneRoundTrip) {
   RemoteAuthorityWorld w;
-  RemoteAuthority remote(w.node_a.get(), "b", nullptr, /*default_timeout_us=*/100000);
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
   std::vector<nal::Formula> statements = {
       F("Session says sessionActive(alice)"),
       F("Session says sessionActive(bob)"),
       F("Session says sessionActive(carol)"),
   };
-  std::vector<bool> answers = remote.VouchBatch(statements, 100000);
+  std::vector<bool> answers = remote.Vouch(statements, 100000).Wait().answers;
   ASSERT_EQ(answers.size(), 3u);
   EXPECT_TRUE(answers[0] && answers[1] && answers[2]);
   EXPECT_EQ(remote.stats().batch_round_trips, 1u);
@@ -455,7 +456,7 @@ TEST(RemoteAuthorityTest, VouchBatchAnswersAllStatementsInOneRoundTrip) {
 
   // Lost replies deny the whole batch (fail closed).
   w.transport.SetLink("a", "b", LinkConfig{.latency_us = 10, .drop_rate = 1.0});
-  answers = remote.VouchBatch(statements, 10000);
+  answers = remote.Vouch(statements, 10000).Wait().answers;
   EXPECT_FALSE(answers[0] || answers[1] || answers[2]);
   EXPECT_EQ(remote.stats().denied_timeout, 3u);
 }
@@ -469,39 +470,32 @@ TEST(RemoteAuthorityTest, MalformedBatchCountIsRejectedWithoutAllocation) {
   ASSERT_TRUE(channel.ok());
   Bytes malformed;
   AppendU32(malformed, 0xFFFFFFFFu);
-  Result<Bytes> reply = (*channel)->Call(
-      std::string(AuthorityService::kBatchServiceName), malformed, /*timeout_us=*/100000);
+  Result<Bytes> reply = (*channel)->Call(std::string(AuthorityService::kServiceName),
+                                         malformed, /*timeout_us=*/100000);
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(reply->empty());
   EXPECT_EQ(w.service.queries_served(), 0u);
 }
 
 TEST(RemoteAuthorityTest, OversizedStatementsAreDeniedNotParsed) {
-  // The authority wire handlers share the IPC ABI's per-payload bound: a
+  // The authority wire handler shares the IPC ABI's per-payload bound: a
   // hostile peer cannot feed the NAL parser an arbitrarily large formula.
   // Oversized statements are denied; well-formed neighbors still answer.
   RemoteAuthorityWorld w;
   Result<AttestedChannel*> channel = w.node_a->Connect("b");
   ASSERT_TRUE(channel.ok());
 
-  // Single-query surface.
+  // [oversized, valid] answers [deny, vouch]. The reply is a marshaled
+  // typed IpcReply (count slot + verdict bytes), so it must survive the
+  // strict reply codec round trip — the oversized entry denies WITHOUT
+  // poisoning its batch neighbor.
   Bytes huge(kernel::kMaxArgPayload + 1, 'x');
-  Result<Bytes> reply = (*channel)->Call(std::string(AuthorityService::kServiceName), huge,
-                                         /*timeout_us=*/100000);
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->size(), 1u);
-  EXPECT_EQ((*reply)[0], 0);  // Denied, not parsed.
-
-  // Batch surface: [oversized, valid] answers [deny, vouch]. The batch
-  // reply is a marshaled typed IpcReply (count slot + verdict bytes), so
-  // it must survive the strict reply codec round trip — the oversized
-  // entry denies WITHOUT poisoning its batch neighbor.
   Bytes batch;
   AppendU32(batch, 2);
   AppendLengthPrefixed(batch, huge);
   AppendLengthPrefixed(batch, ToBytes(std::string("Session says sessionActive(alice)")));
-  reply = (*channel)->Call(std::string(AuthorityService::kBatchServiceName), batch,
-                           /*timeout_us=*/100000);
+  Result<Bytes> reply = (*channel)->Call(std::string(AuthorityService::kServiceName), batch,
+                                         /*timeout_us=*/100000);
   ASSERT_TRUE(reply.ok());
   Result<kernel::IpcReply> typed = kernel::UnmarshalReply(*reply);
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
@@ -525,7 +519,7 @@ TEST(RemoteAuthorityTest, BatchedGuardIssuesOneRoundTripForIdenticalLeaves) {
   // lean on the SAME remote-authority statement cost ONE attested round
   // trip, observable as exactly one remote query in the guard's stats.
   RemoteAuthorityWorld w;
-  RemoteAuthority remote(w.node_a.get(), "b", nullptr, /*default_timeout_us=*/100000);
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
   w.nexus_a.guard().AddRemoteAuthority(&remote);
 
   kernel::ProcessId owner = *w.nexus_a.CreateProcess("owner", ToBytes("o"));
@@ -563,10 +557,46 @@ TEST(RemoteAuthorityTest, BatchedGuardIssuesOneRoundTripForIdenticalLeaves) {
   EXPECT_EQ(w.nexus_a.guard().stats().remote_queries, remote_before + 2);
 }
 
+TEST(RemoteAuthorityTest, RemoteLeavesPastThePrefetchCapCostARoundTripOfOne) {
+  // A proof with 65 remote leaves: the guard prefetches the first 64 in one
+  // round trip and asks for the 65th, past its per-proof cap, in a round
+  // trip of one when the checker reaches it. A single miss and a batch of
+  // one are the same routine, so they cost the same.
+  RemoteAuthorityWorld w;
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
+  w.nexus_a.guard().AddRemoteAuthority(&remote);
+
+  kernel::ProcessId subject = *w.nexus_a.CreateProcess("subject", ToBytes("s"));
+  w.nexus_a.engine().RegisterObject("vault", subject, kernel::kKernelProcessId);
+  constexpr int kLeaves = 65;
+  nal::Formula goal = F("Session says sessionActive(u" + std::to_string(kLeaves) + ")");
+  nal::Proof proof = nal::proof::Authority(goal);
+  for (int i = kLeaves - 1; i >= 1; --i) {
+    nal::Formula leaf = F("Session says sessionActive(u" + std::to_string(i) + ")");
+    goal = nal::FormulaNode::And(leaf, goal);
+    proof = nal::proof::AndIntro(nal::proof::Authority(leaf), proof);
+  }
+  ASSERT_TRUE(w.nexus_a.engine().SetGoal(subject, "open", "vault", goal).ok());
+  ASSERT_TRUE(w.nexus_a.engine().SetProof(subject, "open", "vault", proof).ok());
+  const kernel::AuthzRequest request = kernel::AuthzRequest::Of(subject, "open", "vault");
+
+  for (bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batch of one" : "single miss");
+    uint64_t trips = remote.stats().batch_round_trips;
+    uint64_t served = w.service.queries_served();
+    kernel::AuthzDecision decision =
+        batch ? w.nexus_a.engine().AuthorizeBatch(std::span(&request, 1))[0]
+              : w.nexus_a.engine().Authorize(request);
+    EXPECT_TRUE(decision.allowed()) << decision.ToStatus().ToString();
+    EXPECT_EQ(remote.stats().batch_round_trips - trips, 2u);
+    EXPECT_EQ(w.service.queries_served() - served, static_cast<uint64_t>(kLeaves));
+  }
+}
+
 TEST(RemoteAuthorityTest, AsyncBatchOverlapsRoundTripsToDistinctPeers) {
   // The async pipeline's latency win, measured on the simulated clock: a
   // batch whose proofs consult TWO different peers must pay ONE round-trip
-  // time (both VouchBatch messages in flight together), not two back to
+  // time (both Vouch messages in flight together), not two back to
   // back as the old prefetch-then-wait loop did.
   TwoInstances w;
   Rng rng_c(303);
@@ -595,14 +625,12 @@ TEST(RemoteAuthorityTest, AsyncBatchOverlapsRoundTripsToDistinctPeers) {
       w.node_a.get(), "b",
       [](const nal::Formula& f) {
         return f->kind() == nal::FormulaKind::kSays && f->speaker().base() == "SessionB";
-      },
-      /*default_timeout_us=*/1000000);
+      });
   RemoteAuthority remote_c(
       w.node_a.get(), "c",
       [](const nal::Formula& f) {
         return f->kind() == nal::FormulaKind::kSays && f->speaker().base() == "SessionC";
-      },
-      /*default_timeout_us=*/1000000);
+      });
   w.nexus_a.guard().AddRemoteAuthority(&remote_b);
   w.nexus_a.guard().AddRemoteAuthority(&remote_c);
   w.nexus_a.guard().set_remote_query_timeout_us(1000000);
@@ -647,7 +675,7 @@ TEST(RemoteAuthorityTest, AsyncBatchOverlapsRoundTripsToDistinctPeers) {
 
 TEST(RemoteAuthorityTest, GuardConsultsRemoteAuthorityThroughProofLeaf) {
   RemoteAuthorityWorld w;
-  RemoteAuthority remote(w.node_a.get(), "b", nullptr, /*default_timeout_us=*/100000);
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
   w.nexus_a.guard().AddRemoteAuthority(&remote);
 
   kernel::ProcessId subject = *w.nexus_a.CreateProcess("subject", ToBytes("s"));

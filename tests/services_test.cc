@@ -107,15 +107,15 @@ TEST(TimeAuthorityTest, VouchesAccordingToClock) {
   int64_t now = 100;
   TimeAuthority ntp(nal::Principal("NTP"), [&now] { return now; });
   auto f = [](const char* text) { return *nal::ParseFormula(text); };
-  EXPECT_TRUE(ntp.Vouches(f("NTP says TimeNow < 200")));
-  EXPECT_FALSE(ntp.Vouches(f("NTP says TimeNow < 100")));
-  EXPECT_TRUE(ntp.Vouches(f("NTP says TimeNow <= 100")));
-  EXPECT_TRUE(ntp.Vouches(f("NTP says TimeNow = 100")));
-  EXPECT_TRUE(ntp.Vouches(f("NTP says 99 < TimeNow")));
+  EXPECT_TRUE(ntp.VouchOne(f("NTP says TimeNow < 200"), /*timeout_us=*/0));
+  EXPECT_FALSE(ntp.VouchOne(f("NTP says TimeNow < 100"), /*timeout_us=*/0));
+  EXPECT_TRUE(ntp.VouchOne(f("NTP says TimeNow <= 100"), /*timeout_us=*/0));
+  EXPECT_TRUE(ntp.VouchOne(f("NTP says TimeNow = 100"), /*timeout_us=*/0));
+  EXPECT_TRUE(ntp.VouchOne(f("NTP says 99 < TimeNow"), /*timeout_us=*/0));
   now = 300;
-  EXPECT_FALSE(ntp.Vouches(f("NTP says TimeNow < 200")));
-  EXPECT_TRUE(ntp.Vouches(f("NTP says TimeNow > 200")));
-  EXPECT_TRUE(ntp.Vouches(f("NTP says TimeNow != 200")));
+  EXPECT_FALSE(ntp.VouchOne(f("NTP says TimeNow < 200"), /*timeout_us=*/0));
+  EXPECT_TRUE(ntp.VouchOne(f("NTP says TimeNow > 200"), /*timeout_us=*/0));
+  EXPECT_TRUE(ntp.VouchOne(f("NTP says TimeNow != 200"), /*timeout_us=*/0));
 }
 
 TEST(TimeAuthorityTest, RefusesToSign) {
