@@ -129,8 +129,8 @@ void Run(benchmark::State& state, bool batched) {
   int remote_pct = static_cast<int>(state.range(1));
   std::vector<nexus::kernel::AuthzRequest> requests = w.Tuples(n, remote_pct);
 
-  uint64_t round_trips_before = w.remote->stats().queries;
-  uint64_t batches_before = w.remote->stats().batch_round_trips;
+  uint64_t round_trips_before = *w.remote->metrics().Value("queries");
+  uint64_t batches_before = *w.remote->metrics().Value("batch_round_trips");
   for (auto _ : state) {
     w.nexus_a.kernel().decision_cache().Clear();
     if (batched) {
@@ -145,10 +145,11 @@ void Run(benchmark::State& state, bool batched) {
   double iters = static_cast<double>(std::max<int64_t>(1, state.iterations()));
   if (batched) {
     state.counters["wire_rt/iter"] = benchmark::Counter(
-        static_cast<double>(w.remote->stats().batch_round_trips - batches_before) / iters);
+        static_cast<double>(*w.remote->metrics().Value("batch_round_trips") - batches_before) /
+        iters);
   } else {
     state.counters["wire_rt/iter"] = benchmark::Counter(
-        static_cast<double>(w.remote->stats().queries - round_trips_before) / iters);
+        static_cast<double>(*w.remote->metrics().Value("queries") - round_trips_before) / iters);
   }
 }
 

@@ -252,6 +252,11 @@ void BM_ablation_subregion(benchmark::State& state) {
   size_t entries = static_cast<size_t>(state.range(0));
   h.nexus.kernel().decision_cache().Resize(
       nexus::kernel::DecisionCache::Config{4096 / entries, entries});
+  // The cache counts cumulatively across Resize: the hit ratio is the
+  // delta from here.
+  const nexus::metrics::MetricGroup& counters = h.nexus.kernel().decision_cache().metrics();
+  const uint64_t hits_before = *counters.Value("hits");
+  const uint64_t misses_before = *counters.Value("misses");
   Configure(h, Case::kPass);
   int i = 0;
   for (auto _ : state) {
@@ -262,10 +267,10 @@ void BM_ablation_subregion(benchmark::State& state) {
       h.nexus.kernel().OnGoalUpdate("use", "obj" + std::to_string(i % 257));
     }
   }
-  const auto& stats = h.nexus.kernel().decision_cache().stats();
-  state.counters["hit%"] = benchmark::Counter(
-      100.0 * static_cast<double>(stats.hits) /
-      static_cast<double>(std::max<uint64_t>(1, stats.hits + stats.misses)));
+  const uint64_t hits = *counters.Value("hits") - hits_before;
+  const uint64_t misses = *counters.Value("misses") - misses_before;
+  const double lookups = static_cast<double>(std::max<uint64_t>(1, hits + misses));
+  state.counters["hit%"] = benchmark::Counter(100.0 * static_cast<double>(hits) / lookups);
   h.nexus.kernel().decision_cache().Resize(nexus::kernel::DecisionCache::Config{});
 }
 BENCHMARK(BM_ablation_subregion)->Arg(8)->Arg(64)->Arg(512);

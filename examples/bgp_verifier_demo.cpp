@@ -35,7 +35,7 @@ int main() {
        {BgpMessage::Type::kWithdraw, "3.3.0.0/16", {}});
 
   std::printf("verifier: %llu passed, %llu blocked\n",
-              static_cast<unsigned long long>(verifier.stats().passed),
-              static_cast<unsigned long long>(verifier.stats().blocked));
+              static_cast<unsigned long long>(*verifier.metrics().Value("passed")),
+              static_cast<unsigned long long>(*verifier.metrics().Value("blocked")));
   return 0;
 }

@@ -59,7 +59,8 @@ int main() {
   Status signup = fed.SignUp("alice");
   Check(signup.ok(), "guard grants signup (remote-authority query crossed the channel)");
   Check(fed.Post("alice", "hello from another machine").ok(), "alice posts to Fauxbook");
-  Check(fed.session_authority().stats().vouched >= 1, "home instance vouched for the session");
+  Check(*fed.session_authority().metrics().Value("vouched") >= 1,
+        "home instance vouched for the session");
 
   std::printf("== Attacks that must not work\n");
   fed.Type("bot", 2);

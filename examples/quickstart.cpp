@@ -108,8 +108,9 @@ int main() {
   auto refused = analyzer.AttestNoPath(leaky, "netdriver");
   std::printf("analyzer on leaky process: %s\n", refused.status().ToString().c_str());
 
+  const metrics::MetricGroup& cache = nexus.kernel().decision_cache().metrics();
   std::printf("decision cache: %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(nexus.kernel().decision_cache().stats().hits),
-              static_cast<unsigned long long>(nexus.kernel().decision_cache().stats().misses));
+              static_cast<unsigned long long>(*cache.Value("hits")),
+              static_cast<unsigned long long>(*cache.Value("misses")));
   return 0;
 }

@@ -19,7 +19,7 @@ size_t BgpVerifier::ShortestReceived(const std::string& prefix) const {
 
 Status BgpVerifier::CheckOutbound(const BgpMessage& message) {
   auto blocked = [this](const std::string& why) {
-    ++stats_.blocked;
+    blocked_->Increment();
     return PermissionDenied(why);
   };
 
@@ -28,7 +28,7 @@ Status BgpVerifier::CheckOutbound(const BgpMessage& message) {
       return blocked("withdrawal for a route never advertised: " + message.prefix);
     }
     advertised_.erase(message.prefix);
-    ++stats_.passed;
+    passed_->Increment();
     return OkStatus();
   }
 
@@ -54,7 +54,7 @@ Status BgpVerifier::CheckOutbound(const BgpMessage& message) {
     }
   }
   advertised_.insert(message.prefix);
-  ++stats_.passed;
+  passed_->Increment();
   return OkStatus();
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace nexus::apps {
@@ -33,11 +34,6 @@ struct BgpMessage {
 
 class BgpVerifier {
  public:
-  struct Stats {
-    uint64_t passed = 0;
-    uint64_t blocked = 0;
-  };
-
   // `self_as` is the monitored speaker's AS; `owned_prefixes` are the
   // prefixes it may originate.
   BgpVerifier(AsNumber self_as, std::set<std::string> owned_prefixes)
@@ -53,14 +49,17 @@ class BgpVerifier {
   // Shortest received AS-path length for a prefix (SIZE_MAX if none).
   size_t ShortestReceived(const std::string& prefix) const;
 
-  const Stats& stats() const { return stats_; }
+  // "bgp_verifier.*" counters; a fresh verifier reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   AsNumber self_as_;
   std::set<std::string> owned_prefixes_;
   std::map<std::string, size_t> best_received_;  // prefix -> min path length.
   std::set<std::string> advertised_;             // prefixes we forwarded out.
-  Stats stats_;
+  metrics::MetricGroup metrics_{&metrics::Registry::Global(), "bgp_verifier"};
+  metrics::Counter* passed_ = metrics_.NewCounter("passed");
+  metrics::Counter* blocked_ = metrics_.NewCounter("blocked");
 };
 
 }  // namespace nexus::apps

@@ -39,10 +39,6 @@ Status GoalStore::ClearGoal(kernel::OpId op, kernel::ObjectId obj) {
   return OkStatus();
 }
 
-Status GoalStore::ClearGoal(const std::string& operation, const std::string& object) {
-  return ClearGoal(kernel::InternOp(operation), kernel::InternObject(object));
-}
-
 std::optional<GoalEntry> GoalStore::Get(kernel::OpId op, kernel::ObjectId obj) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = goals_.find(Key(op, obj));

@@ -54,7 +54,6 @@ class GoalStore {
   Status SetGoal(const std::string& operation, const std::string& object, nal::Formula goal,
                  kernel::PortId guard_port = 0);
   Status ClearGoal(kernel::OpId op, kernel::ObjectId obj);
-  Status ClearGoal(const std::string& operation, const std::string& object);
   std::optional<GoalEntry> Get(kernel::OpId op, kernel::ObjectId obj) const;
   std::optional<GoalEntry> Get(const std::string& operation, const std::string& object) const {
     // Read path: never-interned names cannot have goals, and must not grow

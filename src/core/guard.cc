@@ -385,17 +385,6 @@ void Guard::FlushCache() {
   }
 }
 
-Guard::Stats Guard::stats() const {
-  Stats snapshot;
-  snapshot.checks = stats_.checks->Value();
-  snapshot.cache_hits = stats_.cache_hits->Value();
-  snapshot.authority_queries = stats_.authority_queries->Value();
-  snapshot.remote_queries = stats_.remote_queries->Value();
-  snapshot.evictions = stats_.evictions->Value();
-  snapshot.batch_collapsed_queries = stats_.batch_collapsed_queries->Value();
-  return snapshot;
-}
-
 GuardPortHandler::GuardPortHandler(Guard* guard, const GoalStore* goals)
     : guard_(guard), goals_(goals) {}
 

@@ -36,10 +36,11 @@
 // different shard mutexes and the engine's per-subject stripes never
 // re-serialize on one guard lock. `proof_cache_capacity` is enforced per
 // shard (total soft state ≤ capacity × kNumCacheShards; single-root
-// workloads see exactly the configured capacity, as before). Stats
-// counters are atomics; stats() returns a snapshot. The authority
-// registries are append-only configuration: register authorities before
-// concurrent checking starts. AuthorityMemo instances are batch-local.
+// workloads see exactly the configured capacity, as before). Counters
+// are relaxed-atomic registry instruments, read through metrics(). The
+// authority registries are append-only configuration: register
+// authorities before concurrent checking starts. AuthorityMemo instances
+// are batch-local.
 #ifndef NEXUS_CORE_GUARD_H_
 #define NEXUS_CORE_GUARD_H_
 
@@ -74,22 +75,6 @@ class Guard {
     size_t per_root_quota = 256;
     // Deadline for one remote-authority consultation; expiry is a DENY.
     uint64_t remote_query_timeout_us = 10000;
-  };
-
-  // Snapshot view of the registry-backed counters ("guard.*" in the
-  // metrics plane). Per-instance: a fresh Guard starts at zero; the
-  // registry separately aggregates across instances and retirements.
-  struct Stats {
-    uint64_t checks = 0;
-    uint64_t cache_hits = 0;
-    uint64_t authority_queries = 0;
-    // Remote round trips: one per Vouch issued (however many statements
-    // it carried).
-    uint64_t remote_queries = 0;
-    uint64_t evictions = 0;
-    // Consultations saved by collapsing duplicate authority queries within
-    // one Check or CheckBatch.
-    uint64_t batch_collapsed_queries = 0;
   };
 
   // What a cached verdict is keyed on besides goal and proof identity: the
@@ -174,7 +159,8 @@ class Guard {
   // one CheckBatch no item mutates label state.
   void CheckBatch(std::span<const BatchItem> items, std::span<kernel::AuthzDecision> decisions);
 
-  Stats stats() const;  // Snapshot by value: counters move concurrently.
+  // "guard.*" counters; a fresh Guard reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
   void FlushCache();
 
   // Deployments tune the remote-query deadline to their link (callers that
@@ -288,14 +274,18 @@ class Guard {
   CacheShard cache_shards_[kNumCacheShards];
 
   // Registry instruments ("guard.*"): relaxed-atomic tallies, never
-  // synchronizing data. Same increment sites as the old AtomicStats.
+  // synchronizing data.
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "guard"};
   struct {
     metrics::Counter* checks;
     metrics::Counter* cache_hits;
     metrics::Counter* authority_queries;
+    // Remote round trips: one per Vouch issued (however many statements
+    // it carried).
     metrics::Counter* remote_queries;
     metrics::Counter* evictions;
+    // Consultations saved by collapsing duplicate authority queries within
+    // one Check or CheckBatch.
     metrics::Counter* batch_collapsed_queries;
   } stats_{metrics_.NewCounter("checks"),
            metrics_.NewCounter("cache_hits"),

@@ -29,9 +29,9 @@ void DecisionCache::Resize(const Config& config) {
     auto shard = std::make_unique<Shard>();
     shard->entries.assign(config_.num_subregions * config_.entries_per_subregion, Entry{});
     shard->generations.assign(config_.num_subregions, 1);
-    // Fresh instruments per reconfiguration: instance stats() restart at
-    // zero (the old Resize semantics), while the superseded counters stay
-    // in the group so the registry's process-lifetime totals keep them.
+    // Fresh instruments per reconfiguration; the superseded counters stay
+    // in the group, so metrics().Value and the registry's totals keep
+    // counting across a Resize.
     shard->hits = metrics_.NewCounter("hits");
     shard->misses = metrics_.NewCounter("misses");
     shard->insertions = metrics_.NewCounter("insertions");
@@ -204,34 +204,6 @@ void DecisionCache::InvalidateSubregion(OpId op, ObjectId obj,
       (*post_gens)[i] = bumped;
     }
   }
-}
-
-DecisionCache::Stats DecisionCache::stats() const {
-  // Counter reads are atomic; no shard lock needed for a coherent snapshot
-  // (each field is a sum of values the counters actually passed through).
-  Stats total;
-  for (const auto& shard : shards_) {
-    total.hits += shard->hits->Value();
-    total.misses += shard->misses->Value();
-    total.insertions += shard->insertions->Value();
-    total.invalidated_entries += shard->invalidated_entries->Value();
-    total.subregion_invalidations += shard->subregion_invalidations->Value();
-  }
-  return total;
-}
-
-DecisionCache::Stats DecisionCache::shard_stats(size_t shard) const {
-  if (shard >= shards_.size()) {
-    return Stats{};
-  }
-  const Shard& s = *shards_[shard];
-  Stats out;
-  out.hits = s.hits->Value();
-  out.misses = s.misses->Value();
-  out.insertions = s.insertions->Value();
-  out.invalidated_entries = s.invalidated_entries->Value();
-  out.subregion_invalidations = s.subregion_invalidations->Value();
-  return out;
 }
 
 }  // namespace nexus::kernel

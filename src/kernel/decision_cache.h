@@ -12,11 +12,11 @@
 // collision rate (an ablation benchmark sweeps it).
 //
 // The cache is SHARDED by Mix64(subject) so a multi-worker authorization
-// frontend scales: each shard holds its own subregion array, statistics,
+// frontend scales: each shard holds its own subregion array, counters,
 // and lock, and a lookup or insert takes exactly one shard mutex. Because
 // the shard function ignores (operation, object), a setgoal invalidation
-// broadcasts the subregion clear to every shard; per-shard stats aggregate
-// on read.
+// broadcasts the subregion clear to every shard; metrics().Value sums the
+// per-shard counters.
 //
 // Every (shard, subregion) carries a GENERATION, bumped on invalidation,
 // Clear, and Resize. A caller computing a verdict outside the cache lock
@@ -49,18 +49,6 @@ class DecisionCache {
     size_t num_subregions = 64;
     size_t entries_per_subregion = 64;
     size_t num_shards = 8;
-  };
-
-  // Snapshot view of the registry-backed per-shard counters ("cache.*" in
-  // the metrics plane). Per-instance semantics are unchanged: a fresh cache
-  // (or a Resize) starts from zero; the registry separately accumulates
-  // process-lifetime totals.
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t invalidated_entries = 0;
-    uint64_t subregion_invalidations = 0;
   };
 
   DecisionCache();
@@ -134,10 +122,9 @@ class DecisionCache {
   // first (the cache is reconfigured, not just mutated).
   void Resize(const Config& config);
 
-  // Aggregated over all shards (by value: shards tally independently).
-  Stats stats() const;
-  // One shard's tally, for tests and ablation benchmarks.
-  Stats shard_stats(size_t shard) const;
+  // "cache.*" counters, summed over shards by Value. Cumulative from
+  // construction: a Resize keeps counting (a fresh cache reads zero).
+  const metrics::MetricGroup& metrics() const { return metrics_; }
   // Which shard `subject`'s entries live in.
   size_t ShardOf(ProcessId subject) const;
 
@@ -159,7 +146,7 @@ class DecisionCache {
   // A shard owns its mutex; unique_ptr keeps the vector reconfigurable.
   // Tallies are registry instruments (metrics plane, "cache.*"): relaxed
   // atomics, one set per shard so shards never contend on a shared
-  // counter; stats() sums them, the registry snapshot aggregates them.
+  // counter; metrics().Value and the registry snapshot sum them.
   struct Shard {
     mutable std::mutex mu;
     std::vector<Entry> entries;       // num_subregions * entries_per_subregion

@@ -23,11 +23,15 @@ Kernel::Kernel() : scheduler_(std::make_unique<StrideScheduler>()) {
   }
   procfs_.PublishValue(kKernelProcessId, "/proc/kernel/name", "nexus");
   // The metrics plane exported through the introspection namespace (§3.1):
-  // one node per component prefix, plus the flight recorder. Reading
-  // telemetry is itself a guarded proc-read — the kProcRead syscall
+  // one node per top-level registry prefix, plus the flight recorder.
+  // Reading telemetry is itself a guarded proc-read — the kProcRead syscall
   // authorizes "read" on "proc:/stats/<component>" like any other path.
+  // observability_test pins this list against every prefix registered.
   static constexpr const char* kStatComponents[] = {
-      "kernel", "cache", "guard", "engine", "remote_authority", "transport", "ddrm",
+      "kernel", "cache", "guard", "engine",
+      "transport", "channel", "cert_exchange", "remote_authority", "authority_service",
+      "mesh", "quorum_authority",
+      "ddrm", "redactor", "bgp_verifier",
   };
   for (const char* component : kStatComponents) {
     procfs_.Publish(kKernelProcessId, std::string("/stats/") + component,

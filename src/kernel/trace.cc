@@ -352,7 +352,6 @@ uint64_t MutationLog::Append(MutationRecord record) {
   records_.push_back(std::move(record));
   while (records_.size() > capacity_) {
     records_.pop_front();
-    ++dropped_;
   }
   return seq;
 }
@@ -382,18 +381,12 @@ void MutationLog::set_capacity(size_t capacity) {
   capacity_ = capacity > 0 ? capacity : 1;
   while (records_.size() > capacity_) {
     records_.pop_front();
-    ++dropped_;
   }
 }
 
 uint64_t MutationLog::appended() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_seq_ - 1;
-}
-
-uint64_t MutationLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 size_t MutationLog::size() const {

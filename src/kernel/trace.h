@@ -284,7 +284,7 @@ class MutationLog {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Appends (assigns record.seq). Over capacity the oldest records are
-  // dropped and counted. Thread-safe.
+  // dropped. Thread-safe.
   uint64_t Append(MutationRecord record);
 
   // Appends every record with seq > *cursor to `out` and advances the
@@ -296,7 +296,6 @@ class MutationLog {
   void set_capacity(size_t capacity);
 
   uint64_t appended() const;
-  uint64_t dropped() const;
   size_t size() const;
 
  private:
@@ -305,7 +304,6 @@ class MutationLog {
   std::deque<MutationRecord> records_;
   size_t capacity_ = 1 << 16;
   uint64_t next_seq_ = 1;
-  uint64_t dropped_ = 0;
 };
 
 // The calling thread's active trace id (0 outside any traced call).

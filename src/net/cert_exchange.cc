@@ -25,7 +25,7 @@ Result<core::LabelHandle> CertificateExchange::PushCertificate(const NodeId& pee
   if (!channel.ok()) {
     return channel.status();
   }
-  ++stats_.pushed;
+  stats_.pushed->Increment();
   Result<Bytes> reply =
       (*channel)->Call(std::string(kServiceName), cert.Serialize(), timeout_us);
   if (!reply.ok()) {
@@ -44,15 +44,15 @@ Result<Bytes> CertificateExchange::Handle(AttestedChannel& channel, ByteView req
                   // verifies standalone against registered trust anchors.
   Result<core::Certificate> cert = core::Certificate::Deserialize(request);
   if (!cert.ok()) {
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return cert.status();
   }
   Result<core::LabelHandle> handle = node_->nexus().ImportPeerCertificate(import_pid_, *cert);
   if (!handle.ok()) {
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return handle.status();
   }
-  ++stats_.imported;
+  stats_.imported->Increment();
   Bytes reply;
   AppendU64(reply, *handle);
   return reply;

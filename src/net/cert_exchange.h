@@ -13,18 +13,13 @@
 
 #include "core/nexus.h"
 #include "net/node.h"
+#include "util/metrics.h"
 
 namespace nexus::net {
 
 class CertificateExchange : public Service {
  public:
   static constexpr std::string_view kServiceName = "certx";
-
-  struct Stats {
-    uint64_t pushed = 0;
-    uint64_t imported = 0;
-    uint64_t rejected = 0;
-  };
 
   // Certificates arriving on `node` are imported into `import_pid`'s
   // labelstore (typically a gateway process whose store feeds guard
@@ -43,12 +38,19 @@ class CertificateExchange : public Service {
   // Receive side: verify against registered peer EKs and import.
   Result<Bytes> Handle(AttestedChannel& channel, ByteView request) override;
 
-  const Stats& stats() const { return stats_; }
+  // "cert_exchange.*" counters; a fresh exchange reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   NetNode* node_;
   kernel::ProcessId import_pid_;
-  Stats stats_;
+  metrics::MetricGroup metrics_{&metrics::Registry::Global(), "cert_exchange"};
+  struct {
+    metrics::Counter* pushed;
+    metrics::Counter* imported;
+    metrics::Counter* rejected;
+  } stats_{metrics_.NewCounter("pushed"), metrics_.NewCounter("imported"),
+           metrics_.NewCounter("rejected")};
 };
 
 }  // namespace nexus::net

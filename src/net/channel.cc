@@ -372,7 +372,7 @@ Status AttestedChannel::SendData(const std::string& service, uint64_t request_id
   {
     std::lock_guard<std::mutex> lock(data_mu_);
     seq = send_seq_++;
-    ++stats_.data_sent;
+    stats_.data_sent->Increment();
   }
   uint8_t direction = initiator_ ? kRoleInitiator : kRoleResponder;
   // Per-message CTR stream: direction in the top bit keeps the two
@@ -442,7 +442,7 @@ void AttestedChannel::HandleData(const Message& message) {
   {
     std::lock_guard<std::mutex> lock(data_mu_);
     if (!ConstantTimeEquals(expected, *tag)) {
-      ++stats_.bad_tags_rejected;
+      stats_.bad_tags_rejected->Increment();
       return;  // Tampered or corrupted frame: drop.
     }
     // Replay check AFTER authentication: any unseen sequence number inside
@@ -450,11 +450,11 @@ void AttestedChannel::HandleData(const Message& message) {
     // is consumed exactly once. Anything below the window is rejected
     // outright, which keeps the seen-set bounded on long-lived channels.
     if (*seq + kReplayWindow <= max_seen_seq_) {
-      ++stats_.replays_rejected;
+      stats_.replays_rejected->Increment();
       return;
     }
     if (!seen_seqs_.insert(*seq).second) {
-      ++stats_.replays_rejected;
+      stats_.replays_rejected->Increment();
       return;
     }
     if (*seq > max_seen_seq_) {
@@ -463,7 +463,7 @@ void AttestedChannel::HandleData(const Message& message) {
         seen_seqs_.erase(seen_seqs_.begin());
       }
     }
-    ++stats_.data_received;
+    stats_.data_received->Increment();
   }
 
   uint64_t nonce = (static_cast<uint64_t>(*direction) << 63) | *seq;

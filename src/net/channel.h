@@ -29,8 +29,8 @@
 // Threading: an ESTABLISHED channel is safe for concurrent callers —
 // Call/CallStart/CallFinish/SendSecure may run from several worker threads
 // at once (independent authorization misses overlap their round trips on
-// one shared channel). Sequence numbers, the replay window, pending
-// responses, and stats live under one data-plane mutex; session keys and
+// one shared channel). Sequence numbers, the replay window, and pending
+// responses live under one data-plane mutex; session keys and
 // the peer identity are immutable once the handshake completes. The
 // HANDSHAKE itself is not concurrent: establish the channel (Connect, or a
 // warm-up query) before handing it to worker threads — Connect serializes
@@ -48,6 +48,7 @@
 #include "core/nexus.h"
 #include "crypto/aes.h"
 #include "net/transport.h"
+#include "util/metrics.h"
 
 namespace nexus::net {
 
@@ -66,13 +67,6 @@ enum class ChannelState : uint8_t { kIdle, kConnecting, kEstablished, kFailed };
 
 class AttestedChannel {
  public:
-  struct Stats {
-    uint64_t data_sent = 0;
-    uint64_t data_received = 0;
-    uint64_t replays_rejected = 0;
-    uint64_t bad_tags_rejected = 0;
-  };
-
   AttestedChannel(core::Nexus* local, Transport* transport, ChannelServices* services,
                   NodeId self, NodeId peer, uint64_t channel_id, bool initiator);
 
@@ -117,10 +111,8 @@ class AttestedChannel {
   bool is_initiator() const { return initiator_; }
   const NodeId& self_node() const { return self_; }
   const NodeId& peer_node() const { return peer_; }
-  Stats stats() const {  // Snapshot by value: counters move concurrently.
-    std::lock_guard<std::mutex> lock(data_mu_);
-    return stats_;
-  }
+  // "channel.*" counters; a fresh channel reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct Hello {
@@ -187,8 +179,8 @@ class AttestedChannel {
   crypto::AesKey enc_key_{};
   Bytes mac_key_;
 
-  // Data-plane mutex: sequence allocation, the replay window, pending
-  // responses/deadlines, and stats. Never held across a transport pump or
+  // Data-plane mutex: sequence allocation, the replay window, and pending
+  // responses/deadlines. Never held across a transport pump or
   // a service handler (both may re-enter SendData).
   mutable std::mutex data_mu_;
 
@@ -208,7 +200,17 @@ class AttestedChannel {
   // Deadlines of CallStart requests not yet finished (request id -> the
   // simulated-clock instant after which the reply no longer counts).
   std::map<uint64_t, uint64_t> call_deadlines_;
-  Stats stats_;
+
+  // Registry instruments ("channel.*"), incremented inside the existing
+  // data_mu_ regions.
+  metrics::MetricGroup metrics_{&metrics::Registry::Global(), "channel"};
+  struct {
+    metrics::Counter* data_sent;
+    metrics::Counter* data_received;
+    metrics::Counter* replays_rejected;
+    metrics::Counter* bad_tags_rejected;
+  } stats_{metrics_.NewCounter("data_sent"), metrics_.NewCounter("data_received"),
+           metrics_.NewCounter("replays_rejected"), metrics_.NewCounter("bad_tags_rejected")};
 };
 
 }  // namespace nexus::net

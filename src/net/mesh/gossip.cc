@@ -33,8 +33,7 @@ Bytes GossipService::SerializeState() const {
 bool GossipService::ApplyPeerRecord(const PeerRecord& record) {
   Result<crypto::RsaPublicKey> ek = crypto::RsaPublicKey::Deserialize(record.ek);
   if (!ek.ok() || record.name.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return false;
   }
   // An out-of-band anchor for this name always wins: a gossiped record that
@@ -42,23 +41,18 @@ bool GossipService::ApplyPeerRecord(const PeerRecord& record) {
   // and kernel trust set stay consistent.
   Result<crypto::RsaPublicKey> known = node_->nexus().PeerEk(record.name);
   if (known.ok() && !(*known == *ek)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return false;
   }
   switch (registry_->ImportPeer(record)) {
     case MeshRegistry::Import::kNew:
       break;
-    case MeshRegistry::Import::kDuplicate: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.duplicates;
+    case MeshRegistry::Import::kDuplicate:
+      stats_.duplicates->Increment();
       return false;
-    }
-    case MeshRegistry::Import::kConflict: {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
+    case MeshRegistry::Import::kConflict:
+      stats_.rejected->Increment();
       return false;
-    }
   }
   // Our own record needs no self-trust; everyone else becomes a trust
   // anchor, which is what lets certificates chained to them verify and
@@ -66,22 +60,19 @@ bool GossipService::ApplyPeerRecord(const PeerRecord& record) {
   if (record.name != node_->id()) {
     (void)node_->nexus().RegisterPeer(record.name, *ek);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.peers_imported;
+  stats_.peers_imported->Increment();
   return true;
 }
 
 bool GossipService::ApplyCertificate(const Bytes& cert_bytes) {
   std::string digest = crypto::Sha256Hex(cert_bytes);
   if (registry_->HasCertificate(digest)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.duplicates;
+    stats_.duplicates->Increment();
     return false;
   }
   Result<core::Certificate> cert = core::Certificate::Deserialize(cert_bytes);
   if (!cert.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return false;
   }
   if (cert->ek_public == node_->nexus().tpm().endorsement_public_key()) {
@@ -91,13 +82,11 @@ bool GossipService::ApplyCertificate(const Bytes& cert_bytes) {
     // registry accepts it, or a forgery claiming our EK would enter our
     // replica (diverging us from honest nodes and re-gossiping garbage).
     if (!core::VerifyCertificate(*cert, cert->ek_public).ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
+      stats_.rejected->Increment();
       return false;
     }
     registry_->ImportCertificate(cert_bytes);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.certs_imported;
+    stats_.certs_imported->Increment();
     return true;
   }
   if (!node_->nexus().IsTrustedPeerEk(cert->ek_public)) {
@@ -106,7 +95,7 @@ bool GossipService::ApplyCertificate(const Bytes& cert_bytes) {
     std::lock_guard<std::mutex> lock(mu_);
     if (pending_certs_.try_emplace(digest, cert_bytes).second) {
       pending_order_.push_back(digest);
-      ++stats_.pending_parked;
+      stats_.pending_parked->Increment();
       while (pending_order_.size() > kMaxPendingCerts) {
         pending_certs_.erase(pending_order_.front());
         pending_order_.erase(pending_order_.begin());
@@ -119,13 +108,11 @@ bool GossipService::ApplyCertificate(const Bytes& cert_bytes) {
   // permanently — it never enters the registry, so we never re-gossip it.
   Result<core::LabelHandle> handle = node_->nexus().ImportPeerCertificate(import_pid_, *cert);
   if (!handle.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return false;
   }
   registry_->ImportCertificate(cert_bytes);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.certs_imported;
+  stats_.certs_imported->Increment();
   return true;
 }
 
@@ -167,8 +154,7 @@ size_t GossipService::ApplyState(ByteView payload, const NodeId& from) {
     }
     Result<PeerRecord> record = PeerRecord::DeserializeRecord(*blob);
     if (!record.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
+      stats_.rejected->Increment();
       continue;
     }
     if (ApplyPeerRecord(*record)) {
@@ -213,10 +199,7 @@ size_t GossipService::Flood(const Bytes& payload, const NodeId& skip) {
       ++sent;
     }
   }
-  if (sent > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.floods_sent += sent;
-  }
+  stats_.floods_sent->Increment(sent);
   return sent;
 }
 
@@ -277,10 +260,7 @@ size_t GossipService::AntiEntropyRound() {
       ++sent;
     }
   }
-  if (sent > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.floods_sent += sent;
-  }
+  stats_.floods_sent->Increment(sent);
   return sent;
 }
 
@@ -299,11 +279,6 @@ Status GossipService::PublishCertificate(const Bytes& cert_bytes) {
 size_t GossipService::pending_certs() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_certs_.size();
-}
-
-GossipService::Stats GossipService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace nexus::net::mesh

@@ -30,6 +30,7 @@
 
 #include "net/mesh/registry.h"
 #include "net/node.h"
+#include "util/metrics.h"
 
 namespace nexus::net::mesh {
 
@@ -40,15 +41,6 @@ class GossipService : public Service {
   // must be bounded: past the cap the oldest pending entry is dropped (it
   // can re-arrive on a later anti-entropy round once its anchor is known).
   static constexpr size_t kMaxPendingCerts = 1024;
-
-  struct Stats {
-    uint64_t peers_imported = 0;
-    uint64_t certs_imported = 0;
-    uint64_t duplicates = 0;      // Idempotent re-deliveries (peer or cert).
-    uint64_t rejected = 0;        // Conflicting records, failed verification.
-    uint64_t pending_parked = 0;  // Certs parked awaiting their trust anchor.
-    uint64_t floods_sent = 0;     // SendSecure fan-outs triggered by news.
-  };
 
   // Registers itself on `node` under kServiceName and seeds the registry
   // with the node's own (id, EK) record. `import_pid` is the process whose
@@ -81,7 +73,8 @@ class GossipService : public Service {
   Status PublishCertificate(const Bytes& cert_bytes);
 
   size_t pending_certs() const;
-  Stats stats() const;
+  // "mesh.gossip.*" counters; a fresh service reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   // Serializes the registry's full state (wire: u32 peer count, records;
@@ -103,11 +96,24 @@ class GossipService : public Service {
   MeshRegistry* registry_;
   kernel::ProcessId import_pid_;
 
-  mutable std::mutex mu_;  // pending_certs_, seeds_, and stats_.
+  mutable std::mutex mu_;  // pending_certs_ and seeds_.
   std::map<std::string, Bytes> pending_certs_;  // digest -> bytes
   std::vector<std::string> pending_order_;      // FIFO for the cap.
   std::vector<NodeId> seeds_;  // Standing anti-entropy targets (joins).
-  Stats stats_;
+
+  // Registry instruments ("mesh.gossip.*"): relaxed atomics, so tallying
+  // takes no lock.
+  metrics::MetricGroup metrics_{&metrics::Registry::Global(), "mesh.gossip"};
+  struct {
+    metrics::Counter* peers_imported;
+    metrics::Counter* certs_imported;
+    metrics::Counter* duplicates;      // Idempotent re-deliveries (peer or cert).
+    metrics::Counter* rejected;        // Conflicting records, failed verification.
+    metrics::Counter* pending_parked;  // Certs parked awaiting their trust anchor.
+    metrics::Counter* floods_sent;     // SendSecure fan-outs triggered by news.
+  } stats_{metrics_.NewCounter("peers_imported"), metrics_.NewCounter("certs_imported"),
+           metrics_.NewCounter("duplicates"),     metrics_.NewCounter("rejected"),
+           metrics_.NewCounter("pending_parked"), metrics_.NewCounter("floods_sent")};
 };
 
 }  // namespace nexus::net::mesh

@@ -57,16 +57,12 @@ void InvalidationPropagator::Broadcast(kernel::OpId op, kernel::ObjectId obj) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     outbound_.push_back(record);
-    while (outbound_.size() > options_.resend_log) {
+    while (outbound_.size() > kResendLog) {
       outbound_.pop_front();
     }
-    ++stats_.broadcasts;
   }
-  size_t sent = SendToPeers(payload);
-  if (sent > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.sends += sent;
-  }
+  stats_.broadcasts->Increment();
+  stats_.sends->Increment(SendToPeers(payload));
 }
 
 size_t InvalidationPropagator::ResendRecent() {
@@ -79,10 +75,7 @@ size_t InvalidationPropagator::ResendRecent() {
   for (const OutboundRecord& record : records) {
     sent += SendToPeers(SerializeRecord(record));
   }
-  if (sent > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.sends += sent;
-  }
+  stats_.sends->Increment(sent);
   return sent;
 }
 
@@ -94,33 +87,30 @@ Result<Bytes> InvalidationPropagator::Handle(AttestedChannel& channel, ByteView 
   Result<Bytes> obj_name = reader.ReadLengthPrefixed();
   if (!origin.ok() || !epoch.ok() || !op_name.ok() || !obj_name.ok() ||
       !reader.AtEnd() || *epoch == 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return Bytes{};
   }
   // First-hand only: the claimed origin must BE the attested peer on the
   // delivering channel. Invalidations are never relayed, so an accepted
   // epoch is authenticated end to end by the channel itself.
   if (ToString(*origin) != channel.peer_node()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.rejected;
+    stats_.rejected->Increment();
     return Bytes{};
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     OriginState& state = origins_[channel.peer_node()];
     uint64_t window_floor =
-        state.max_seen > options_.replay_window ? state.max_seen - options_.replay_window : 0;
+        state.max_seen > kReplayWindow ? state.max_seen - kReplayWindow : 0;
     if (*epoch <= window_floor || !state.seen.insert(*epoch).second) {
-      ++stats_.duplicates;  // Exact-once: the re-apply is a no-op.
+      stats_.duplicates->Increment();  // Exact-once: the re-apply is a no-op.
       return Bytes{};
     }
     state.max_seen = std::max(state.max_seen, *epoch);
-    while (!state.seen.empty() &&
-           *state.seen.begin() + options_.replay_window < state.max_seen) {
+    while (!state.seen.empty() && *state.seen.begin() + kReplayWindow < state.max_seen) {
       state.seen.erase(state.seen.begin());
     }
-    ++stats_.applied;
+    stats_.applied->Increment();
   }
   // Fresh epoch: retire our cached verdicts for the pair. Reordering is
   // harmless — a bump is a bump, whichever epoch lands first. The names
@@ -170,11 +160,6 @@ uint64_t InvalidationPropagator::AppliedEpoch(const NodeId& origin) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = origins_.find(origin);
   return it == origins_.end() ? 0 : it->second.max_seen;
-}
-
-InvalidationPropagator::Stats InvalidationPropagator::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace nexus::net::mesh

@@ -38,12 +38,18 @@
 #include "kernel/kernel.h"
 #include "net/mesh/registry.h"
 #include "net/node.h"
+#include "util/metrics.h"
 
 namespace nexus::net::mesh {
 
 class InvalidationPropagator : public Service {
  public:
   static constexpr std::string_view kServiceName = "mesh_inval";
+  // Per-origin duplicate filter span (epochs), mirroring the channel
+  // replay window's shape.
+  static constexpr uint64_t kReplayWindow = 4096;
+  // Outbound records retained for ResendRecent().
+  static constexpr size_t kResendLog = 1024;
 
   struct Options {
     // Stamp applied invalidations into the global MutationLog and
@@ -51,24 +57,9 @@ class InvalidationPropagator : public Service {
     // audited; DISABLE on auxiliary instances sharing the process-global
     // observability plane, or their applies pollute the audited timeline.
     bool stamp_observability = true;
-    // Per-origin duplicate filter span (epochs), mirroring the channel
-    // replay window's shape.
-    size_t replay_window = 4096;
-    // Outbound records retained for ResendRecent().
-    size_t resend_log = 1024;
-  };
-
-  struct Stats {
-    uint64_t broadcasts = 0;     // Local invalidations fanned out.
-    uint64_t sends = 0;          // Per-peer messages sent.
-    uint64_t applied = 0;        // Remote invalidations applied here.
-    uint64_t duplicates = 0;     // Replay-window no-ops.
-    uint64_t rejected = 0;       // Malformed or forged-origin messages.
   };
 
   InvalidationPropagator(NetNode* node, MeshRegistry* registry, Options options);
-  InvalidationPropagator(NetNode* node, MeshRegistry* registry)
-      : InvalidationPropagator(node, registry, Options{}) {}
 
   // Wires this node's kernel to Broadcast: every local goal/proof
   // invalidation fans out to the mesh. The sink applies nothing locally
@@ -90,7 +81,8 @@ class InvalidationPropagator : public Service {
   // Highest epoch applied from `origin` (0 = none), for tests.
   uint64_t AppliedEpoch(const NodeId& origin) const;
   uint64_t local_epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  Stats stats() const;
+  // "mesh.invalidation.*" counters; a fresh propagator reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct OutboundRecord {
@@ -112,10 +104,22 @@ class InvalidationPropagator : public Service {
   Options options_;
   std::atomic<uint64_t> epoch_{0};
 
-  mutable std::mutex mu_;  // outbound_, origins_, stats_.
+  mutable std::mutex mu_;  // outbound_ and origins_.
   std::deque<OutboundRecord> outbound_;
   std::map<NodeId, OriginState> origins_;
-  Stats stats_;
+
+  // Registry instruments ("mesh.invalidation.*"): relaxed atomics, so
+  // tallying takes no lock.
+  metrics::MetricGroup metrics_{&metrics::Registry::Global(), "mesh.invalidation"};
+  struct {
+    metrics::Counter* broadcasts;  // Local invalidations fanned out.
+    metrics::Counter* sends;       // Per-peer messages sent.
+    metrics::Counter* applied;     // Remote invalidations applied here.
+    metrics::Counter* duplicates;  // Replay-window no-ops.
+    metrics::Counter* rejected;    // Malformed or forged-origin messages.
+  } stats_{metrics_.NewCounter("broadcasts"), metrics_.NewCounter("sends"),
+           metrics_.NewCounter("applied"), metrics_.NewCounter("duplicates"),
+           metrics_.NewCounter("rejected")};
 };
 
 }  // namespace nexus::net::mesh

@@ -4,21 +4,16 @@ namespace nexus::net::mesh {
 
 MeshNode::MeshNode(NetNode* node, Options options)
     : node_(node),
-      options_(options),
       gossip_(node, &registry_, options.import_pid),
       invalidation_(node, &registry_,
                     InvalidationPropagator::Options{
                         .stamp_observability = options.stamp_observability}) {
-  if (options_.wire_kernel_sink) {
-    invalidation_.AttachKernel(&node_->nexus().kernel());
-  }
+  invalidation_.AttachKernel(&node_->nexus().kernel());
 }
 
 MeshNode::~MeshNode() {
-  if (options_.wire_kernel_sink) {
-    // The sink captures `this`; clear it before the propagator dies.
-    invalidation_.DetachKernel(&node_->nexus().kernel());
-  }
+  // The sink captures `this`; clear it before the propagator dies.
+  invalidation_.DetachKernel(&node_->nexus().kernel());
 }
 
 Status MeshNode::Join(const NodeId& seed) {

@@ -26,9 +26,6 @@ class MeshNode {
     // Labelstore destination for gossiped certificates (0 = the kernel
     // process, always present).
     kernel::ProcessId import_pid = 0;
-    // Broadcast local goal/proof invalidations to the mesh (installs the
-    // kernel sink; detached on destruction).
-    bool wire_kernel_sink = true;
     // See InvalidationPropagator::Options — enable only on audited nodes.
     bool stamp_observability = true;
   };
@@ -58,7 +55,6 @@ class MeshNode {
 
  private:
   NetNode* node_;
-  Options options_;
   MeshRegistry registry_;
   GossipService gossip_;
   InvalidationPropagator invalidation_;

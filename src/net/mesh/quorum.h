@@ -53,15 +53,6 @@ class QuorumAuthority : public core::Authority {
  public:
   using HandlesPredicate = std::function<bool(const nal::Formula&)>;
 
-  struct Stats {
-    uint64_t statements = 0;        // Statements decided (batched or not).
-    uint64_t vouched = 0;           // Reached quorum.
-    uint64_t denied_no_quorum = 0;  // Enough answers, fewer than K yes.
-    uint64_t denied_timeout = 0;    // Unresponsive members made K impossible.
-    uint64_t member_rounds = 0;     // Per-member batch round trips issued.
-    uint64_t members_skipped = 0;   // Sidelined members not consulted.
-  };
-
   // `transport` provides the simulated clock for backoff windows; `handles`
   // scopes which statements this authority routes (nullptr = all).
   QuorumAuthority(Transport* transport, QuorumPolicy policy,
@@ -76,11 +67,8 @@ class QuorumAuthority : public core::Authority {
   core::VouchFuture Vouch(std::span<const nal::Formula> statements,
                           uint64_t timeout_us) override;
 
-  Stats stats() const {
-    return Stats{stats_.statements->Value(),      stats_.vouched->Value(),
-                 stats_.denied_no_quorum->Value(), stats_.denied_timeout->Value(),
-                 stats_.member_rounds->Value(),    stats_.members_skipped->Value()};
-  }
+  // "quorum_authority.*" counters; a fresh quorum reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct MemberState {
@@ -104,12 +92,12 @@ class QuorumAuthority : public core::Authority {
 
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "quorum_authority"};
   struct {
-    metrics::Counter* statements;
-    metrics::Counter* vouched;
-    metrics::Counter* denied_no_quorum;
-    metrics::Counter* denied_timeout;
-    metrics::Counter* member_rounds;
-    metrics::Counter* members_skipped;
+    metrics::Counter* statements;        // Statements decided (batched or not).
+    metrics::Counter* vouched;           // Reached quorum.
+    metrics::Counter* denied_no_quorum;  // Enough answers, fewer than K yes.
+    metrics::Counter* denied_timeout;    // Unresponsive members made K impossible.
+    metrics::Counter* member_rounds;     // Per-member batch round trips issued.
+    metrics::Counter* members_skipped;   // Sidelined members not consulted.
   } stats_{metrics_.NewCounter("statements"),       metrics_.NewCounter("vouched"),
            metrics_.NewCounter("denied_no_quorum"), metrics_.NewCounter("denied_timeout"),
            metrics_.NewCounter("member_rounds"),    metrics_.NewCounter("members_skipped")};

@@ -36,7 +36,6 @@ MeshRegistry::Import MeshRegistry::ImportPeer(const PeerRecord& record) {
   if (it->second == record.ek) {
     return Import::kDuplicate;
   }
-  ++conflicts_;
   return Import::kConflict;
 }
 
@@ -85,11 +84,6 @@ size_t MeshRegistry::peer_count() const {
 size_t MeshRegistry::cert_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return certs_.size();
-}
-
-uint64_t MeshRegistry::conflicts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return conflicts_;
 }
 
 Bytes MeshRegistry::CanonicalSnapshot() const {

@@ -52,7 +52,7 @@ class MeshRegistry {
   };
 
   // Both imports are thread-safe and follow the same convergence contract:
-  // insert if absent, no-op if identical, reject-and-count if conflicting.
+  // insert if absent, no-op if identical, reject if conflicting.
   Import ImportPeer(const PeerRecord& record);
   // Certificates are keyed by their content digest, so a conflict is
   // impossible by construction — every import is kNew or kDuplicate.
@@ -65,7 +65,6 @@ class MeshRegistry {
 
   size_t peer_count() const;
   size_t cert_count() const;
-  uint64_t conflicts() const;
 
   // Canonical serialization: peers in name order, certificates in digest
   // order, each length-prefixed. Two converged replicas produce EQUAL
@@ -78,7 +77,6 @@ class MeshRegistry {
   mutable std::mutex mu_;
   std::map<NodeId, Bytes> peers_;       // name -> serialized EK
   std::map<std::string, Bytes> certs_;  // content digest -> certificate bytes
-  uint64_t conflicts_ = 0;
 };
 
 }  // namespace nexus::net::mesh

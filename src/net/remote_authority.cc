@@ -37,7 +37,7 @@ AuthorityService::AuthorityService(NetNode* node) : node_(node) {
 }
 
 bool AuthorityService::Evaluate(const nal::Formula& statement) {
-  ++queries_served_;
+  queries_served_->Increment();
   for (core::LocalAuthority* authority : authorities_) {
     if (authority->Handles(statement)) {
       // A local authority answers at issue time; no deadline binds.
@@ -55,7 +55,7 @@ Result<Bytes> AuthorityService::Handle(AttestedChannel& channel, ByteView reques
   // the strict reply codec instead of trusting raw bytes. A malformed
   // request returns an empty buffer, which the client's UnmarshalReply
   // rejects: deny-all, fail closed.
-  ++batches_served_;
+  batches_served_->Increment();
   ByteReader reader(request);
   Result<uint32_t> count = reader.ReadU32();
   if (!count.ok()) {
@@ -78,12 +78,12 @@ Result<Bytes> AuthorityService::Handle(AttestedChannel& channel, ByteView reques
     // an arbitrarily large formula. An oversized statement is a deny, and
     // the rest of the batch still answers.
     if (text->size() > kernel::kMaxArgPayload) {
-      ++queries_served_;
+      queries_served_->Increment();
       continue;
     }
     Result<nal::Formula> statement = nal::ParseFormula(ToString(*text));
     if (!statement.ok()) {
-      ++queries_served_;
+      queries_served_->Increment();
       continue;
     }
     verdicts[i] = Evaluate(*statement) ? 1 : 0;

@@ -41,41 +41,30 @@ class AuthorityService : public Service {
 
   Result<Bytes> Handle(AttestedChannel& channel, ByteView request) override;
 
-  // Individual statements evaluated (batch requests count each statement).
-  uint64_t queries_served() const { return queries_served_; }
-  // Wire-level batch requests handled.
-  uint64_t batches_served() const { return batches_served_; }
+  // "authority_service.*" counters; a fresh service reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   bool Evaluate(const nal::Formula& statement);
 
   NetNode* node_;
   std::vector<core::LocalAuthority*> authorities_;
-  uint64_t queries_served_ = 0;
-  uint64_t batches_served_ = 0;
+  metrics::MetricGroup metrics_{&metrics::Registry::Global(), "authority_service"};
+  // Individual statements evaluated (batch requests count each statement).
+  metrics::Counter* queries_served_ = metrics_.NewCounter("queries_served");
+  // Wire-level batch requests handled.
+  metrics::Counter* batches_served_ = metrics_.NewCounter("batches_served");
 };
 
 // Client side: a core::Authority whose truth lives on a peer instance.
 // Register with Guard::AddRemoteAuthority so the guard's deadline applies.
 // Thread-safe once its channel is established: concurrent worker threads
 // may query it while their round trips overlap on the shared fabric
-// (counters are atomics; stats() returns a snapshot).
+// (counters are relaxed-atomic registry instruments, read through
+// metrics()).
 class RemoteAuthority : public core::Authority {
  public:
   using HandlesPredicate = std::function<bool(const nal::Formula&)>;
-
-  struct Stats {
-    uint64_t queries = 0;  // Statements asked (batched or not).
-    uint64_t vouched = 0;
-    uint64_t denied = 0;              // The peer answered: deny (incl. malformed replies).
-    uint64_t denied_unreachable = 0;  // Never got a request in flight (no
-                                      // channel: untrusted peer, handshake
-                                      // failure, send failure).
-    uint64_t denied_timeout = 0;      // Request went out; the reply was lost
-                                      // or landed past the deadline.
-    uint64_t batch_round_trips = 0;   // Vouch wire calls issued (a single
-                                      // query is a round trip of one).
-  };
 
   // `handles` scopes which statements this authority forwards (nullptr =
   // all).
@@ -91,29 +80,27 @@ class RemoteAuthority : public core::Authority {
   core::VouchFuture Vouch(std::span<const nal::Formula> statements,
                           uint64_t timeout_us) override;
 
-  Stats stats() const {
-    return Stats{stats_.queries->Value(),
-                 stats_.vouched->Value(),
-                 stats_.denied->Value(),
-                 stats_.denied_unreachable->Value(),
-                 stats_.denied_timeout->Value(),
-                 stats_.batch_round_trips->Value()};
-  }
+  // "remote_authority.*" counters; a fresh authority reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   NetNode* node_;
   NodeId peer_;
   HandlesPredicate handles_;
-  // Registry instruments ("remote_authority.*"): relaxed-atomic tallies;
-  // stats() snapshots them per instance, the registry aggregates across
-  // instances.
+  // Registry instruments ("remote_authority.*"): relaxed-atomic tallies,
+  // read per instance through metrics() and aggregated across instances by
+  // the registry.
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "remote_authority"};
   struct {
-    metrics::Counter* queries;
+    metrics::Counter* queries;  // Statements asked (batched or not).
     metrics::Counter* vouched;
-    metrics::Counter* denied;
+    metrics::Counter* denied;  // The peer answered: deny (incl. malformed replies).
+    // Never got a request in flight (no channel: untrusted peer, handshake
+    // failure, send failure).
     metrics::Counter* denied_unreachable;
+    // Request went out; the reply was lost or landed past the deadline.
     metrics::Counter* denied_timeout;
+    // Vouch wire calls issued (a single query is a round trip of one).
     metrics::Counter* batch_round_trips;
   } stats_{metrics_.NewCounter("queries"), metrics_.NewCounter("vouched"),
            metrics_.NewCounter("denied"), metrics_.NewCounter("denied_unreachable"),

@@ -57,11 +57,6 @@ void Transport::AdvanceTime(uint64_t us) {
   now_us_ += us;
 }
 
-Transport::Stats Transport::stats() const {
-  return Stats{stats_.sent->Value(), stats_.delivered->Value(), stats_.dropped->Value(),
-               stats_.bytes_carried->Value()};
-}
-
 void Transport::ArmPumpGate(size_t queued_messages) {
   std::lock_guard<std::mutex> lock(mu_);
   gate_queued_messages_ = queued_messages;

@@ -11,7 +11,7 @@
 //
 // Threading: the fabric is safe for concurrent senders and pumpers, which
 // is what lets independent authorization misses overlap their remote round
-// trips end to end. Queue/clock/stats live under one mutex; DELIVERY is
+// trips end to end. Queue and clock live under one mutex; DELIVERY is
 // serialized by a second mutex held for a whole DeliverAll pass, so
 // endpoint handlers never run concurrently with each other (they may Send
 // from inside OnMessage, which only needs the state mutex). A thread whose
@@ -62,13 +62,6 @@ class Endpoint {
 
 class Transport {
  public:
-  struct Stats {
-    uint64_t sent = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;
-    uint64_t bytes_carried = 0;
-  };
-
   explicit Transport(uint64_t seed = 7);
 
   Status Attach(const NodeId& node, Endpoint* endpoint);
@@ -103,8 +96,8 @@ class Transport {
 
   uint64_t now_us() const;
   void AdvanceTime(uint64_t us);
-  // Snapshot by value (counter reads are atomic; no lock needed).
-  Stats stats() const;
+  // "transport.*" counters; reads are lock-free relaxed loads.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
 
  private:
   struct Pending {
@@ -120,7 +113,7 @@ class Transport {
   // Caller holds mu_.
   const LinkConfig& LinkForLocked(const NodeId& a, const NodeId& b) const;
 
-  // Queue, clock, topology, stats, rng, gate. Never held while an endpoint
+  // Queue, clock, topology, rng, gate. Never held while an endpoint
   // handler runs.
   mutable std::mutex mu_;
   std::condition_variable gate_cv_;
@@ -138,8 +131,8 @@ class Transport {
   uint64_t now_us_ = 0;
   Rng rng_;
 
-  // Registry instruments ("transport.*"). Incremented inside the existing
-  // mu_ regions; reads are lock-free relaxed loads.
+  // Registry instruments ("transport.*"), incremented inside the existing
+  // mu_ regions.
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "transport"};
   struct {
     metrics::Counter* sent;

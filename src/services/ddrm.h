@@ -33,11 +33,6 @@ struct DdrmPolicy {
 
 class DeviceDriverMonitor : public kernel::Interceptor {
  public:
-  struct Stats {
-    uint64_t allowed = 0;
-    uint64_t denied = 0;
-  };
-
   explicit DeviceDriverMonitor(DdrmPolicy policy, bool cache_decisions = true);
 
   kernel::InterposeVerdict OnCall(const kernel::IpcContext& context,
@@ -49,8 +44,8 @@ class DeviceDriverMonitor : public kernel::Interceptor {
   Status AttestDriver(core::Engine* engine, kernel::ProcessId self,
                       kernel::ProcessId driver) const;
 
-  // Snapshot by value ("ddrm.*" in the metrics plane).
-  Stats stats() const { return Stats{stats_.allowed->Value(), stats_.denied->Value()}; }
+  // "ddrm.*" counters; a fresh monitor reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
   const DdrmPolicy& policy() const { return policy_; }
 
  private:

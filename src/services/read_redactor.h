@@ -42,7 +42,8 @@ class ReadRedactionMonitor : public kernel::Interceptor {
                                    const kernel::IpcMessage& request,
                                    kernel::IpcReply& reply) override;
 
-  uint64_t rewrites() const { return rewrites_->Value(); }
+  // "redactor.*" counters; a fresh monitor reads zero.
+  const metrics::MetricGroup& metrics() const { return metrics_; }
   const RedactionPolicy& policy() const { return policy_; }
 
  private:

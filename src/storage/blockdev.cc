@@ -5,26 +5,22 @@ namespace nexus::storage {
 Status BlockDevice::Write(const std::string& name, ByteView data) {
   if (armed_) {
     if (remaining_writes_ <= 0) {
-      ++stats_.failed_writes;
       remaining_writes_ = -1;
       return Unavailable("power failure: write lost");
     }
     --remaining_writes_;
     if (remaining_writes_ == 0 && tear_last_) {
       // Torn write: only the first half reaches the medium.
-      ++stats_.writes;
       regions_[name] = Bytes(data.begin(), data.begin() + static_cast<ptrdiff_t>(data.size() / 2));
       remaining_writes_ = -1;
       return Unavailable("power failure: torn write");
     }
   }
-  ++stats_.writes;
   regions_[name] = Bytes(data.begin(), data.end());
   return OkStatus();
 }
 
 Result<Bytes> BlockDevice::Read(const std::string& name) const {
-  ++const_cast<BlockDevice*>(this)->stats_.reads;
   auto it = regions_.find(name);
   if (it == regions_.end()) {
     return NotFound("no such region: " + name);

@@ -19,12 +19,6 @@ namespace nexus::storage {
 
 class BlockDevice {
  public:
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t failed_writes = 0;
-  };
-
   Status Write(const std::string& name, ByteView data);
   Result<Bytes> Read(const std::string& name) const;
   bool Exists(const std::string& name) const { return regions_.contains(name); }
@@ -41,14 +35,11 @@ class BlockDevice {
   // Direct mutation for offline-attack tests.
   Bytes* MutableRaw(const std::string& name);
 
-  const Stats& stats() const { return stats_; }
-
  private:
   std::map<std::string, Bytes> regions_;
   bool armed_ = false;
   bool tear_last_ = false;
   int remaining_writes_ = 0;
-  Stats stats_;
 };
 
 }  // namespace nexus::storage

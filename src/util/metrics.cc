@@ -152,6 +152,22 @@ Histogram* MetricGroup::NewHistogram(std::string_view name) {
               .second;
 }
 
+Result<uint64_t> MetricGroup::Value(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t total = 0;
+  bool found = false;
+  for (const auto& [counter_name, counter] : counters_) {
+    if (counter_name == name) {
+      total += counter.Value();
+      found = true;
+    }
+  }
+  if (!found) {
+    return NotFound("no counter " + prefix_ + "." + std::string(name));
+  }
+  return total;
+}
+
 void MetricGroup::CollectInto(Snapshot* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, counter] : counters_) {

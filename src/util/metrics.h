@@ -2,11 +2,11 @@
 //
 // Named lock-free instruments cheap enough for the authorization hot path:
 // counters and gauges are single relaxed atomics, histograms are log2-
-// bucketed tallies fed cycle counts from util/cycles.h. Components own
-// their instruments through a MetricGroup (so per-instance semantics — a
-// fresh Guard starts its counters at zero — are preserved exactly), and
-// every group registers with a process-global Registry whose snapshot
-// aggregates same-named instruments across instances.
+// bucketed tallies fed cycle counts from util/cycles.h. A MetricGroup is
+// the only place a component keeps a tally and the only way anything reads
+// one: per instance through the group (MetricGroup::Value — a fresh Guard
+// reads zero), or process-wide through the global Registry, whose
+// snapshot aggregates same-named instruments across instances.
 //
 // Lifetime: instruments live inside their MetricGroup (deque-backed, so
 // pointers handed to the owning component stay stable). When a group is
@@ -35,6 +35,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace nexus::metrics {
 
@@ -145,6 +147,11 @@ class MetricGroup {
   Counter* NewCounter(std::string_view name);
   Gauge* NewGauge(std::string_view name);
   Histogram* NewHistogram(std::string_view name);
+
+  // The per-instance read: the sum of this group's counters named `name`
+  // (a component may keep one per shard). NotFound for a name the group
+  // never created, so a misspelt name fails instead of reading 0.
+  Result<uint64_t> Value(std::string_view name) const;
 
   const std::string& prefix() const { return prefix_; }
 

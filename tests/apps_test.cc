@@ -425,7 +425,7 @@ TEST(BgpVerifierTest, RouteShorteningBlocked) {
   Status verdict = verifier.CheckOutbound(
       {BgpMessage::Type::kAdvertise, "192.168.0.0/16", {65001, 65002}});
   EXPECT_EQ(verdict.code(), ErrorCode::kPermissionDenied);
-  EXPECT_EQ(verifier.stats().blocked, 1u);
+  EXPECT_EQ(*verifier.metrics().Value("blocked"), 1u);
 }
 
 TEST(BgpVerifierTest, ShorterInboundRelaxesBound) {

@@ -137,6 +137,19 @@ class AuthorizationFlowTest : public NexusTest {
     return nexus_.kernel().Authorize(kernel::AuthzRequest::Of(subject, op, object));
   }
 
+  // Guards read on file:/secret behind a certifier attestation the client
+  // holds, with the client's proof pre-submitted.
+  void GrantClientReadByProof() {
+    std::string client_name = nexus_.kernel().ProcessPrincipal(client_).ToString();
+    nal::Formula goal = F("Certifier says safe(" + client_name + ")");
+    ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal).ok());
+    nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
+    auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
+    Result<nal::Proof> proof = nal::AutoProve(goal, creds);
+    ASSERT_TRUE(proof.ok()) << proof.status().ToString();
+    ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", *proof).ok());
+  }
+
   kernel::ProcessId owner_ = 0;
   kernel::ProcessId client_ = 0;
 };
@@ -176,12 +189,12 @@ TEST_F(AuthorizationFlowTest, DecisionCacheMakesRepeatsCheap) {
   nexus_.engine().SetProof(client_, "read", "file:/secret",
                            *nal::AutoProve(goal, creds));
 
-  uint64_t checks_before = nexus_.guard().stats().checks;
+  uint64_t checks_before = *nexus_.guard().metrics().Value("checks");
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
   }
   // Only the first call reaches the guard; the rest hit the kernel cache.
-  EXPECT_EQ(nexus_.guard().stats().checks, checks_before + 1);
+  EXPECT_EQ(*nexus_.guard().metrics().Value("checks"), checks_before + 1);
 }
 
 TEST_F(AuthorizationFlowTest, SetGoalIsItselfGuarded) {
@@ -199,6 +212,94 @@ TEST_F(AuthorizationFlowTest, GoalUpdateInvalidatesDecisions) {
   nexus_.engine().SetGoal(owner_, "read", "file:/secret",
                           F("Certifier says safe(" + client_name + ")"));
   EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
+}
+
+// Clearing a goal retires the verdicts it granted: the non-owner falls
+// back to the bootstrap policy instead of replaying its cached allow.
+TEST_F(AuthorizationFlowTest, ClearGoalRetiresCachedAllow) {
+  const auto request = kernel::AuthzRequest::Of(client_, "read", "file:/secret");
+  kernel::DecisionCache& cache = nexus_.kernel().decision_cache();
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", F("true")).ok());
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_EQ(cache.Lookup(request), std::optional<bool>(true));
+
+  ASSERT_TRUE(nexus_.engine().ClearGoal(owner_, "read", "file:/secret").ok());
+  EXPECT_FALSE(cache.Lookup(request).has_value());
+  EXPECT_EQ(Authorize(client_, "read", "file:/secret").code(), ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(Authorize(owner_, "read", "file:/secret").ok());
+}
+
+// Clearing a goal is setgoal on the object, so it is guarded like SetGoal.
+TEST_F(AuthorizationFlowTest, ClearGoalIsItselfGuarded) {
+  ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", F("true")).ok());
+  EXPECT_EQ(nexus_.engine().ClearGoal(client_, "read", "file:/secret").code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(nexus_.engine().goals().Get("read", "file:/secret").has_value());
+}
+
+TEST_F(AuthorizationFlowTest, SecondClearIsNotFound) {
+  GrantClientReadByProof();
+  ASSERT_TRUE(nexus_.engine().ClearGoal(owner_, "read", "file:/secret").ok());
+  EXPECT_EQ(nexus_.engine().ClearGoal(owner_, "read", "file:/secret").code(),
+            ErrorCode::kNotFound);
+  ASSERT_TRUE(nexus_.engine().ClearProof(client_, "read", "file:/secret").ok());
+  EXPECT_EQ(nexus_.engine().ClearProof(client_, "read", "file:/secret").code(),
+            ErrorCode::kNotFound);
+}
+
+// The string forms look names up without interning them: clearing on
+// names nothing ever used is NotFound and grows no intern table.
+TEST_F(AuthorizationFlowTest, ClearOnNeverInternedNamesIsNotFound) {
+  const std::string op = "clear_test_never_interned_op";
+  const std::string object = "clear_test:never-interned-object";
+  ASSERT_FALSE(kernel::FindOp(op).has_value());
+  ASSERT_FALSE(kernel::FindObject(object).has_value());
+  EXPECT_EQ(nexus_.engine().ClearGoal(owner_, op, object).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(nexus_.engine().ClearProof(client_, op, object).code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(kernel::FindOp(op).has_value());
+  EXPECT_FALSE(kernel::FindObject(object).has_value());
+}
+
+TEST_F(AuthorizationFlowTest, ClearProofRetiresHoldersCachedAllow) {
+  GrantClientReadByProof();
+  const auto request = kernel::AuthzRequest::Of(client_, "read", "file:/secret");
+  EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
+  EXPECT_EQ(nexus_.kernel().decision_cache().Lookup(request), std::optional<bool>(true));
+
+  ASSERT_TRUE(nexus_.engine().ClearProof(client_, "read", "file:/secret").ok());
+  EXPECT_EQ(Authorize(client_, "read", "file:/secret").code(), ErrorCode::kPermissionDenied);
+}
+
+// Each clear stamps the exact post-bump generations into the mutation log,
+// which is what lets an auditor order it against cached verdicts.
+TEST_F(AuthorizationFlowTest, ClearsStampExactGenerationsInTheMutationLog) {
+  GrantClientReadByProof();
+  const auto request = kernel::AuthzRequest::Of(client_, "read", "file:/secret");
+  kernel::DecisionCache& cache = nexus_.kernel().decision_cache();
+  kernel::MutationLog& log = kernel::MutationLog::Global();
+  uint64_t cursor = 0;
+  std::vector<kernel::MutationRecord> records;
+  log.DrainFrom(&cursor, &records);  // Skip what earlier tests logged.
+  records.clear();
+
+  log.set_enabled(true);
+  Status proof_cleared = nexus_.engine().ClearProof(client_, "read", "file:/secret");
+  std::vector<uint64_t> after_proof = cache.SubregionGenerations(request.op, request.obj);
+  Status goal_cleared = nexus_.engine().ClearGoal(owner_, "read", "file:/secret");
+  std::vector<uint64_t> after_goal = cache.SubregionGenerations(request.op, request.obj);
+  log.set_enabled(false);
+  ASSERT_TRUE(proof_cleared.ok()) << proof_cleared.ToString();
+  ASSERT_TRUE(goal_cleared.ok()) << goal_cleared.ToString();
+
+  log.DrainFrom(&cursor, &records);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, kernel::MutationKind::kClearProof);
+  EXPECT_EQ(records[0].subject, client_);
+  const size_t shard = cache.ShardOf(client_);
+  ASSERT_LT(shard, records[0].generations.size());
+  EXPECT_EQ(records[0].generations[shard], after_proof[shard]);
+  EXPECT_EQ(records[1].kind, kernel::MutationKind::kClearGoal);
+  EXPECT_EQ(records[1].generations, after_goal);
 }
 
 TEST_F(AuthorizationFlowTest, AuthorityBackedGoalReflectsDynamicState) {
@@ -274,7 +375,7 @@ TEST_F(AuthorizationFlowTest, DesignatedGuardOverIpc) {
   nexus_.engine().SetProof(client_, "read", "file:/secret", *nal::AutoProve(goal, creds));
 
   EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
-  EXPECT_EQ(designated.stats().checks, 1u);
+  EXPECT_EQ(*designated.metrics().Value("checks"), 1u);
   // A wrong proof is rejected by the designated guard too.
   nexus_.engine().SetProof(client_, "read", "file:/secret",
                            nal::proof::Premise(F("Nobody says nothing()")));
@@ -300,9 +401,9 @@ TEST_F(AuthorizationFlowTest, GuardProofCacheHitsOnRepeatedChecks) {
   // Disable the kernel cache to reach the guard every time.
   nexus_.kernel().set_decision_cache_enabled(false);
   Authorize(client_, "read", "file:/secret");
-  uint64_t hits_before = nexus_.guard().stats().cache_hits;
+  uint64_t hits_before = *nexus_.guard().metrics().Value("cache_hits");
   Authorize(client_, "read", "file:/secret");
-  EXPECT_GT(nexus_.guard().stats().cache_hits, hits_before);
+  EXPECT_GT(*nexus_.guard().metrics().Value("cache_hits"), hits_before);
 }
 
 // The guard's proof cache used to key verdicts on a SUM of store, object-
@@ -491,7 +592,7 @@ TEST(GuardQuotaTest, PerRootQuotaEvictsOwnEntriesFirst) {
     guard.Check(kernel::AuthzRequest::Of(spammer, "op", "obj" + std::to_string(i)), goal,
                 nal::proof::Premise(goal), creds, /*stamp=*/1);
   }
-  EXPECT_GE(guard.stats().evictions, 32u - config.per_root_quota);
+  EXPECT_GE(*guard.metrics().Value("evictions"), 32u - config.per_root_quota);
   (void)goal_base;
 }
 
@@ -529,13 +630,13 @@ TEST(GuardQuotaTest, SpammerCannotEvictVictimEntries) {
 
   // Every victim verdict is still cached: eviction charged the spammer's
   // own quota, not the victim's entries.
-  uint64_t hits_before = guard.stats().cache_hits;
+  uint64_t hits_before = *guard.metrics().Value("cache_hits");
   for (int i = 0; i < 4; ++i) {
     std::vector<nal::Formula> creds = {victim_goals[i]};
     guard.Check(kernel::AuthzRequest::Of(victim, "op", "obj"), victim_goals[i], victim_proofs[i],
                 creds, /*stamp=*/1);
   }
-  EXPECT_EQ(guard.stats().cache_hits, hits_before + 4);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), hits_before + 4);
 }
 
 TEST(GuardCacheTest, ZeroStampBypassesVerdictCache) {
@@ -550,17 +651,17 @@ TEST(GuardCacheTest, ZeroStampBypassesVerdictCache) {
   // inserted for later calls to hit.
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/0);
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/0);
-  EXPECT_EQ(guard.stats().cache_hits, 0u);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 0u);
 
   // A versioned check after the bypassed ones must MISS (nothing was
   // cached), then hit on its own repeat.
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/5);
-  EXPECT_EQ(guard.stats().cache_hits, 0u);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 0u);
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/5);
-  EXPECT_EQ(guard.stats().cache_hits, 1u);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 1u);
   // And a bypassed check between versioned ones still refuses the cache.
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/0);
-  EXPECT_EQ(guard.stats().cache_hits, 1u);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 1u);
 }
 
 TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
@@ -583,7 +684,7 @@ TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
                     /*stamp=*/1);
     EXPECT_TRUE(d.allowed());
   }
-  EXPECT_EQ(guard.stats().cache_hits, 0u);  // Nothing was ever inserted.
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 0u);  // Nothing was ever inserted.
 
   // Zero capacity is the same full-disable, via the other field.
   Guard::Config no_capacity;
@@ -591,7 +692,7 @@ TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
   Guard uncached(&k, no_capacity);
   uncached.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/1);
   uncached.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, proof, creds, /*stamp=*/1);
-  EXPECT_EQ(uncached.stats().cache_hits, 0u);
+  EXPECT_EQ(*uncached.metrics().Value("cache_hits"), 0u);
 }
 
 TEST(GuardCacheTest, FreedProofAddressReuseDoesNotReplayVerdict) {
@@ -635,10 +736,10 @@ TEST(GuardCacheTest, StructurallyEqualResubmittedProofStillHits) {
 
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal, nal::proof::Premise(goal),
               creds, /*stamp=*/3);
-  EXPECT_EQ(guard.stats().cache_hits, 0u);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 0u);
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), goal,
               nal::proof::Premise(F("A says ok()")), creds, /*stamp=*/3);
-  EXPECT_EQ(guard.stats().cache_hits, 1u);
+  EXPECT_EQ(*guard.metrics().Value("cache_hits"), 1u);
 }
 
 TEST(GuardPortHandlerTest, GarbageSubjectReturnsInvalidArgument) {
@@ -968,19 +1069,19 @@ TEST(GuardQuotaTest, FlushCacheResetsQuotaAccounting) {
   };
 
   fill(0);  // Exactly at quota; no eviction yet.
-  EXPECT_EQ(guard.stats().evictions, 0u);
+  EXPECT_EQ(*guard.metrics().Value("evictions"), 0u);
   guard.FlushCache();
   // The flush dropped the entries AND the per-root usage counters. A stale
   // counter would make this refill evict spuriously at quota.
-  uint64_t evictions_before = guard.stats().evictions;
+  uint64_t evictions_before = *guard.metrics().Value("evictions");
   fill(1);
-  EXPECT_EQ(guard.stats().evictions, evictions_before);
+  EXPECT_EQ(*guard.metrics().Value("evictions"), evictions_before);
   // Quota still enforced after the flush: one more distinct entry evicts.
   nal::Formula extra = nal::ParseFormula("A says okExtra()").value();
   std::vector<nal::Formula> creds = {extra};
   guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), extra, nal::proof::Premise(extra),
               creds, /*stamp=*/1);
-  EXPECT_EQ(guard.stats().evictions, evictions_before + 1);
+  EXPECT_EQ(*guard.metrics().Value("evictions"), evictions_before + 1);
 }
 
 class BatchAuthorizationTest : public NexusTest {
@@ -1046,12 +1147,12 @@ TEST_F(BatchAuthorizationTest, BatchPopulatesDecisionCache) {
   GrantAccess(subjects_[0], objects_[0]);
   std::vector<kernel::AuthzRequest> requests = {
       kernel::AuthzRequest::Of(subjects_[0], "use", objects_[0])};
-  uint64_t checks_before = nexus_.guard().stats().checks;
+  uint64_t checks_before = *nexus_.guard().metrics().Value("checks");
   EXPECT_TRUE(nexus_.kernel().AuthorizeBatch(requests)[0].ok());
-  EXPECT_EQ(nexus_.guard().stats().checks, checks_before + 1);
+  EXPECT_EQ(*nexus_.guard().metrics().Value("checks"), checks_before + 1);
   // The follow-up serial call is answered by the kernel decision cache.
   EXPECT_TRUE(nexus_.kernel().Authorize(requests[0]).ok());
-  EXPECT_EQ(nexus_.guard().stats().checks, checks_before + 1);
+  EXPECT_EQ(*nexus_.guard().metrics().Value("checks"), checks_before + 1);
 }
 
 TEST_F(BatchAuthorizationTest, BatchCollapsesDuplicateAuthorityQueries) {
@@ -1082,7 +1183,7 @@ TEST_F(BatchAuthorizationTest, BatchCollapsesDuplicateAuthorityQueries) {
     EXPECT_TRUE(status.ok());
   }
   EXPECT_EQ(consultations, 1);
-  EXPECT_GE(nexus_.guard().stats().batch_collapsed_queries,
+  EXPECT_GE(*nexus_.guard().metrics().Value("batch_collapsed_queries"),
             requests.size() - 1);
 }
 

@@ -1425,8 +1425,8 @@ TEST(DecisionCacheTest, MissThenHit) {
   auto hit = cache.Lookup(1, "read", "file:/x");
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(*hit);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(*cache.metrics().Value("hits"), 1u);
+  EXPECT_EQ(*cache.metrics().Value("misses"), 1u);
 }
 
 TEST(DecisionCacheTest, StoresDenials) {
@@ -1537,25 +1537,12 @@ TEST(DecisionCacheTest, PerShardStatsSumToAggregate) {
     cache.Lookup(pid, "op", "obj");      // Hit.
   }
   cache.InvalidateSubregion("op", "obj");
-  DecisionCache::Stats aggregate = cache.stats();
-  DecisionCache::Stats summed;
-  for (size_t s = 0; s < config.num_shards; ++s) {
-    DecisionCache::Stats shard = cache.shard_stats(s);
-    summed.hits += shard.hits;
-    summed.misses += shard.misses;
-    summed.insertions += shard.insertions;
-    summed.invalidated_entries += shard.invalidated_entries;
-    summed.subregion_invalidations += shard.subregion_invalidations;
-  }
-  EXPECT_EQ(aggregate.hits, summed.hits);
-  EXPECT_EQ(aggregate.misses, summed.misses);
-  EXPECT_EQ(aggregate.insertions, summed.insertions);
-  EXPECT_EQ(aggregate.invalidated_entries, summed.invalidated_entries);
-  EXPECT_EQ(aggregate.subregion_invalidations, summed.subregion_invalidations);
-  EXPECT_EQ(aggregate.hits, 40u);
-  EXPECT_EQ(aggregate.misses, 40u);
+  // Value sums the per-shard counters.
+  const metrics::MetricGroup& counters = cache.metrics();
+  EXPECT_EQ(*counters.Value("hits"), 40u);
+  EXPECT_EQ(*counters.Value("misses"), 40u);
   // The broadcast touched every shard's subregion.
-  EXPECT_EQ(aggregate.subregion_invalidations, config.num_shards);
+  EXPECT_EQ(*counters.Value("subregion_invalidations"), config.num_shards);
 }
 
 TEST(DecisionCacheTest, ResizeUnderDifferentShardCountPreservesClearSemantics) {

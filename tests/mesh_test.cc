@@ -191,7 +191,7 @@ TEST(MeshGossipTest, ConvergenceSurvivesReorderingAndDuplication) {
   ASSERT_TRUE(w.meshes[1]->gossip().PushState("n0").ok());
   w.transport.DeliverAll();
   EXPECT_EQ(w.meshes[0]->registry().CanonicalSnapshot(), reference);
-  EXPECT_GT(w.meshes[0]->gossip().stats().duplicates, 0u);
+  EXPECT_GT(*w.meshes[0]->gossip().metrics().Value("duplicates"), 0u);
 }
 
 TEST(MeshGossipTest, CertificateArrivingBeforeItsAnchorParksThenImports) {
@@ -222,7 +222,7 @@ TEST(MeshGossipTest, CertificateArrivingBeforeItsAnchorParksThenImports) {
   w.transport.DeliverAll();
   EXPECT_EQ(w.meshes[1]->registry().cert_count(), 0u);
   EXPECT_EQ(w.meshes[1]->gossip().pending_certs(), 1u);
-  EXPECT_GE(w.meshes[1]->gossip().stats().pending_parked, 1u);
+  EXPECT_GE(*w.meshes[1]->gossip().metrics().Value("pending_parked"), 1u);
 
   // The anchor lands (full state push) and the parked certificate imports:
   // same final registry as any other delivery order.
@@ -254,7 +254,7 @@ TEST(MeshGossipTest, TamperedCertificateIsRejectedWithoutPoisoningNeighbors) {
 
   // The forgery is rejected outright: the channel authenticated the
   // MESSENGER (n0), but the STATEMENT fails chain verification.
-  EXPECT_GE(w.meshes[1]->gossip().stats().rejected, 1u);
+  EXPECT_GE(*w.meshes[1]->gossip().metrics().Value("rejected"), 1u);
   EXPECT_EQ(w.meshes[1]->registry().cert_count(), 0u);
   EXPECT_EQ(w.meshes[1]->gossip().pending_certs(), 0u);
 
@@ -302,7 +302,7 @@ TEST(MeshInvalidationTest, CrossNodeSetGoalRetiresRemoteCachedVerdicts) {
   EXPECT_GT(b.kernel().decision_cache().Generation(request), gen_before);
   EXPECT_FALSE(b.kernel().decision_cache().Lookup(request).has_value());
   EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n0"), 1u);
-  EXPECT_EQ(w.meshes[1]->invalidation().stats().applied, 1u);
+  EXPECT_EQ(*w.meshes[1]->invalidation().metrics().Value("applied"), 1u);
 }
 
 TEST(MeshInvalidationTest, DuplicatedAndReorderedInvalidationsApplyExactlyOnce) {
@@ -330,9 +330,9 @@ TEST(MeshInvalidationTest, DuplicatedAndReorderedInvalidationsApplyExactlyOnce) 
   ASSERT_TRUE(
       a.engine().SetGoal(*owner, "mesh_read", "mesh:doc", F("Owner says ok(3)")).ok());
   w.transport.DeliverAll();
-  InvalidationPropagator::Stats stats = w.meshes[1]->invalidation().stats();
-  EXPECT_EQ(stats.applied, 3u);
-  EXPECT_EQ(stats.duplicates, 0u);
+  const metrics::MetricGroup& counters = w.meshes[1]->invalidation().metrics();
+  EXPECT_EQ(*counters.Value("applied"), 3u);
+  EXPECT_EQ(*counters.Value("duplicates"), 0u);
   EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n0"), 3u);
 
   // Duplicated delivery: resend the whole outbound log. The re-applies are
@@ -345,9 +345,8 @@ TEST(MeshInvalidationTest, DuplicatedAndReorderedInvalidationsApplyExactlyOnce) 
   w.transport.DeliverAll();
   EXPECT_EQ(b.kernel().decision_cache().Generation(request), gen);
   EXPECT_TRUE(b.kernel().decision_cache().Lookup(request).has_value());
-  stats = w.meshes[1]->invalidation().stats();
-  EXPECT_EQ(stats.applied, 3u);
-  EXPECT_GE(stats.duplicates, 3u);
+  EXPECT_EQ(*counters.Value("applied"), 3u);
+  EXPECT_GE(*counters.Value("duplicates"), 3u);
   EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n0"), 3u);
 }
 
@@ -370,10 +369,10 @@ TEST(MeshInvalidationTest, ForgedOriginInvalidationIsRejected) {
       channel->SendSecure(std::string(InvalidationPropagator::kServiceName), payload).ok());
   w.transport.DeliverAll();
 
-  EXPECT_GE(w.meshes[1]->invalidation().stats().rejected, 1u);
+  EXPECT_GE(*w.meshes[1]->invalidation().metrics().Value("rejected"), 1u);
   EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n2"), 0u);
   EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n0"), 0u);
-  EXPECT_EQ(w.meshes[1]->invalidation().stats().applied, 0u);
+  EXPECT_EQ(*w.meshes[1]->invalidation().metrics().Value("applied"), 0u);
 }
 
 TEST(MeshInvalidationTest, UnknownPairIsNotInternedButConsumesItsEpoch) {
@@ -398,7 +397,7 @@ TEST(MeshInvalidationTest, UnknownPairIsNotInternedButConsumesItsEpoch) {
   EXPECT_FALSE(kernel::FindOp("mesh-never-seen-op").has_value());
   EXPECT_FALSE(kernel::FindObject("mesh:never-seen-object").has_value());
   EXPECT_EQ(w.meshes[1]->invalidation().AppliedEpoch("n0"), 5u);
-  EXPECT_EQ(w.meshes[1]->invalidation().stats().applied, 1u);
+  EXPECT_EQ(*w.meshes[1]->invalidation().metrics().Value("applied"), 1u);
 }
 
 // ------------------------------------------------------------- quorum
@@ -466,7 +465,6 @@ TEST(QuorumAuthorityTest, QuorumConsultationCostsMaxOfKNotSumOfK) {
   for (auto& remote : w.remotes) {
     quorum.AddMember(remote.get());
   }
-  QuorumAuthority::Stats base = quorum.stats();
 
   nal::Formula statement = F("Session says sessionActive(alice)");
   uint64_t t0 = w.transport.now_us();
@@ -477,8 +475,8 @@ TEST(QuorumAuthorityTest, QuorumConsultationCostsMaxOfKNotSumOfK) {
   // simulated clock the consultation costs ONE round trip (max-of-K), not
   // three back to back (sum-of-K would be >= 3000us here).
   EXPECT_EQ(elapsed, 2 * QuorumWorld::kLatencyUs);
-  EXPECT_EQ(quorum.stats().vouched - base.vouched, 1u);
-  EXPECT_EQ(quorum.stats().member_rounds - base.member_rounds, 3u);
+  EXPECT_EQ(*quorum.metrics().Value("vouched"), 1u);
+  EXPECT_EQ(*quorum.metrics().Value("member_rounds"), 3u);
 }
 
 TEST(QuorumAuthorityTest, ResponsiveNoVotesAreNoQuorumNotTimeout) {
@@ -490,12 +488,11 @@ TEST(QuorumAuthorityTest, ResponsiveNoVotesAreNoQuorumNotTimeout) {
   for (auto& remote : w.remotes) {
     quorum.AddMember(remote.get());
   }
-  QuorumAuthority::Stats base = quorum.stats();
 
   w.vouch = false;  // Everyone answers, nobody vouches.
   EXPECT_FALSE(quorum.VouchOne(F("Session says sessionActive(alice)"), 100000));
-  EXPECT_EQ(quorum.stats().denied_no_quorum - base.denied_no_quorum, 1u);
-  EXPECT_EQ(quorum.stats().denied_timeout - base.denied_timeout, 0u);
+  EXPECT_EQ(*quorum.metrics().Value("denied_no_quorum"), 1u);
+  EXPECT_EQ(*quorum.metrics().Value("denied_timeout"), 0u);
 }
 
 TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
@@ -509,7 +506,6 @@ TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
   for (auto& remote : w.remotes) {
     quorum.AddMember(remote.get());
   }
-  QuorumAuthority::Stats base = quorum.stats();
   nal::Formula statement = F("Session says sessionActive(alice)");
 
   // Partition two of three members away: the client side is a minority of
@@ -520,13 +516,13 @@ TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
   w.transport.SetLink("client", "m3",
                       LinkConfig{.latency_us = QuorumWorld::kLatencyUs, .drop_rate = 1.0});
   EXPECT_FALSE(quorum.VouchOne(statement, /*timeout_us=*/10000));
-  EXPECT_EQ(quorum.stats().denied_timeout - base.denied_timeout, 1u);
-  EXPECT_EQ(quorum.stats().vouched - base.vouched, 0u);
+  EXPECT_EQ(*quorum.metrics().Value("denied_timeout"), 1u);
+  EXPECT_EQ(*quorum.metrics().Value("vouched"), 0u);
 
   // The failed members are sidelined: the next query skips them entirely
   // instead of stalling on their timeout again.
   EXPECT_FALSE(quorum.VouchOne(statement, /*timeout_us=*/10000));
-  EXPECT_GE(quorum.stats().members_skipped - base.members_skipped, 2u);
+  EXPECT_GE(*quorum.metrics().Value("members_skipped"), 2u);
 
   // Heal the links and let the backoff window lapse on the simulated
   // clock: the quorum recovers without any reconfiguration.
@@ -537,7 +533,7 @@ TEST(QuorumAuthorityTest, PartitionedMinorityDeniesThenHealedQuorumRecovers) {
   NullEndpoint sink;
   AdvanceClock(w.transport, sink, policy.backoff_us + 50000);
   EXPECT_TRUE(quorum.VouchOne(statement, /*timeout_us=*/10000));
-  EXPECT_EQ(quorum.stats().vouched - base.vouched, 1u);
+  EXPECT_EQ(*quorum.metrics().Value("vouched"), 1u);
 }
 
 TEST(QuorumAuthorityTest, NestedQuorumTimeoutIsADeadMemberNotANoVote) {
@@ -565,14 +561,14 @@ TEST(QuorumAuthorityTest, NestedQuorumTimeoutIsADeadMemberNotANoVote) {
   nal::Formula statement = F("Session says sessionActive(alice)");
 
   EXPECT_FALSE(outer.VouchOne(statement, /*timeout_us=*/10000));
-  EXPECT_EQ(inner.stats().denied_timeout, 1u);
-  EXPECT_EQ(outer.stats().denied_timeout, 1u);
-  EXPECT_EQ(outer.stats().denied_no_quorum, 0u);
+  EXPECT_EQ(*inner.metrics().Value("denied_timeout"), 1u);
+  EXPECT_EQ(*outer.metrics().Value("denied_timeout"), 1u);
+  EXPECT_EQ(*outer.metrics().Value("denied_no_quorum"), 0u);
 
   // The second round skips the sidelined inner quorum instead of stalling
   // on its members' timeouts again.
   EXPECT_FALSE(outer.VouchOne(statement, /*timeout_us=*/10000));
-  EXPECT_GE(outer.stats().members_skipped, 1u);
+  EXPECT_GE(*outer.metrics().Value("members_skipped"), 1u);
 }
 
 // --------------------------------------------- auditor + workload coupling

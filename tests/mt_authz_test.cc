@@ -233,9 +233,8 @@ TEST(MtAuthzStressTest, DecisionCacheShardsSurviveConcurrentChurn) {
     thread.join();
   }
   EXPECT_EQ(wrong_verdicts.load(), 0u);
-  kernel::DecisionCache::Stats stats = cache.stats();
-  EXPECT_GT(stats.insertions, 0u);
-  EXPECT_GT(stats.subregion_invalidations, 0u);
+  EXPECT_GT(*cache.metrics().Value("insertions"), 0u);
+  EXPECT_GT(*cache.metrics().Value("subregion_invalidations"), 0u);
 }
 
 // THE parallel-miss-path acceptance test: two subjects whose authorization
@@ -314,7 +313,7 @@ TEST(MtAuthzStressTest, TwoSubjectRemoteMissesOverlapInOneRtt) {
   // t0 + 4*latency here.
   EXPECT_EQ(transport.now_us(), t0 + 2 * kLatencyUs);
   // And both misses really did consult the remote authority.
-  EXPECT_EQ(remote.stats().queries, 3u);  // warmup + r1 + r2
+  EXPECT_EQ(*remote.metrics().Value("queries"), 3u);  // warmup + r1 + r2
 }
 
 // Authorization misses racing process/port lifecycle churn: the kernel's

@@ -52,7 +52,7 @@ TEST(TransportTest, DropsAreCountedAndInvisibleToSender) {
   ASSERT_TRUE(transport.Send(Message{"a", "b", 1, "doomed", ToBytes("x")}).ok());
   EXPECT_EQ(transport.DeliverAll(), 0u);
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(transport.stats().dropped, 1u);
+  EXPECT_EQ(*transport.metrics().Value("dropped"), 1u);
 }
 
 TEST(TransportTest, UnknownDestinationIsAnError) {
@@ -169,7 +169,7 @@ TEST(AttestedChannelTest, HandshakeSurvivesMessageLossViaRetry) {
     established = channel.ok() && (*channel)->established();
   }
   EXPECT_TRUE(established);
-  EXPECT_GT(w.transport.stats().dropped, 0u);
+  EXPECT_GT(*w.transport.metrics().Value("dropped"), 0u);
 }
 
 // ----------------------------------------------------------- Secure data
@@ -274,7 +274,7 @@ TEST(AttestedChannelTest, ReplayedDataFrameIsRejectedOnce) {
   ASSERT_TRUE(channel->SendSecure("echo", ToBytes("once")).ok());
   w.transport.DeliverAll();
   AttestedChannel* responder = w.node_b->ChannelTo("a");
-  ASSERT_EQ(responder->stats().data_received, 1u);
+  ASSERT_EQ(*responder->metrics().Value("data_received"), 1u);
 
   // Replay the recorded data frame: authenticated but already-seen
   // sequence number -> rejected, exactly-once delivery preserved.
@@ -282,8 +282,8 @@ TEST(AttestedChannelTest, ReplayedDataFrameIsRejectedOnce) {
   Message replay = tee.recorded.back();
   ASSERT_EQ(replay.kind, "data");
   w.node_b->OnMessage(replay);
-  EXPECT_EQ(responder->stats().data_received, 1u);
-  EXPECT_EQ(responder->stats().replays_rejected, 1u);
+  EXPECT_EQ(*responder->metrics().Value("data_received"), 1u);
+  EXPECT_EQ(*responder->metrics().Value("replays_rejected"), 1u);
 }
 
 TEST(AttestedChannelTest, TamperedDataFrameIsRejected) {
@@ -299,13 +299,13 @@ TEST(AttestedChannelTest, TamperedDataFrameIsRejected) {
   w.transport.DeliverAll();
 
   AttestedChannel* responder = w.node_b->ChannelTo("a");
-  uint64_t received_before = responder->stats().data_received;
+  uint64_t received_before = *responder->metrics().Value("data_received");
   Message tampered = tee.recorded.back();
   ASSERT_EQ(tampered.kind, "data");
   tampered.payload[tampered.payload.size() / 2] ^= 0x40;  // Flip ciphertext bits.
   w.node_b->OnMessage(tampered);
-  EXPECT_EQ(responder->stats().data_received, received_before);
-  EXPECT_GE(responder->stats().bad_tags_rejected, 1u);
+  EXPECT_EQ(*responder->metrics().Value("data_received"), received_before);
+  EXPECT_GE(*responder->metrics().Value("bad_tags_rejected"), 1u);
 }
 
 // ---------------------------------------------------- Certificate exchange
@@ -327,7 +327,7 @@ TEST(CertificateExchangeTest, ShipsLabelAcrossInstances) {
   ASSERT_TRUE(imported.ok());
   EXPECT_EQ((*imported)->speaker().ToString().substr(0, 4), "tpm.");
   EXPECT_TRUE(nal::Equals((*imported)->child1(), F("isTypeSafe(PGM)")));
-  EXPECT_EQ(importer.stats().imported, 1u);
+  EXPECT_EQ(*importer.metrics().Value("imported"), 1u);
 }
 
 TEST(CertificateExchangeTest, DuplicatePushIsIdempotent) {
@@ -360,7 +360,7 @@ TEST(CertificateExchangeTest, TamperedCertificateIsRejected) {
   Result<core::LabelHandle> shipped = pusher.PushCertificate("a", cert);
   EXPECT_FALSE(shipped.ok());
   EXPECT_EQ(w.nexus_a.engine().StoreFor(gateway).size(), 0u);
-  EXPECT_EQ(importer.stats().rejected, 1u);
+  EXPECT_EQ(*importer.metrics().Value("rejected"), 1u);
 }
 
 TEST(CertificateExchangeTest, CertificateFromUnregisteredInstanceIsRejected) {
@@ -410,9 +410,9 @@ TEST(RemoteAuthorityTest, QueryCrossesTheChannel) {
   w.vouch = false;  // Dynamic state changed on the remote instance...
   // ...and the next answer is fresh.
   EXPECT_FALSE(remote.VouchOne(statement, /*timeout_us=*/100000));
-  EXPECT_EQ(w.service.queries_served(), 2u);
-  EXPECT_EQ(remote.stats().vouched, 1u);
-  EXPECT_EQ(remote.stats().denied, 1u);
+  EXPECT_EQ(*w.service.metrics().Value("queries_served"), 2u);
+  EXPECT_EQ(*remote.metrics().Value("vouched"), 1u);
+  EXPECT_EQ(*remote.metrics().Value("denied"), 1u);
 }
 
 TEST(RemoteAuthorityTest, LateAnswerIsADenial) {
@@ -425,8 +425,8 @@ TEST(RemoteAuthorityTest, LateAnswerIsADenial) {
   EXPECT_FALSE(remote.VouchOne(F("Session says sessionActive(alice)"), /*timeout_us=*/10000));
   // The request was in flight on an established channel: a timeout-deny,
   // not an unreachable-deny (the metrics split distinguishes the causes).
-  EXPECT_EQ(remote.stats().denied_timeout, 1u);
-  EXPECT_EQ(remote.stats().denied_unreachable, 0u);
+  EXPECT_EQ(*remote.metrics().Value("denied_timeout"), 1u);
+  EXPECT_EQ(*remote.metrics().Value("denied_unreachable"), 0u);
 }
 
 TEST(RemoteAuthorityTest, LostAnswerIsADenial) {
@@ -435,8 +435,8 @@ TEST(RemoteAuthorityTest, LostAnswerIsADenial) {
   w.transport.SetLink("a", "b", LinkConfig{.latency_us = 10, .drop_rate = 1.0});
   RemoteAuthority remote(w.node_a.get(), "b", nullptr);
   EXPECT_FALSE(remote.VouchOne(F("Session says sessionActive(alice)"), /*timeout_us=*/10000));
-  EXPECT_EQ(remote.stats().denied_timeout, 1u);
-  EXPECT_EQ(remote.stats().denied_unreachable, 0u);
+  EXPECT_EQ(*remote.metrics().Value("denied_timeout"), 1u);
+  EXPECT_EQ(*remote.metrics().Value("denied_unreachable"), 0u);
 }
 
 TEST(RemoteAuthorityTest, VouchAnswersAllStatementsInOneRoundTrip) {
@@ -450,15 +450,15 @@ TEST(RemoteAuthorityTest, VouchAnswersAllStatementsInOneRoundTrip) {
   std::vector<bool> answers = remote.Vouch(statements, 100000).Wait().answers;
   ASSERT_EQ(answers.size(), 3u);
   EXPECT_TRUE(answers[0] && answers[1] && answers[2]);
-  EXPECT_EQ(remote.stats().batch_round_trips, 1u);
-  EXPECT_EQ(w.service.batches_served(), 1u);
-  EXPECT_EQ(w.service.queries_served(), 3u);  // Statements, not round trips.
+  EXPECT_EQ(*remote.metrics().Value("batch_round_trips"), 1u);
+  EXPECT_EQ(*w.service.metrics().Value("batches_served"), 1u);
+  EXPECT_EQ(*w.service.metrics().Value("queries_served"), 3u);  // Statements, not round trips.
 
   // Lost replies deny the whole batch (fail closed).
   w.transport.SetLink("a", "b", LinkConfig{.latency_us = 10, .drop_rate = 1.0});
   answers = remote.Vouch(statements, 10000).Wait().answers;
   EXPECT_FALSE(answers[0] || answers[1] || answers[2]);
-  EXPECT_EQ(remote.stats().denied_timeout, 3u);
+  EXPECT_EQ(*remote.metrics().Value("denied_timeout"), 3u);
 }
 
 TEST(RemoteAuthorityTest, MalformedBatchCountIsRejectedWithoutAllocation) {
@@ -474,7 +474,7 @@ TEST(RemoteAuthorityTest, MalformedBatchCountIsRejectedWithoutAllocation) {
                                          malformed, /*timeout_us=*/100000);
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(reply->empty());
-  EXPECT_EQ(w.service.queries_served(), 0u);
+  EXPECT_EQ(*w.service.metrics().Value("queries_served"), 0u);
 }
 
 TEST(RemoteAuthorityTest, OversizedStatementsAreDeniedNotParsed) {
@@ -538,14 +538,14 @@ TEST(RemoteAuthorityTest, BatchedGuardIssuesOneRoundTripForIdenticalLeaves) {
     requests.push_back(kernel::AuthzRequest::Of(subject, "open", object));
   }
 
-  uint64_t remote_before = w.nexus_a.guard().stats().remote_queries;
+  uint64_t remote_before = *w.nexus_a.guard().metrics().Value("remote_queries");
   std::vector<Status> decisions = w.nexus_a.kernel().AuthorizeBatch(requests);
   for (const Status& status : decisions) {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
-  EXPECT_EQ(w.nexus_a.guard().stats().remote_queries, remote_before + 1);
-  EXPECT_EQ(remote.stats().batch_round_trips, 1u);
-  EXPECT_EQ(w.service.batches_served(), 1u);
+  EXPECT_EQ(*w.nexus_a.guard().metrics().Value("remote_queries"), remote_before + 1);
+  EXPECT_EQ(*remote.metrics().Value("batch_round_trips"), 1u);
+  EXPECT_EQ(*w.service.metrics().Value("batches_served"), 1u);
 
   // The answers were batch-scoped, not stored: re-running after the remote
   // state flips is freshly denied.
@@ -554,7 +554,7 @@ TEST(RemoteAuthorityTest, BatchedGuardIssuesOneRoundTripForIdenticalLeaves) {
   for (const Status& status : decisions) {
     EXPECT_FALSE(status.ok());
   }
-  EXPECT_EQ(w.nexus_a.guard().stats().remote_queries, remote_before + 2);
+  EXPECT_EQ(*w.nexus_a.guard().metrics().Value("remote_queries"), remote_before + 2);
 }
 
 TEST(RemoteAuthorityTest, RemoteLeavesPastThePrefetchCapCostARoundTripOfOne) {
@@ -582,14 +582,15 @@ TEST(RemoteAuthorityTest, RemoteLeavesPastThePrefetchCapCostARoundTripOfOne) {
 
   for (bool batch : {false, true}) {
     SCOPED_TRACE(batch ? "batch of one" : "single miss");
-    uint64_t trips = remote.stats().batch_round_trips;
-    uint64_t served = w.service.queries_served();
+    uint64_t trips = *remote.metrics().Value("batch_round_trips");
+    uint64_t served = *w.service.metrics().Value("queries_served");
     kernel::AuthzDecision decision =
         batch ? w.nexus_a.engine().AuthorizeBatch(std::span(&request, 1))[0]
               : w.nexus_a.engine().Authorize(request);
     EXPECT_TRUE(decision.allowed()) << decision.ToStatus().ToString();
-    EXPECT_EQ(remote.stats().batch_round_trips - trips, 2u);
-    EXPECT_EQ(w.service.queries_served() - served, static_cast<uint64_t>(kLeaves));
+    EXPECT_EQ(*remote.metrics().Value("batch_round_trips") - trips, 2u);
+    EXPECT_EQ(*w.service.metrics().Value("queries_served") - served,
+              static_cast<uint64_t>(kLeaves));
   }
 }
 
@@ -665,8 +666,8 @@ TEST(RemoteAuthorityTest, AsyncBatchOverlapsRoundTripsToDistinctPeers) {
   for (const Status& status : decisions) {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
-  EXPECT_EQ(remote_b.stats().batch_round_trips, 1u);
-  EXPECT_EQ(remote_c.stats().batch_round_trips, 1u);
+  EXPECT_EQ(*remote_b.metrics().Value("batch_round_trips"), 1u);
+  EXPECT_EQ(*remote_c.metrics().Value("batch_round_trips"), 1u);
   // Serial consultation costs 2 round trips = 4 * latency; overlapped
   // round trips finish together after one round trip = 2 * latency.
   EXPECT_EQ(elapsed_us, 2 * kLatencyUs)
@@ -686,7 +687,7 @@ TEST(RemoteAuthorityTest, GuardConsultsRemoteAuthorityThroughProofLeaf) {
                   .SetProof(subject, "open", "door", nal::proof::Authority(goal))
                   .ok());
   EXPECT_TRUE(w.nexus_a.kernel().Authorize(kernel::AuthzRequest::Of(subject, "open", "door")).ok());
-  EXPECT_GE(w.nexus_a.guard().stats().remote_queries, 1u);
+  EXPECT_GE(*w.nexus_a.guard().metrics().Value("remote_queries"), 1u);
 
   w.vouch = false;
   EXPECT_FALSE(w.nexus_a.kernel().Authorize(
@@ -710,7 +711,7 @@ TEST(PresenceFederationTest, EndToEndSignupAndPost) {
   Status signup = fed.SignUp("alice");
   EXPECT_TRUE(signup.ok()) << signup.ToString();
   EXPECT_TRUE(fed.Post("alice", "hello from another machine").ok());
-  EXPECT_GE(fed.session_authority().stats().vouched, 1u);
+  EXPECT_GE(*fed.session_authority().metrics().Value("vouched"), 1u);
 }
 
 TEST(PresenceFederationTest, TooFewKeypressesIsDenied) {

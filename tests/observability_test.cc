@@ -4,14 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "apps/bgp_verifier.h"
 #include "core/nexus.h"
 #include "kernel/trace.h"
 #include "nal/parser.h"
 #include "nal/prover.h"
+#include "net/cert_exchange.h"
+#include "net/mesh/mesh.h"
+#include "net/remote_authority.h"
+#include "services/ddrm.h"
 #include "services/ipc_analyzer.h"
+#include "services/read_redactor.h"
 #include "tpm/tpm.h"
 
 namespace nexus::core {
@@ -204,6 +211,42 @@ TEST_F(ObservabilityTest, ProcStatsExportIsGuarded) {
   // Unrelated stats nodes stay readable.
   kernel::IpcReply still_ok = Syscall(client_, kernel::Syscall::kProcRead, "/stats/engine");
   EXPECT_TRUE(still_ok.status.ok());
+}
+
+// Every registered metrics prefix has a /stats node that renders all of
+// its instruments: with one of every component that owns a MetricGroup
+// alive, each top-level prefix in the registry reads back through the
+// guarded proc-read path, names and all.
+TEST_F(ObservabilityTest, StatsNodeForEveryRegisteredPrefix) {
+  net::Transport transport;
+  net::NetNode node(&nexus_, &transport, "obs");
+  net::AttestedChannel channel(&nexus_, &transport, &node, "obs", "peer",
+                               transport.AllocateChannelId(), /*initiator=*/true);
+  net::CertificateExchange cert_exchange(&node, owner_);
+  net::AuthorityService authority_service(&node);
+  net::RemoteAuthority remote(&node, "peer");
+  net::mesh::MeshNode mesh(&node);
+  net::mesh::QuorumAuthority quorum(&transport, net::mesh::QuorumPolicy{});
+  services::DeviceDriverMonitor ddrm(services::DdrmPolicy{});
+  services::ReadRedactionMonitor redactor(services::RedactionPolicy{});
+  apps::BgpVerifier bgp(65000, {"10.0.0.0/8"});
+
+  std::map<std::string, std::vector<std::string>> by_prefix;
+  for (const auto& [name, value] : metrics::Registry::Global().TakeSnapshot()) {
+    by_prefix[name.substr(0, name.find('.'))].push_back(name);
+  }
+  for (const char* prefix : {"kernel", "cache", "guard", "engine", "transport", "channel",
+                             "cert_exchange", "authority_service", "remote_authority", "mesh",
+                             "quorum_authority", "ddrm", "redactor", "bgp_verifier"}) {
+    EXPECT_TRUE(by_prefix.contains(prefix)) << prefix << " registered no instrument";
+  }
+  for (const auto& [prefix, names] : by_prefix) {
+    kernel::IpcReply reply = Syscall(client_, kernel::Syscall::kProcRead, "/stats/" + prefix);
+    ASSERT_TRUE(reply.status.ok()) << prefix << ": " << reply.status.ToString();
+    for (const std::string& name : names) {
+      EXPECT_NE(reply.text().find(name + " "), std::string::npos) << name;
+    }
+  }
 }
 
 // proc:/stats/trace reports the recorder's own state.

@@ -193,8 +193,8 @@ TEST(DdrmTest, EnforcesOperationWhitelist) {
   kernel::IpcMessage bad_msg = kernel::IpcMessage::Of("format_disk");
   EXPECT_EQ(monitor.OnCall(context, ok_msg), kernel::InterposeVerdict::kAllow);
   EXPECT_EQ(monitor.OnCall(context, bad_msg), kernel::InterposeVerdict::kDeny);
-  EXPECT_EQ(monitor.stats().allowed, 1u);
-  EXPECT_EQ(monitor.stats().denied, 1u);
+  EXPECT_EQ(*monitor.metrics().Value("allowed"), 1u);
+  EXPECT_EQ(*monitor.metrics().Value("denied"), 1u);
 }
 
 TEST(DdrmTest, BlocksPageContentAccess) {
@@ -404,7 +404,7 @@ TEST_F(RedactionTest, RewritesTypedReadRepliesWithZeroTextPayloads) {
 
   fs_.CreateFile("/sealed", ToBytes("0123456789ABCDEF"));
   int64_t fd = Open("/sealed");
-  uint64_t rewrites_before = monitor.rewrites();
+  uint64_t rewrites_before = *monitor.metrics().Value("rewrites");
 
   // Everything after open is ids and integers; pin the counter here.
   uint64_t text_before = kernel::IpcTextPayloadCount();
@@ -415,7 +415,7 @@ TEST_F(RedactionTest, RewritesTypedReadRepliesWithZeroTextPayloads) {
   // rewritten IN PLACE to agree with the clamped data.
   EXPECT_EQ(ToString(read.data), "01###567");
   EXPECT_EQ(*read.ArgU64(0), 8u);
-  EXPECT_EQ(monitor.rewrites(), rewrites_before + 1);
+  EXPECT_EQ(*monitor.metrics().Value("rewrites"), rewrites_before + 1);
 
   // The acceptance assertion (§5.1): an interposed, REWRITTEN typed read
   // moved zero text payloads end to end — match, clamp, and redact are
@@ -441,7 +441,7 @@ TEST_F(RedactionTest, ShortAndNonReadRepliesPassUntouched) {
   EXPECT_TRUE(kernel_.Call(
       client_, kernel::SyscallIpcPort(kernel::Syscall::kWrite), write_msg).status.ok());
   EXPECT_EQ(ToString(*fs_.ReadFile("/plain")), "SHort");
-  EXPECT_EQ(monitor.rewrites(), 0u);
+  EXPECT_EQ(*monitor.metrics().Value("rewrites"), 0u);
 }
 
 }  // namespace

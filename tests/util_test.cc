@@ -243,6 +243,32 @@ TEST(MetricsTest, SnapshotAggregatesAcrossInstancesAndRetirement) {
   EXPECT_EQ(registry.TakeSnapshot().at("guard.checks").value, 15);
 }
 
+TEST(MetricsTest, ValueSumsSameNamedCountersOfOneGroup) {
+  metrics::Registry registry;
+  metrics::MetricGroup group(&registry, "cache");
+  // Two same-named counters, as a sharded component keeps one per shard.
+  group.NewCounter("hits")->Increment(3);
+  group.NewCounter("hits")->Increment(4);
+  group.NewCounter("misses");
+  group.NewGauge("depth")->Set(9);
+  // Another instance under the same prefix is not this group's share.
+  metrics::MetricGroup other(&registry, "cache");
+  other.NewCounter("hits")->Increment(100);
+
+  Result<uint64_t> hits = group.Value("hits");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, 7u);
+  EXPECT_EQ(*group.Value("misses"), 0u);
+  EXPECT_EQ(*other.Value("hits"), 100u);
+  // A name the group never created as a counter is an error, not a zero.
+  EXPECT_EQ(group.Value("hit").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(group.Value("depth").status().code(), ErrorCode::kNotFound);
+
+  // The per-instance reads are each group's share of the registry view.
+  EXPECT_EQ(registry.TakeSnapshot().at("cache.hits").value,
+            static_cast<int64_t>(*group.Value("hits") + *other.Value("hits")));
+}
+
 TEST(MetricsTest, SnapshotPrefixFilters) {
   metrics::Registry registry;
   metrics::MetricGroup cache(&registry, "cache");
