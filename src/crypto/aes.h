@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -36,10 +37,13 @@ class Aes128 {
 // the stream, so callers can en/decrypt any region independently.
 class AesCtr {
  public:
+  // From an already expanded key: a caller that runs many streams under one
+  // key (a channel, one stream per frame) expands it once.
+  AesCtr(const Aes128& cipher, uint64_t nonce);
   AesCtr(const AesKey& key, uint64_t nonce);
 
   // XORs `data` with the keystream starting at byte `offset`, in place.
-  void CryptInPlace(uint64_t offset, Bytes& data) const;
+  void CryptInPlace(uint64_t offset, std::span<uint8_t> data) const;
   Bytes Crypt(uint64_t offset, ByteView data) const;
 
  private:

@@ -1,33 +1,45 @@
 #include "crypto/hmac.h"
 
+#include <cstring>
+
 namespace nexus::crypto {
 
-Sha256Digest HmacSha256(ByteView key, ByteView message) {
+HmacSha256Key::HmacSha256Key(ByteView key) {
   constexpr size_t kBlockSize = 64;
-  Bytes key_block(kBlockSize, 0);
+  uint8_t key_block[kBlockSize] = {};
   if (key.size() > kBlockSize) {
     Sha256Digest key_digest = Sha256::Hash(key);
-    std::copy(key_digest.begin(), key_digest.end(), key_block.begin());
-  } else {
-    std::copy(key.begin(), key.end(), key_block.begin());
+    std::memcpy(key_block, key_digest.data(), key_digest.size());
+  } else if (!key.empty()) {
+    std::memcpy(key_block, key.data(), key.size());
   }
 
-  Bytes inner_pad(kBlockSize);
-  Bytes outer_pad(kBlockSize);
+  uint8_t pad[kBlockSize];
   for (size_t i = 0; i < kBlockSize; ++i) {
-    inner_pad[i] = key_block[i] ^ 0x36;
-    outer_pad[i] = key_block[i] ^ 0x5c;
+    pad[i] = key_block[i] ^ 0x36;
   }
+  inner_.Update(ByteView(pad, kBlockSize));
+  for (size_t i = 0; i < kBlockSize; ++i) {
+    pad[i] = key_block[i] ^ 0x5c;
+  }
+  outer_.Update(ByteView(pad, kBlockSize));
+}
 
-  Sha256 inner;
-  inner.Update(inner_pad);
-  inner.Update(message);
+Sha256Digest HmacSha256Key::Finish(Sha256 inner) const {
   Sha256Digest inner_digest = inner.Finish();
-
-  Sha256 outer;
-  outer.Update(outer_pad);
+  Sha256 outer = outer_;
   outer.Update(ByteView(inner_digest.data(), inner_digest.size()));
   return outer.Finish();
+}
+
+Sha256Digest HmacSha256Key::Mac(ByteView message) const {
+  Sha256 inner = Begin();
+  inner.Update(message);
+  return Finish(inner);
+}
+
+Sha256Digest HmacSha256(ByteView key, ByteView message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 Bytes HmacSha256Bytes(ByteView key, ByteView message) {

@@ -13,6 +13,20 @@ constexpr std::string_view kMsgTag = "NEXUS_CHANNEL_MSG";
 constexpr uint8_t kRoleInitiator = 0;
 constexpr uint8_t kRoleResponder = 1;
 
+// Feeds the low `width` bytes of `value` to `hash` big-endian, the bytes
+// AppendU32 (width 4) and AppendU64 (width 8) would write.
+void HashBigEndian(crypto::Sha256& hash, uint64_t value, int width) {
+  uint8_t be[8];
+  for (int i = 0; i < width; ++i) {
+    be[i] = static_cast<uint8_t>(value >> (8 * (width - 1 - i)));
+  }
+  hash.Update(ByteView(be, width));
+}
+
+ByteView AsBytes(std::string_view text) {
+  return ByteView(reinterpret_cast<const uint8_t*>(text.data()), text.size());
+}
+
 }  // namespace
 
 AttestedChannel::AttestedChannel(core::Nexus* local, Transport* transport,
@@ -156,12 +170,14 @@ void AttestedChannel::DeriveSessionKeys() {
   Bytes enc_material = base;
   enc_material.push_back(0x01);
   crypto::Sha256Digest enc = crypto::Sha256::Hash(enc_material);
-  std::copy(enc.begin(), enc.begin() + crypto::kAesKeySize, enc_key_.begin());
+  crypto::AesKey enc_key;
+  std::copy(enc.begin(), enc.begin() + crypto::kAesKeySize, enc_key.begin());
+  cipher_ = crypto::Aes128(enc_key);
 
   Bytes mac_material = base;
   mac_material.push_back(0x02);
   crypto::Sha256Digest mac = crypto::Sha256::Hash(mac_material);
-  mac_key_.assign(mac.begin(), mac.end());
+  mac_key_ = crypto::HmacSha256Key(ByteView(mac.data(), mac.size()));
 }
 
 void AttestedChannel::Fail(const std::string& reason) {
@@ -363,6 +379,23 @@ void AttestedChannel::HandleAuth(const Message& message) {
 
 // ----------------------------------------------------------- secure data
 
+crypto::Sha256Digest AttestedChannel::FrameTag(uint64_t seq, uint8_t direction,
+                                               ByteView service, uint64_t request_id,
+                                               uint8_t is_response, ByteView ciphertext) const {
+  crypto::Sha256 inner = mac_key_.Begin();
+  inner.Update(AsBytes(kMsgTag));
+  HashBigEndian(inner, channel_id_, 8);
+  HashBigEndian(inner, seq, 8);
+  inner.Update(ByteView(&direction, 1));
+  HashBigEndian(inner, service.size(), 4);
+  inner.Update(service);
+  HashBigEndian(inner, request_id, 8);
+  inner.Update(ByteView(&is_response, 1));
+  HashBigEndian(inner, ciphertext.size(), 4);
+  inner.Update(ciphertext);
+  return mac_key_.Finish(inner);
+}
+
 Status AttestedChannel::SendData(const std::string& service, uint64_t request_id,
                                  bool is_response, ByteView payload) {
   if (!established()) {
@@ -372,32 +405,31 @@ Status AttestedChannel::SendData(const std::string& service, uint64_t request_id
   {
     std::lock_guard<std::mutex> lock(data_mu_);
     seq = send_seq_++;
-    stats_.data_sent->Increment();
   }
+  stats_.data_sent->Increment();
   uint8_t direction = initiator_ ? kRoleInitiator : kRoleResponder;
+  uint8_t response_flag = is_response ? 1 : 0;
+
+  // wire = seq | direction | service | request_id | response flag |
+  //        ciphertext | tag, the three byte strings length-prefixed. The
+  //        payload is copied in and encrypted in place.
+  Bytes wire;
+  wire.reserve(8 + 1 + 4 + service.size() + 8 + 1 + 4 + payload.size() + 4 +
+               crypto::kSha256DigestSize);
+  AppendU64(wire, seq);
+  wire.push_back(direction);
+  AppendLengthPrefixed(wire, AsBytes(service));
+  AppendU64(wire, request_id);
+  wire.push_back(response_flag);
+  AppendLengthPrefixed(wire, payload);
+  std::span<uint8_t> ciphertext(wire.data() + wire.size() - payload.size(), payload.size());
   // Per-message CTR stream: direction in the top bit keeps the two
   // directions' keystreams disjoint under the shared key.
   uint64_t nonce = (static_cast<uint64_t>(direction) << 63) | seq;
-  Bytes ciphertext = crypto::AesCtr(enc_key_, nonce).Crypt(0, payload);
-
-  Bytes mac_input = ToBytes(kMsgTag);
-  AppendU64(mac_input, channel_id_);
-  AppendU64(mac_input, seq);
-  mac_input.push_back(direction);
-  AppendLengthPrefixed(mac_input, ToBytes(service));
-  AppendU64(mac_input, request_id);
-  mac_input.push_back(is_response ? 1 : 0);
-  AppendLengthPrefixed(mac_input, ciphertext);
-  Bytes tag = crypto::HmacSha256Bytes(mac_key_, mac_input);
-
-  Bytes wire;
-  AppendU64(wire, seq);
-  wire.push_back(direction);
-  AppendLengthPrefixed(wire, ToBytes(service));
-  AppendU64(wire, request_id);
-  wire.push_back(is_response ? 1 : 0);
-  AppendLengthPrefixed(wire, ciphertext);
-  AppendLengthPrefixed(wire, tag);
+  crypto::AesCtr(cipher_, nonce).CryptInPlace(0, ciphertext);
+  crypto::Sha256Digest tag =
+      FrameTag(seq, direction, AsBytes(service), request_id, response_flag, ciphertext);
+  AppendLengthPrefixed(wire, ByteView(tag.data(), tag.size()));
   return transport_->Send(Message{self_, peer_, channel_id_, "data", std::move(wire)});
 }
 
@@ -422,52 +454,35 @@ void AttestedChannel::HandleData(const Message& message) {
   Result<uint8_t> is_response = request_id.ok() ? reader.ReadU8() : request_id.status();
   Result<Bytes> ciphertext = is_response.ok() ? reader.ReadLengthPrefixed() : is_response.status();
   Result<Bytes> tag = ciphertext.ok() ? reader.ReadLengthPrefixed() : ciphertext.status();
-  if (!tag.ok()) {
-    return;  // Malformed frame: drop.
+  if (!tag.ok() || !reader.AtEnd()) {
+    return;  // Malformed frame, or bytes the tag does not cover: drop.
   }
   uint8_t own_direction = initiator_ ? kRoleInitiator : kRoleResponder;
   if (*direction == own_direction) {
     return;  // Reflected message: drop.
   }
 
-  Bytes mac_input = ToBytes(kMsgTag);
-  AppendU64(mac_input, channel_id_);
-  AppendU64(mac_input, *seq);
-  mac_input.push_back(*direction);
-  AppendLengthPrefixed(mac_input, *service);
-  AppendU64(mac_input, *request_id);
-  mac_input.push_back(*is_response);
-  AppendLengthPrefixed(mac_input, *ciphertext);
-  Bytes expected = crypto::HmacSha256Bytes(mac_key_, mac_input);
+  crypto::Sha256Digest expected =
+      FrameTag(*seq, *direction, *service, *request_id, *is_response, *ciphertext);
+  if (!ConstantTimeEquals(ByteView(expected.data(), expected.size()), *tag)) {
+    stats_.bad_tags_rejected->Increment();
+    return;  // Tampered or corrupted frame: drop.
+  }
   {
-    std::lock_guard<std::mutex> lock(data_mu_);
-    if (!ConstantTimeEquals(expected, *tag)) {
-      stats_.bad_tags_rejected->Increment();
-      return;  // Tampered or corrupted frame: drop.
-    }
     // Replay check AFTER authentication: any unseen sequence number inside
     // the sliding window is accepted regardless of arrival order, but each
-    // is consumed exactly once. Anything below the window is rejected
-    // outright, which keeps the seen-set bounded on long-lived channels.
-    if (*seq + kReplayWindow <= max_seen_seq_) {
+    // is consumed exactly once.
+    std::lock_guard<std::mutex> lock(data_mu_);
+    if (!replay_window_.Accept(*seq)) {
       stats_.replays_rejected->Increment();
       return;
     }
-    if (!seen_seqs_.insert(*seq).second) {
-      stats_.replays_rejected->Increment();
-      return;
-    }
-    if (*seq > max_seen_seq_) {
-      max_seen_seq_ = *seq;
-      while (!seen_seqs_.empty() && *seen_seqs_.begin() + kReplayWindow <= max_seen_seq_) {
-        seen_seqs_.erase(seen_seqs_.begin());
-      }
-    }
-    stats_.data_received->Increment();
   }
+  stats_.data_received->Increment();
 
   uint64_t nonce = (static_cast<uint64_t>(*direction) << 63) | *seq;
-  Bytes plaintext = crypto::AesCtr(enc_key_, nonce).Crypt(0, *ciphertext);
+  Bytes plaintext = std::move(*ciphertext);
+  crypto::AesCtr(cipher_, nonce).CryptInPlace(0, plaintext);
   std::string service_name = ToString(*service);
 
   if (*is_response != 0) {

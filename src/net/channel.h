@@ -42,13 +42,14 @@
 #include <atomic>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "core/nexus.h"
 #include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "net/transport.h"
 #include "util/metrics.h"
+#include "util/replay_window.h"
 
 namespace nexus::net {
 
@@ -143,6 +144,12 @@ class AttestedChannel {
 
   Status SendData(const std::string& service, uint64_t request_id, bool is_response,
                   ByteView payload);
+  // The HMAC over one data frame's fields: kMsgTag, channel id, seq,
+  // direction, length-prefixed service, request id, response flag and
+  // length-prefixed ciphertext, streamed through the session MAC key.
+  crypto::Sha256Digest FrameTag(uint64_t seq, uint8_t direction, ByteView service,
+                                uint64_t request_id, uint8_t is_response,
+                                ByteView ciphertext) const;
 
   core::Nexus* local_;
   Transport* transport_;
@@ -176,21 +183,25 @@ class AttestedChannel {
   Bytes enc_share_responder_;
   Bytes auth_payload_;  // Cached for idempotent resends after retries.
 
-  crypto::AesKey enc_key_{};
-  Bytes mac_key_;
+  // Session state, derived once per handshake by DeriveSessionKeys: the
+  // expanded AES-128 schedule and the HMAC key's inner and outer
+  // midstates. A frame pays only its keystream blocks and its own MAC
+  // compressions. The placeholders here are never used: the data plane
+  // runs only once the channel is established.
+  crypto::Aes128 cipher_{crypto::AesKey{}};
+  crypto::HmacSha256Key mac_key_{ByteView{}};
 
   // Data-plane mutex: sequence allocation, the replay window, and pending
   // responses/deadlines. Never held across a transport pump or
   // a service handler (both may re-enter SendData).
   mutable std::mutex data_mu_;
 
-  // Replay filter: exact-once within a sliding window. Anything older than
-  // the window is rejected outright, which bounds memory on long-lived
-  // channels without readmitting duplicates.
-  static constexpr uint64_t kReplayWindow = 4096;
   uint64_t send_seq_ = 1;
-  uint64_t max_seen_seq_ = 0;
-  std::set<uint64_t> seen_seqs_;
+  // Replay filter over the peer's sequence numbers: exactly once within
+  // the last ReplayWindow::kSpan (4096) numbers, a 512-byte bitmap. An
+  // older number is rejected outright, which bounds the state on
+  // long-lived channels without readmitting duplicates.
+  ReplayWindow replay_window_;
   uint64_t next_request_id_ = 1;
   struct PendingResponse {
     Bytes payload;
@@ -201,8 +212,8 @@ class AttestedChannel {
   // simulated-clock instant after which the reply no longer counts).
   std::map<uint64_t, uint64_t> call_deadlines_;
 
-  // Registry instruments ("channel.*"), incremented inside the existing
-  // data_mu_ regions.
+  // Registry instruments ("channel.*"): relaxed atomics, so tallying
+  // takes no lock.
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "channel"};
   struct {
     metrics::Counter* data_sent;

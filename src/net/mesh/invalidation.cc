@@ -99,19 +99,12 @@ Result<Bytes> InvalidationPropagator::Handle(AttestedChannel& channel, ByteView 
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    OriginState& state = origins_[channel.peer_node()];
-    uint64_t window_floor =
-        state.max_seen > kReplayWindow ? state.max_seen - kReplayWindow : 0;
-    if (*epoch <= window_floor || !state.seen.insert(*epoch).second) {
+    if (!origins_[channel.peer_node()].Accept(*epoch)) {
       stats_.duplicates->Increment();  // Exact-once: the re-apply is a no-op.
       return Bytes{};
     }
-    state.max_seen = std::max(state.max_seen, *epoch);
-    while (!state.seen.empty() && *state.seen.begin() + kReplayWindow < state.max_seen) {
-      state.seen.erase(state.seen.begin());
-    }
-    stats_.applied->Increment();
   }
+  stats_.applied->Increment();
   // Fresh epoch: retire our cached verdicts for the pair. Reordering is
   // harmless — a bump is a bump, whichever epoch lands first. The names
   // come from a peer, so they are looked up, never interned: a pair this
@@ -159,7 +152,7 @@ Result<Bytes> InvalidationPropagator::Handle(AttestedChannel& channel, ByteView 
 uint64_t InvalidationPropagator::AppliedEpoch(const NodeId& origin) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = origins_.find(origin);
-  return it == origins_.end() ? 0 : it->second.max_seen;
+  return it == origins_.end() ? 0 : it->second.max_seen();
 }
 
 }  // namespace nexus::net::mesh

@@ -32,22 +32,19 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "kernel/kernel.h"
 #include "net/mesh/registry.h"
 #include "net/node.h"
 #include "util/metrics.h"
+#include "util/replay_window.h"
 
 namespace nexus::net::mesh {
 
 class InvalidationPropagator : public Service {
  public:
   static constexpr std::string_view kServiceName = "mesh_inval";
-  // Per-origin duplicate filter span (epochs), mirroring the channel
-  // replay window's shape.
-  static constexpr uint64_t kReplayWindow = 4096;
   // Outbound records retained for ResendRecent().
   static constexpr size_t kResendLog = 1024;
 
@@ -90,12 +87,6 @@ class InvalidationPropagator : public Service {
     std::string op_name;
     std::string obj_name;
   };
-  // Per-origin duplicate filter: exact-once within the window.
-  struct OriginState {
-    uint64_t max_seen = 0;
-    std::set<uint64_t> seen;
-  };
-
   Bytes SerializeRecord(const OutboundRecord& record) const;
   size_t SendToPeers(const Bytes& payload);
 
@@ -106,7 +97,11 @@ class InvalidationPropagator : public Service {
 
   mutable std::mutex mu_;  // outbound_ and origins_.
   std::deque<OutboundRecord> outbound_;
-  std::map<NodeId, OriginState> origins_;
+  // Per-origin duplicate filter over epochs, the same one a channel keeps
+  // over sequence numbers: exactly once within the last
+  // ReplayWindow::kSpan (4096) epochs, a 512-byte bitmap per origin. An
+  // older epoch is rejected outright. AppliedEpoch reads max_seen.
+  std::map<NodeId, ReplayWindow> origins_;
 
   // Registry instruments ("mesh.invalidation.*"): relaxed atomics, so
   // tallying takes no lock.

@@ -1,5 +1,7 @@
 #include "net/transport.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 namespace nexus::net {
@@ -78,7 +80,8 @@ Status Transport::Send(Message message) {
   pending.deliver_at = now_us_ + link.latency_us;
   pending.seq = send_seq_++;
   pending.message = std::move(message);
-  queue_.push(std::move(pending));
+  queue_.push_back(std::move(pending));
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<Pending>());
   gate_cv_.notify_all();
   return OkStatus();
 }
@@ -106,8 +109,9 @@ size_t Transport::DeliverAll(size_t max_steps) {
       if (queue_.empty()) {
         break;
       }
-      Pending next = queue_.top();
-      queue_.pop();
+      std::pop_heap(queue_.begin(), queue_.end(), std::greater<Pending>());
+      Pending next = std::move(queue_.back());
+      queue_.pop_back();
       if (next.deliver_at > now_us_) {
         now_us_ = next.deliver_at;
       }

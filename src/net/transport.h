@@ -25,7 +25,6 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -124,7 +123,9 @@ class Transport {
   std::map<NodeId, Endpoint*> endpoints_;
   std::map<std::pair<NodeId, NodeId>, LinkConfig> links_;
   LinkConfig default_link_;
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>> queue_;
+  // A min-heap on (deliver_at, seq) under std::greater, kept by hand with
+  // push_heap/pop_heap so delivery can move the earliest entry out.
+  std::vector<Pending> queue_;
   size_t gate_queued_messages_ = 0;  // 0 = disarmed.
   uint64_t send_seq_ = 0;
   uint64_t next_channel_id_ = 1;

@@ -129,6 +129,61 @@ TEST(HmacTest, DifferentKeysDiffer) {
             HexOf(HmacSha256(ToBytes("k2"), ToBytes("m"))));
 }
 
+TEST(HmacTest, KeyObjectIsReusableAcrossMessages) {
+  // RFC 4231 cases 1, 2, 6 and 7. Cases 6 and 7 share one 131-byte key,
+  // hashed before use, so one key object answers both; every case runs
+  // twice to show a MAC leaves the saved midstates untouched.
+  struct Case {
+    const HmacSha256Key* key;
+    std::string message;
+    std::string tag;
+  };
+  HmacSha256Key case1(Bytes(20, 0x0b));
+  HmacSha256Key case2(ToBytes("Jefe"));
+  HmacSha256Key long_key(Bytes(131, 0xaa));
+  const Case cases[] = {
+      {&case1, "Hi There", "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {&case2, "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {&long_key, "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {&long_key,
+       "This is a test using a larger than block-size key and a larger than block-size "
+       "data. The key needs to be hashed before being used by the HMAC algorithm.",
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const Case& c : cases) {
+      EXPECT_EQ(HexOf(c.key->Mac(ToBytes(c.message))), c.tag) << c.message;
+    }
+  }
+}
+
+TEST(HmacTest, StreamedMacEqualsOneShot) {
+  // Pieces that start, end and straddle SHA-256's 64-byte blocks.
+  Rng rng(21);
+  Bytes key = rng.RandomBytes(32);
+  Bytes message = rng.RandomBytes(300);
+  HmacSha256Key mac(key);
+  const size_t pieces[] = {0, 1, 7, 55, 1, 64, 65, 107};
+  Sha256 inner = mac.Begin();
+  size_t offset = 0;
+  for (size_t piece : pieces) {
+    inner.Update(ByteView(message.data() + offset, piece));
+    offset += piece;
+  }
+  ASSERT_EQ(offset, message.size());
+  EXPECT_EQ(HexOf(mac.Finish(inner)), HexOf(HmacSha256(key, message)));
+  EXPECT_EQ(HexOf(mac.Mac(message)), HexOf(HmacSha256(key, message)));
+}
+
+TEST(HmacTest, EmptyKey) {
+  Bytes message = ToBytes("attested channel frame");
+  EXPECT_EQ(HexOf(HmacSha256Key(ByteView{}).Mac(message)), HexOf(HmacSha256({}, message)));
+  EXPECT_EQ(HexOf(HmacSha256({}, message)),
+            "b189249ecce6f0e67b6129d3e5059e828742d2ed4791dad62fc608fe7264819f");
+}
+
 // ------------------------------------------------------------------ AES
 
 TEST(AesTest, Fips197Vector) {
@@ -183,6 +238,22 @@ TEST(AesCtrTest, DifferentNoncesDiffer) {
   AesKey key = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
   Bytes plain(64, 0);
   EXPECT_NE(AesCtr(key, 1).Crypt(0, plain), AesCtr(key, 2).Crypt(0, plain));
+}
+
+TEST(AesCtrTest, ExpandedKeyServesManyStreams) {
+  // One expanded schedule, many nonces: the same keystreams as expanding
+  // the key for each stream, and in-place over a span of a larger buffer.
+  AesKey key = {2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5};
+  Aes128 cipher(key);
+  Rng rng(19);
+  Bytes plain = rng.RandomBytes(77);
+  for (uint64_t nonce : {0ull, 1ull, (1ull << 63) | 5}) {
+    Bytes framed(3, 0xee);
+    Append(framed, plain);
+    AesCtr(cipher, nonce).CryptInPlace(0, std::span<uint8_t>(framed).subspan(3));
+    EXPECT_EQ(Bytes(framed.begin() + 3, framed.end()), AesCtr(key, nonce).Crypt(0, plain));
+    EXPECT_EQ(framed[0], 0xee);
+  }
 }
 
 TEST(AesCtrTest, UnalignedOffsets) {

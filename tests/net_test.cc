@@ -308,6 +308,125 @@ TEST(AttestedChannelTest, TamperedDataFrameIsRejected) {
   EXPECT_GE(*responder->metrics().Value("bad_tags_rejected"), 1u);
 }
 
+// Counts the requests that reach it.
+class CountingService : public Service {
+ public:
+  Result<Bytes> Handle(AttestedChannel& channel, ByteView request) override {
+    (void)channel;
+    (void)request;
+    ++calls;
+    return Bytes{};
+  }
+  int calls = 0;
+};
+
+TEST(AttestedChannelTest, TrailingBytesAfterTheTagAreMalformed) {
+  TwoInstances w;
+  CountingService sink;
+  w.node_b->RegisterService("sink", &sink);
+  AttestedChannel* channel = *w.node_a->Connect("b");
+
+  // Capture the frame on the wire instead of delivering it.
+  w.transport.Detach("b");
+  RecordingEndpoint wire;
+  ASSERT_TRUE(w.transport.Attach("b", &wire).ok());
+  ASSERT_TRUE(channel->SendSecure("sink", ToBytes("once")).ok());
+  w.transport.DeliverAll();
+  ASSERT_EQ(wire.received.size(), 1u);
+  Message frame = wire.received.back();
+  ASSERT_EQ(frame.kind, "data");
+
+  // The tag covers every field but not bytes appended after it: such a
+  // frame is malformed and dropped before the MAC check, without
+  // consuming its sequence number.
+  Message padded = frame;
+  padded.payload.push_back(0x00);
+  padded.payload.push_back(0x01);
+  w.node_b->OnMessage(padded);
+  AttestedChannel* responder = w.node_b->ChannelTo("a");
+  EXPECT_EQ(sink.calls, 0);
+  EXPECT_EQ(*responder->metrics().Value("data_received"), 0u);
+  EXPECT_EQ(*responder->metrics().Value("bad_tags_rejected"), 0u);
+
+  // The frame as sent is still accepted, exactly once.
+  w.node_b->OnMessage(frame);
+  EXPECT_EQ(sink.calls, 1);
+  EXPECT_EQ(*responder->metrics().Value("data_received"), 1u);
+  EXPECT_EQ(*responder->metrics().Value("replays_rejected"), 0u);
+}
+
+// Pins the data-frame encoding byte for byte: seq, direction, service,
+// request id, response flag, AES-CTR ciphertext and HMAC-SHA256 tag, for
+// requests and replies whose MAC input crosses SHA-256 block boundaries at
+// different fields. Every input is seeded, so the session keys, and with
+// them the frames, are the same on every run.
+TEST(AttestedChannelTest, DataFrameWireFormatIsPinned) {
+  TwoInstances w;
+  EchoService echo;
+  w.node_b->RegisterService("echo", &echo);
+  AttestedChannel* channel = *w.node_a->Connect("b");
+
+  w.transport.Detach("a");
+  w.transport.Detach("b");
+  TeeEndpoint to_a(w.node_a.get());
+  TeeEndpoint to_b(w.node_b.get());
+  ASSERT_TRUE(w.transport.Attach("a", &to_a).ok());
+  ASSERT_TRUE(w.transport.Attach("b", &to_b).ok());
+
+  for (size_t size : {5u, 45u, 85u}) {
+    Bytes payload(size);
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 37 + size);
+    }
+    Result<Bytes> reply = channel->Call("echo", payload, /*timeout_us=*/100000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    Bytes expected = ToBytes("echo:");
+    Append(expected, payload);
+    EXPECT_EQ(*reply, expected);
+  }
+
+  auto hex_of = [](const std::vector<Message>& frames) {
+    std::vector<std::string> out;
+    for (const Message& frame : frames) {
+      EXPECT_EQ(frame.kind, "data");
+      out.push_back(HexEncode(frame.payload));
+    }
+    return out;
+  };
+  // Per frame: seq, direction, len + "echo", request id, response flag,
+  // len + ciphertext, len + tag. A reply carries a status byte and "echo:".
+  const std::vector<std::string> requests = {
+      "0000000000000001" "00" "00000004" "6563686f" "0000000000000001" "00" "00000005"
+      "992925dfec"
+      "00000020" "d68e5fea734f9f1cd90516d34a9744570e5b47060c0a9f5c196d6bf515cc07eb",
+      "0000000000000002" "00" "00000004" "6563686f" "0000000000000002" "00" "0000002d"
+      "cca985f02001d88c920cdb4ba0a32ae6938785bd383ec4551f9196c794e13fe1"
+      "b0e03018803d6c97cbe8d2835f"
+      "00000020" "2c4035adaeac8cc807326031ffa42e4db174411bccd2564684401ce749e3e52c",
+      "0000000000000003" "00" "00000004" "6563686f" "0000000000000003" "00" "00000055"
+      "275b3631f9976ab35720bf4ad67e7ac3a61da47746d6d3047067b774fb89e83d"
+      "91734b6b63d3285136cc603d6902bfc3c3036dd075e47caf642a0b2285fb89a6"
+      "94a9c2bdf81afcada5a02e47080b86d6a176641d8b"
+      "00000020" "e8b7c7f2c8aaf7aa726b9335125373875f92ac74459942454f62b09b5b962e4f",
+  };
+  const std::vector<std::string> replies = {
+      "0000000000000001" "01" "00000004" "6563686f" "0000000000000001" "01" "0000000b"
+      "2bb15bd1198b46e80a79e3"
+      "00000020" "650a47ce521df59726e1afbd07de030f16dc607d6811d0b0994a13b1118c618b",
+      "0000000000000002" "01" "00000004" "6563686f" "0000000000000002" "01" "00000033"
+      "b3e0cedf6a71d4b28fce78f3aee2c968e0baf7c14df643b5fbcbd7e357fddb9d"
+      "65221d2b0fd2c51752311addeb6010cbbeb73a"
+      "00000020" "c9cab6ad5f7a4a785c362266a0460d071159f4be70887d01795b59a0f8408bb5",
+      "0000000000000003" "01" "00000004" "6563686f" "0000000000000003" "01" "0000005b"
+      "1f9a1b1fec5d2ce1d0a0625cf97fc4b58753d45b5583320907c1f6baa5ce1903"
+      "63893f39a46f5cca602e742ac197e3a8ce2814ac3fc763795db47448cb2ddb45"
+      "4d7c347a28a519a0fc0d41dff366015c507732ec135019ecd0e14b"
+      "00000020" "7b7a70eca2e9607beb8726e21f77c82885003f5d909e40245ca7373163b17ead",
+  };
+  EXPECT_EQ(hex_of(to_b.recorded), requests);
+  EXPECT_EQ(hex_of(to_a.recorded), replies);
+}
+
 // ---------------------------------------------------- Certificate exchange
 
 TEST(CertificateExchangeTest, ShipsLabelAcrossInstances) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "util/bytes.h"
 #include "util/metrics.h"
+#include "util/replay_window.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -311,6 +314,119 @@ TEST(MetricsTest, ApproxQuantileWalksBuckets) {
   metrics::InstrumentValue v = registry.TakeSnapshot().at("q.h");
   EXPECT_EQ(v.ApproxQuantile(0.5), 3u);
   EXPECT_GT(v.ApproxQuantile(0.99), 1u << 19);
+}
+
+// --------------------------------------------------------- ReplayWindow
+
+// The reference the bitmap must match: a set of every number seen inside
+// the window, pruned as the window slides.
+class SetReplayModel {
+ public:
+  bool Accept(uint64_t seq) {
+    if (seq + ReplayWindow::kSpan <= max_seen_ || !seen_.insert(seq).second) {
+      return false;
+    }
+    if (seq > max_seen_) {
+      max_seen_ = seq;
+      while (*seen_.begin() + ReplayWindow::kSpan <= max_seen_) {
+        seen_.erase(seen_.begin());
+      }
+    }
+    return true;
+  }
+  uint64_t max_seen() const { return max_seen_; }
+
+ private:
+  std::set<uint64_t> seen_;
+  uint64_t max_seen_ = 0;
+};
+
+// Feeds `seqs` to a fresh window and a fresh model; every verdict and every
+// max_seen must agree. Returns the verdicts.
+std::vector<bool> Differential(const std::vector<uint64_t>& seqs) {
+  ReplayWindow window;
+  SetReplayModel model;
+  std::vector<bool> verdicts;
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    bool accepted = window.Accept(seqs[i]);
+    EXPECT_EQ(accepted, model.Accept(seqs[i])) << "step " << i << " seq " << seqs[i];
+    EXPECT_EQ(window.max_seen(), model.max_seen()) << "step " << i;
+    verdicts.push_back(accepted);
+  }
+  return verdicts;
+}
+
+constexpr uint64_t kW = ReplayWindow::kSpan;
+
+TEST(ReplayWindowTest, FirstNumberZeroOrOne) {
+  EXPECT_EQ(Differential({0, 0, 1, 0}), (std::vector<bool>{true, false, true, false}));
+  EXPECT_EQ(Differential({1, 0, 1, 0}), (std::vector<bool>{true, true, false, false}));
+}
+
+TEST(ReplayWindowTest, InOrderDuplicateAndReordered) {
+  std::vector<uint64_t> seqs;
+  for (uint64_t s = 1; s <= 3 * kW; ++s) {
+    seqs.push_back(s);
+    seqs.push_back(s);  // Every number duplicated at once...
+    if (s > 10) {
+      seqs.push_back(s - 10);  // ...and again, late but inside the window.
+    }
+  }
+  std::vector<bool> verdicts = Differential(seqs);
+  size_t accepted = 0;
+  for (bool v : verdicts) {
+    accepted += v ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 3 * kW);
+
+  // Out of order within the window: each number once, in any order.
+  EXPECT_EQ(Differential({100, 50, 99, 1, 50, 100, 2}),
+            (std::vector<bool>{true, true, true, true, false, false, true}));
+}
+
+TEST(ReplayWindowTest, WindowEdges) {
+  const uint64_t max = 3 * kW + 17;
+  // max - W is just outside the window, max - W + 1 just inside.
+  EXPECT_EQ(Differential({max, max - kW, max - kW + 1, max - kW + 1}),
+            (std::vector<bool>{true, false, true, false}));
+  // A slot reused across laps: n and n + W share a bit.
+  EXPECT_EQ(Differential({5, 5 + kW, 5, 6, 6 + kW}),
+            (std::vector<bool>{true, true, false, true, true}));
+  // A slide shorter than the span frees the slots it passes over: 10's
+  // bit must not shadow 10 + W once 10 has left the window.
+  EXPECT_EQ(Differential({10, 20, 10 + kW + 5, 10 + kW, 10}),
+            (std::vector<bool>{true, true, true, true, false}));
+}
+
+TEST(ReplayWindowTest, JumpsOfAtLeastTheSpan) {
+  for (uint64_t jump : {kW - 1, kW, kW + 1, 10 * kW + 3}) {
+    const uint64_t far = 40 + jump;
+    std::vector<uint64_t> seqs = {40, 39, far, 40, 39, far - kW + 1, far - 1, far};
+    Differential(seqs);
+  }
+}
+
+TEST(ReplayWindowTest, SeededRandomStreamsMatchTheSetModel) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<uint64_t> seqs;
+    uint64_t head = rng.NextBelow(3);
+    for (int i = 0; i < 20000; ++i) {
+      uint64_t roll = rng.NextBelow(100);
+      if (roll < 60) {
+        head += 1 + rng.NextBelow(3);  // Mostly forward, with small gaps.
+        seqs.push_back(head);
+      } else if (roll < 95) {
+        // A late or repeated number around the window's trailing edge.
+        uint64_t back = rng.NextBelow(kW + 64);
+        seqs.push_back(back > head ? head : head - back);
+      } else {
+        head += rng.NextBelow(2 * kW);  // Occasionally a long jump.
+        seqs.push_back(head);
+      }
+    }
+    Differential(seqs);
+  }
 }
 
 }  // namespace
