@@ -1,5 +1,7 @@
 #include "core/certificate.h"
 
+#include <algorithm>
+
 #include "crypto/sha256.h"
 #include "nal/parser.h"
 
@@ -99,6 +101,13 @@ Result<Certificate> Certificate::Deserialize(ByteView data) {
     return ek.status();
   }
   cert.ek_public = *ek;
+  // The signatures cover the parsed statement and keys, not these bytes,
+  // so any other encoding (trailing bytes, respaced statement text) would
+  // verify too and spread as a distinct certificate. Only the one
+  // Serialize() writes decodes.
+  if (!std::ranges::equal(cert.Serialize(), data)) {
+    return InvalidArgument("certificate: non-canonical encoding");
+  }
   return cert;
 }
 

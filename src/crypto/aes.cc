@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace nexus::crypto {
 
 namespace {
@@ -33,13 +38,32 @@ uint8_t XTime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
+#if defined(__x86_64__)
+// One block through AES-NI: round key 0 whitens, aesenc runs rounds 1-9
+// and aesenclast the tenth, which skips MixColumns as FIPS-197 does.
+__attribute__((target("aes"))) void AesNiEncrypt(const internal::AesRoundKeys& round_keys,
+                                                 uint8_t block[kAesBlockSize]) {
+  const uint8_t* keys = round_keys.data();
+  __m128i state = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block));
+  state = _mm_xor_si128(state, _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys)));
+  for (int round = 1; round < 10; ++round) {
+    state = _mm_aesenc_si128(
+        state, _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + 16 * round)));
+  }
+  state = _mm_aesenclast_si128(
+      state, _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + 16 * 10)));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(block), state);
+}
+#endif
+
 }  // namespace
 
-Aes128::Aes128(const AesKey& key) {
-  std::memcpy(round_keys_, key.data(), 16);
+internal::AesRoundKeys internal::ExpandAesKey(const AesKey& key) {
+  AesRoundKeys round_keys = {};
+  std::memcpy(round_keys.data(), key.data(), 16);
   for (int i = 4; i < 44; ++i) {
     uint8_t temp[4];
-    std::memcpy(temp, round_keys_ + 4 * (i - 1), 4);
+    std::memcpy(temp, round_keys.data() + 4 * (i - 1), 4);
     if (i % 4 == 0) {
       uint8_t t = temp[0];
       temp[0] = static_cast<uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4]);
@@ -48,18 +72,20 @@ Aes128::Aes128(const AesKey& key) {
       temp[3] = kSbox[t];
     }
     for (int j = 0; j < 4; ++j) {
-      round_keys_[4 * i + j] = round_keys_[4 * (i - 4) + j] ^ temp[j];
+      round_keys[4 * i + j] = round_keys[4 * (i - 4) + j] ^ temp[j];
     }
   }
+  return round_keys;
 }
 
-void Aes128::EncryptBlock(uint8_t block[kAesBlockSize]) const {
+void internal::PortableAesEncrypt(const AesRoundKeys& round_keys,
+                                  uint8_t block[kAesBlockSize]) {
   uint8_t state[16];
   std::memcpy(state, block, 16);
 
   auto add_round_key = [&](int round) {
     for (int i = 0; i < 16; ++i) {
-      state[i] ^= round_keys_[16 * round + i];
+      state[i] ^= round_keys[16 * round + i];
     }
   };
   auto sub_bytes = [&] {
@@ -109,6 +135,28 @@ void Aes128::EncryptBlock(uint8_t block[kAesBlockSize]) const {
   add_round_key(10);
 
   std::memcpy(block, state, 16);
+}
+
+internal::AesEncrypt internal::HardwareAesEncrypt() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) && (ecx & bit_AES) != 0) {
+    return AesNiEncrypt;
+  }
+#endif
+  return nullptr;
+}
+
+Aes128::Aes128(const AesKey& key) : round_keys_(internal::ExpandAesKey(key)) {}
+
+void Aes128::EncryptBlock(uint8_t block[kAesBlockSize]) const {
+  // Chosen on first use rather than at static initialization, so a cipher
+  // run in another file's static initializer cannot see it unset.
+  static const internal::AesEncrypt encrypt = [] {
+    internal::AesEncrypt hardware = internal::HardwareAesEncrypt();
+    return hardware != nullptr ? hardware : internal::PortableAesEncrypt;
+  }();
+  encrypt(round_keys_, block);
 }
 
 AesCtr::AesCtr(const Aes128& cipher, uint64_t nonce) : cipher_(cipher), nonce_(nonce) {}

@@ -1,5 +1,7 @@
 #include "crypto/rsa.h"
 
+#include <algorithm>
+
 #include "crypto/sha256.h"
 
 namespace nexus::crypto {
@@ -48,6 +50,12 @@ Result<RsaPublicKey> RsaPublicKey::Deserialize(ByteView data) {
   key.e = BigNum::FromBytes(*e_bytes);
   if (key.n.IsZero() || key.e.IsZero()) {
     return InvalidArgument("degenerate RSA public key");
+  }
+  // Signatures and fingerprints cover the key, not its encoding, so any
+  // other encoding of it (trailing bytes, leading zeros) would verify as a
+  // distinct blob. Only the one Serialize() writes decodes.
+  if (!std::ranges::equal(key.Serialize(), data)) {
+    return InvalidArgument("RSA public key: non-canonical encoding");
   }
   return key;
 }

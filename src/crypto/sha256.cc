@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace nexus::crypto {
 
 namespace {
@@ -20,6 +25,55 @@ constexpr uint32_t kRoundConstants[64] = {
 
 uint32_t Rotr(uint32_t x, int k) { return (x >> k) | (x << (32 - k)); }
 
+#if defined(__x86_64__)
+// One block through the SHA extensions. sha256rnds2 runs two rounds on the
+// state split as ABEF and CDGH, taking W[t] + K[t] for both from the low
+// half of its message operand; sha256msg1/2 extend the schedule four words
+// at a time.
+__attribute__((target("sha,sse4.1"))) void ShaNiCompress(uint32_t state[8],
+                                                          const uint8_t block[64]) {
+  const __m128i kByteSwap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[j % 4] holds W[4j .. 4j+3] from the time it is computed until rounds
+  // 4j .. 4j+3 have consumed it.
+  __m128i w[4] = {};
+#pragma GCC unroll 4
+  for (int j = 0; j < 4; ++j) {
+    w[j] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * j)), kByteSwap);
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < 16; ++j) {
+    __m128i wk = _mm_add_epi32(
+        w[j % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants + 4 * j)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    if (j < 12) {
+      // W[t] for t = 4j+16 .. 4j+19 is W[t-16] + sigma0(W[t-15]) (msg1),
+      // + W[t-7] (the alignr), + sigma1(W[t-2]) (msg2).
+      __m128i next = _mm_sha256msg1_epu32(w[j % 4], w[(j + 1) % 4]);
+      next = _mm_add_epi32(next, _mm_alignr_epi8(w[(j + 3) % 4], w[(j + 2) % 4], 4));
+      w[j % 4] = _mm_sha256msg2_epu32(next, w[(j + 3) % 4]);
+    }
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
 }  // namespace
 
 Sha256::Sha256() {
@@ -33,7 +87,7 @@ Sha256::Sha256() {
   h_[7] = 0x5be0cd19;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
+void internal::PortableSha256Compress(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
@@ -47,8 +101,8 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
     uint32_t ch = (e & f) ^ ((~e) & g);
@@ -66,14 +120,35 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+internal::Sha256Compress internal::HardwareSha256Compress() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) && (ecx & bit_SSE4_1) != 0 &&
+      __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) && (ebx & bit_SHA) != 0) {
+    return ShaNiCompress;
+  }
+#endif
+  return nullptr;
+}
+
+void Sha256::ProcessBlock(const uint8_t* block) {
+  // Chosen on first use rather than at static initialization, so a hash
+  // taken in another file's static initializer cannot see it unset.
+  static const internal::Sha256Compress compress = [] {
+    internal::Sha256Compress hardware = internal::HardwareSha256Compress();
+    return hardware != nullptr ? hardware : internal::PortableSha256Compress;
+  }();
+  compress(h_, block);
 }
 
 void Sha256::Update(ByteView data) {

@@ -813,6 +813,45 @@ TEST_F(NexusTest, CertificateSerializationRoundTrip) {
       VerifyCertificate(*restored, tpm_.endorsement_public_key()).ok());
 }
 
+TEST_F(NexusTest, CertificateDecodesOnlyItsCanonicalEncoding) {
+  kernel::ProcessId pid = *nexus_.CreateProcess("p", ToBytes("p"));
+  Certificate cert = *nexus_.ExternalizeLabel(pid, *nexus_.engine().Say(pid, "ok()"));
+  auto encode = [&](const std::string& statement_text, const Bytes& nk_public) {
+    Bytes out;
+    AppendLengthPrefixed(out, ToBytes(statement_text));
+    AppendLengthPrefixed(out, cert.nk_signature);
+    AppendLengthPrefixed(out, nk_public);
+    AppendLengthPrefixed(out, cert.ek_attestation);
+    AppendLengthPrefixed(out, cert.pcr_composite);
+    AppendLengthPrefixed(out, cert.ek_public.Serialize());
+    return out;
+  };
+  std::string text = cert.statement->ToString();
+  Bytes nk = cert.nk_public.Serialize();
+  ASSERT_EQ(encode(text, nk), cert.Serialize());
+  Result<Certificate> restored = Certificate::Deserialize(cert.Serialize());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->Serialize(), cert.Serialize());
+
+  // Each variant decodes to the same statement and keys, which is all the
+  // signatures cover.
+  Bytes appended = cert.Serialize();
+  appended.push_back(0);
+  Bytes n = cert.nk_public.n.ToBytes();
+  n.insert(n.begin(), 0);
+  Bytes padded_nk;
+  AppendLengthPrefixed(padded_nk, n);
+  AppendLengthPrefixed(padded_nk, cert.nk_public.e.ToBytes());
+  std::string respaced = text;
+  respaced.replace(respaced.find(' '), 1, "  ");
+  Result<nal::Formula> reparsed = nal::ParseFormula(respaced);
+  ASSERT_TRUE(reparsed.ok()) << respaced;
+  ASSERT_EQ((*reparsed)->ToString(), text);
+  for (const Bytes& variant : {appended, encode(text, padded_nk), encode(respaced, nk)}) {
+    EXPECT_FALSE(Certificate::Deserialize(variant).ok());
+  }
+}
+
 TEST_F(NexusTest, CertificateRejectsWrongEk) {
   kernel::ProcessId pid = *nexus_.CreateProcess("p", ToBytes("p"));
   Certificate cert = *nexus_.ExternalizeLabel(pid, *nexus_.engine().Say(pid, "ok()"));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "crypto/aes.h"
@@ -102,6 +103,28 @@ TEST(Sha256Test, PaddingBoundaries) {
     digests.insert(HexOf(Sha256::Hash(Bytes(len, 'x'))));
   }
   EXPECT_EQ(digests.size(), 7u);
+}
+
+// Differential check of the SHA-NI compression against the portable
+// reference. Random chaining states stand in for mid-stream ones such as
+// HMAC's saved ipad/opad midstates.
+TEST(Sha256CompressTest, ShaNiMatchesPortable) {
+  internal::Sha256Compress sha_ni = internal::HardwareSha256Compress();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "CPU lacks the SHA-NI (sha_ni) or SSE4.1 instructions";
+  }
+  Rng rng(73);
+  for (int i = 0; i < 10000; ++i) {
+    std::array<uint32_t, 8> reference = {};
+    for (uint32_t& word : reference) {
+      word = static_cast<uint32_t>(rng.NextU64());
+    }
+    std::array<uint32_t, 8> accelerated = reference;
+    Bytes block = rng.RandomBytes(64);
+    internal::PortableSha256Compress(reference.data(), block.data());
+    sha_ni(accelerated.data(), block.data());
+    ASSERT_EQ(accelerated, reference) << "pair " << i;
+  }
 }
 
 // ----------------------------------------------------------------- HMAC
@@ -207,6 +230,44 @@ TEST(AesTest, Sp800_38aCtrKeystreamBlock) {
   Aes128 aes(key);
   aes.EncryptBlock(counter);
   EXPECT_EQ(HexOf(ByteView(counter, 16)), "ec8cdf7398607cb0f2d21675ea9ea1e4");
+}
+
+// FIPS-197 appendix C.1 (AES-128) through one block implementation.
+std::string EncryptAppendixC1(internal::AesEncrypt encrypt) {
+  AesKey key = {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
+                0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f};
+  uint8_t block[16] = {0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
+                       0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff};
+  encrypt(internal::ExpandAesKey(key), block);
+  return HexOf(ByteView(block, 16));
+}
+
+constexpr char kAppendixC1Ciphertext[] = "69c4e0d86a7b0430d8cdb78070b4c55a";
+
+TEST(AesBlockTest, PortableMatchesFips197AppendixC1) {
+  EXPECT_EQ(EncryptAppendixC1(internal::PortableAesEncrypt), kAppendixC1Ciphertext);
+}
+
+// Differential check of the AES-NI encryption against the portable
+// reference, over the one key schedule both read.
+TEST(AesBlockTest, AesNiMatchesPortable) {
+  internal::AesEncrypt aes_ni = internal::HardwareAesEncrypt();
+  if (aes_ni == nullptr) {
+    GTEST_SKIP() << "CPU lacks the AES-NI (aes) instructions";
+  }
+  EXPECT_EQ(EncryptAppendixC1(aes_ni), kAppendixC1Ciphertext);
+  Rng rng(79);
+  for (int i = 0; i < 10000; ++i) {
+    AesKey key = {};
+    Bytes key_bytes = rng.RandomBytes(kAesKeySize);
+    std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
+    internal::AesRoundKeys round_keys = internal::ExpandAesKey(key);
+    Bytes reference = rng.RandomBytes(kAesBlockSize);
+    Bytes accelerated = reference;
+    internal::PortableAesEncrypt(round_keys, reference.data());
+    aes_ni(round_keys, accelerated.data());
+    ASSERT_EQ(accelerated, reference) << "pair " << i;
+  }
 }
 
 TEST(AesCtrTest, RoundTrip) {
@@ -492,6 +553,29 @@ TEST_F(RsaTest, PublicKeySerializationRoundTrip) {
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(*restored == key_pair_->public_key);
   EXPECT_EQ(restored->Fingerprint(), key_pair_->public_key.Fingerprint());
+}
+
+TEST_F(RsaTest, DeserializeAcceptsOnlyTheCanonicalEncoding) {
+  const RsaPublicKey& key = key_pair_->public_key;
+  Bytes canonical = key.Serialize();
+  ASSERT_TRUE(RsaPublicKey::Deserialize(canonical).ok());
+
+  // Each variant still names the same key, so a signature by it verifies.
+  Bytes appended = canonical;
+  appended.push_back(0);
+  Bytes padded_n;
+  Bytes n = key.n.ToBytes();
+  n.insert(n.begin(), 0);
+  AppendLengthPrefixed(padded_n, n);
+  AppendLengthPrefixed(padded_n, key.e.ToBytes());
+  Bytes padded_e;
+  Bytes e = key.e.ToBytes();
+  e.insert(e.begin(), 0);
+  AppendLengthPrefixed(padded_e, key.n.ToBytes());
+  AppendLengthPrefixed(padded_e, e);
+  for (const Bytes& variant : {appended, padded_n, padded_e}) {
+    EXPECT_FALSE(RsaPublicKey::Deserialize(variant).ok()) << HexOf(variant);
+  }
 }
 
 TEST_F(RsaTest, DeserializeRejectsGarbage) {

@@ -273,6 +273,38 @@ TEST(MeshGossipTest, TamperedCertificateIsRejectedWithoutPoisoningNeighbors) {
   }
 }
 
+TEST(MeshGossipTest, ByteVariantOfAConvergedCertificateIsRejected) {
+  MeshWorld w(3, MeshWorld::kChain);
+  w.JoinChain();
+  ASSERT_TRUE(w.Converge(8));
+  Bytes good = w.MintCertificate(0);
+  ASSERT_TRUE(w.meshes[0]->gossip().PublishCertificate(good).ok());
+  w.transport.DeliverAll();
+  ASSERT_TRUE(w.Converge(8));
+
+  // The same certificate with a byte appended: its signatures cover only
+  // what it decodes to, so without a canonical-encoding check it would
+  // verify and enter every registry under a digest of its own.
+  Bytes variant = good;
+  variant.push_back(0);
+  Bytes payload;
+  AppendU32(payload, 0);
+  AppendU32(payload, 1);
+  AppendLengthPrefixed(payload, variant);
+  uint64_t rejected_before = *w.meshes[1]->gossip().metrics().Value("rejected");
+  AttestedChannel* channel = w.nodes[0]->ChannelTo("n1");
+  ASSERT_NE(channel, nullptr);
+  ASSERT_TRUE(channel->SendSecure(std::string(GossipService::kServiceName), payload).ok());
+  w.transport.DeliverAll();
+  EXPECT_GT(*w.meshes[1]->gossip().metrics().Value("rejected"), rejected_before);
+
+  ASSERT_TRUE(w.Converge(8));
+  for (auto& mesh : w.meshes) {
+    EXPECT_EQ(mesh->registry().cert_count(), 1u);
+    EXPECT_TRUE(mesh->registry().HasCertificate(crypto::Sha256Hex(good)));
+  }
+}
+
 // ------------------------------------------------- cross-node invalidation
 
 TEST(MeshInvalidationTest, CrossNodeSetGoalRetiresRemoteCachedVerdicts) {
