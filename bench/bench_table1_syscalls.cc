@@ -28,10 +28,10 @@ struct Harness {
     nexus.fs().CreateFile("/bench/big", Bytes(64 * 1024, 'x'));
     IpcMessage open_msg;
     open_msg.AddString("/bench/file");
-    open_fd = nexus.kernel().Call(client, SyscallIpcPort(Syscall::kOpen), open_msg).value();
+    open_fd = *nexus.kernel().Call(client, SyscallIpcPort(Syscall::kOpen), open_msg).ArgU64(0);
     IpcMessage open_big;
     open_big.AddString("/bench/big");
-    big_fd = nexus.kernel().Call(client, SyscallIpcPort(Syscall::kOpen), open_big).value();
+    big_fd = *nexus.kernel().Call(client, SyscallIpcPort(Syscall::kOpen), open_big).ArgU64(0);
     nexus.kernel().scheduler().AddClient(client, 1);
   }
 
@@ -39,8 +39,8 @@ struct Harness {
   nexus::tpm::Tpm tpm;
   nexus::core::Nexus nexus;
   nexus::kernel::ProcessId client = 0;
-  int64_t open_fd = 0;
-  int64_t big_fd = 0;
+  uint64_t open_fd = 0;
+  uint64_t big_fd = 0;
 };
 
 Harness& H() {
@@ -132,7 +132,7 @@ void BM_open_nexus(benchmark::State& s) {
     cycles += nexus::ReadCycleCounter() - start;
     ++calls;
     IpcMessage close_msg;
-    close_msg.AddU64(static_cast<uint64_t>(reply.value()));
+    close_msg.AddU64(*reply.ArgU64(0));
     h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kClose), close_msg);
   }
   s.counters["cycles/call"] =
@@ -147,7 +147,7 @@ void BM_close_nexus(benchmark::State& s) {
   for (auto _ : s) {
     auto reply = h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kOpen), open_msg);
     IpcMessage close_msg;
-    close_msg.AddU64(static_cast<uint64_t>(reply.value()));
+    close_msg.AddU64(*reply.ArgU64(0));
     uint64_t start = nexus::ReadCycleCounter();
     h.nexus.kernel().Call(h.client, SyscallIpcPort(Syscall::kClose), close_msg);
     cycles += nexus::ReadCycleCounter() - start;
@@ -160,20 +160,20 @@ void BM_read_nexus(benchmark::State& s) {
   // Typed fd/offset/length slots: the interposed read path builds and
   // parses zero strings (ABI v2).
   IpcMessage msg;
-  msg.AddU64(static_cast<uint64_t>(H().open_fd)).AddU64(0).AddU64(1024);
+  msg.AddU64(H().open_fd).AddU64(0).AddU64(1024);
   RunSyscall(s, Syscall::kRead, true, std::move(msg));
 }
 void BM_read64k_nexus(benchmark::State& s) {
   // The zero-copy showcase: a 64KiB read reply is a slice of the
   // fileserver's backing store — no payload memcpy end to end.
   IpcMessage msg;
-  msg.AddU64(static_cast<uint64_t>(H().big_fd)).AddU64(0).AddU64(64 * 1024);
+  msg.AddU64(H().big_fd).AddU64(0).AddU64(64 * 1024);
   RunSyscall(s, Syscall::kRead, true, std::move(msg));
 }
 void BM_write_nexus(benchmark::State& s) {
   Harness& h = H();
   IpcMessage msg;
-  msg.AddU64(static_cast<uint64_t>(h.open_fd)).AddU64(0);
+  msg.AddU64(h.open_fd).AddU64(0);
   msg.data = Bytes(1024, 'y');
   uint64_t cycles = 0;
   uint64_t calls = 0;

@@ -89,8 +89,12 @@ int main() {
   open_msg.AddString("/secret/report");
   auto open = nexus.kernel().Call(reader, kernel::SyscallIpcPort(kernel::Syscall::kOpen), open_msg);
   std::printf("open before deadline: %s\n", open.status.ToString().c_str());
+  Result<uint64_t> fd = open.ArgU64(0);
+  if (!fd.ok()) {
+    return 1;
+  }
   kernel::IpcMessage read_msg;
-  read_msg.AddU64(static_cast<uint64_t>(open.value()));
+  read_msg.AddU64(*fd);
   auto read = nexus.kernel().Call(reader, kernel::SyscallIpcPort(kernel::Syscall::kRead), read_msg);
   std::printf("read: \"%s\"\n", ToString(read.data).c_str());
 

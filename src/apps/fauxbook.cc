@@ -300,8 +300,12 @@ Result<Bytes> Fauxbook::ServeStatic(const std::string& path) {
   if (!open.status.ok()) {
     return open.status;
   }
+  Result<uint64_t> fd = open.ArgU64(0);
+  if (!fd.ok()) {
+    return fd.status();
+  }
   kernel::IpcMessage fd_msg;
-  fd_msg.AddU64(static_cast<uint64_t>(open.value()));
+  fd_msg.AddU64(*fd);
   kernel::IpcReply read =
       k.Call(webserver_, kernel::SyscallIpcPort(kernel::Syscall::kRead), fd_msg);
   k.Call(webserver_, kernel::SyscallIpcPort(kernel::Syscall::kClose), fd_msg);

@@ -30,13 +30,10 @@ PresenceFederation::PresenceFederation(core::Nexus* provider,
   provider_net_ =
       std::make_unique<net::NetNode>(provider_, transport, config_.provider_node);
 
-  // Provider: the social network plus the certificate-import gateway.
-  // Credentials land in the web server's labelstore — both the pairwise
-  // exchange and the mesh gossip import target it — where the signup
-  // guard's credential collection finds them.
+  // Provider: the social network. Credentials the mesh gossip imports
+  // land in the web server's labelstore, where the signup guard's
+  // credential collection finds them.
   fauxbook_ = std::make_unique<Fauxbook>(provider_);
-  exchange_ = std::make_unique<net::CertificateExchange>(provider_net_.get(),
-                                                         fauxbook_->webserver_pid());
   net::mesh::MeshNode::Options provider_mesh_options;
   provider_mesh_options.import_pid = fauxbook_->webserver_pid();
   provider_mesh_ =
@@ -78,8 +75,6 @@ PresenceFederation::PresenceFederation(core::Nexus* provider,
     }
     home->driver_pid = driver.ok() ? *driver : 0;
     home->driver = std::make_unique<KeyboardDriver>(nexus, home->driver_pid);
-    home->exchange =
-        std::make_unique<net::CertificateExchange>(home->net.get(), home->driver_pid);
 
     net::mesh::MeshNode::Options home_mesh_options;
     home_mesh_options.import_pid = home->driver_pid;

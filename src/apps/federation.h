@@ -29,7 +29,6 @@
 #include "apps/fauxbook.h"
 #include "apps/notabot.h"
 #include "core/nexus.h"
-#include "net/cert_exchange.h"
 #include "net/mesh/mesh.h"
 #include "net/mesh/quorum.h"
 #include "net/remote_authority.h"
@@ -93,7 +92,6 @@ class PresenceFederation {
   net::NetNode& home_net(size_t home_index) { return *homes_[home_index]->net; }
   net::mesh::MeshNode& provider_mesh() { return *provider_mesh_; }
   net::mesh::MeshNode& home_mesh(size_t home_index) { return *homes_[home_index]->mesh; }
-  net::CertificateExchange& exchange() { return *exchange_; }
   // The provider-side leg to home 0 (kept for the two-instance tests).
   net::RemoteAuthority& session_authority() { return *homes_[0]->remote; }
   net::mesh::QuorumAuthority& session_quorum() { return *session_quorum_; }
@@ -107,8 +105,8 @@ class PresenceFederation {
   static constexpr const char* kSignupObject = "fauxbook:federation";
 
   // One home instance's full complement: network presence, mesh
-  // membership, keyboard driver, certificate exchange, and the liveness
-  // authority (home side) plus the provider's remote leg to it.
+  // membership, keyboard driver, and the liveness authority (home side)
+  // plus the provider's remote leg to it.
   struct Home {
     core::Nexus* nexus = nullptr;
     net::NodeId node_id;
@@ -116,7 +114,6 @@ class PresenceFederation {
     std::unique_ptr<net::mesh::MeshNode> mesh;
     kernel::ProcessId driver_pid = 0;
     std::unique_ptr<KeyboardDriver> driver;
-    std::unique_ptr<net::CertificateExchange> exchange;
     std::unique_ptr<core::LambdaAuthority> liveness;
     std::unique_ptr<net::AuthorityService> authority_service;
     std::unique_ptr<net::RemoteAuthority> remote;
@@ -130,7 +127,6 @@ class PresenceFederation {
   std::unique_ptr<net::NetNode> provider_net_;
   std::unique_ptr<net::mesh::MeshNode> provider_mesh_;
   std::unique_ptr<Fauxbook> fauxbook_;
-  std::unique_ptr<net::CertificateExchange> exchange_;
   std::vector<std::unique_ptr<Home>> homes_;
   std::unique_ptr<net::mesh::QuorumAuthority> session_quorum_;
 

@@ -180,7 +180,9 @@ AuthzDecision Engine::UpcallDesignatedGuard(const Guard::BatchItem& item,
   }
   ipc_request.data = ToBytes(blob);
   kernel::IpcReply reply = kernel_->Call(item.request.subject, guard_port, ipc_request);
-  return AuthzDecision::FromStatus(reply.status, reply.value() == 1);
+  // An error reply without the slot is not cacheable.
+  Result<uint64_t> cacheable = reply.ArgU64(0);
+  return AuthzDecision::FromStatus(reply.status, cacheable.ok() && *cacheable == 1);
 }
 
 AuthzDecision Engine::Authorize(const AuthzRequest& request) {

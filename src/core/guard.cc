@@ -87,7 +87,8 @@ Authority* Guard::ResolveLocally(const nal::Formula& statement, bool* answer) {
     query.AddString(statement->ToString());
     kernel::IpcReply reply = kernel_->Call(kernel::kKernelProcessId, port, query);
     if (reply.status.ok()) {
-      *answer = reply.value() == 1;
+      Result<uint64_t> vouches = reply.ArgU64(0);
+      *answer = vouches.ok() && *vouches == 1;
       return nullptr;
     }
     if (reply.status.code() != ErrorCode::kNotFound) {
@@ -451,8 +452,8 @@ kernel::IpcReply GuardPortHandler::Handle(const kernel::IpcContext&,
 
   AuthzDecision decision = guard_->Check(AuthzRequest{subject, op, *object},
                                          goal->goal, *proof, credentials);
-  // Typed verdict reply: the cacheability bit rides in a u64 slot — the
-  // designated-guard upcall consumer reads it structurally (value()).
+  // Typed verdict reply: the cacheability bit rides in u64 slot 0 — the
+  // designated-guard upcall consumer reads it structurally (ArgU64(0)).
   kernel::IpcReply reply(decision.ToStatus());
   reply.AddU64(decision.cacheable ? 1 : 0);
   return reply;

@@ -71,7 +71,7 @@ void TraceAuditor::NoteDropped(uint64_t dropped) { report_.events_dropped += dro
 void TraceAuditor::AddViolation(uint64_t* counter, std::string_view kind,
                                 std::string detail) {
   ++*counter;
-  if (report_.samples.size() < config_.max_violation_samples) {
+  if (report_.samples.size() < kMaxViolationSamples) {
     report_.samples.push_back(Violation{std::string(kind), std::move(detail)});
   }
 }
@@ -234,21 +234,19 @@ void TraceAuditor::CheckChain(size_t ring, const std::vector<TraceEvent>& chain,
   // Guard-present: an audited pair always carries a goal, so an engine
   // miss on it must have reached a guard (inline check or designated
   // upcall) before its verdict.
-  if (config_.require_guard_on_miss) {
-    for (const TraceEvent& e : chain) {
-      if (e.stage != TraceStage::kEngineMiss || !audited_.contains(PairKey(e.op, e.obj))) {
-        continue;
-      }
-      bool guarded = std::any_of(chain.begin(), chain.end(), [&](const TraceEvent& g) {
-        return (g.stage == TraceStage::kGuardCheck || g.stage == TraceStage::kGuardUpcall) &&
-               g.op == e.op && g.obj == e.obj;
-      });
-      if (!guarded) {
-        AddViolation(&report_.guard_bypass_violations, "guard_bypass",
-                     "ring " + std::to_string(ring) + " trace " +
-                         std::to_string(e.trace_id) + " " + DescribeTuple(e) +
-                         ": engine miss with no guard-check stage in chain");
-      }
+  for (const TraceEvent& e : chain) {
+    if (e.stage != TraceStage::kEngineMiss || !audited_.contains(PairKey(e.op, e.obj))) {
+      continue;
+    }
+    bool guarded = std::any_of(chain.begin(), chain.end(), [&](const TraceEvent& g) {
+      return (g.stage == TraceStage::kGuardCheck || g.stage == TraceStage::kGuardUpcall) &&
+             g.op == e.op && g.obj == e.obj;
+    });
+    if (!guarded) {
+      AddViolation(&report_.guard_bypass_violations, "guard_bypass",
+                   "ring " + std::to_string(ring) + " trace " +
+                       std::to_string(e.trace_id) + " " + DescribeTuple(e) +
+                       ": engine miss with no guard-check stage in chain");
     }
   }
   // Interceptor traversal: a call through a port registered as interposed
@@ -308,7 +306,10 @@ void TraceAuditor::CheckVerdict(const TraceEvent& verdict, uint64_t probe_gen,
     return;
   }
   ++report_.verdicts_checked;
-  if (verdict_gen > max_logged && config_.complete_mutation_log) {
+  // Every mutation that can bump an audited subregion's generations goes
+  // through the (enabled) MutationLog, so a verdict generation above the
+  // final logged stamp is itself a violation.
+  if (verdict_gen > max_logged) {
     AddViolation(&report_.stale_generation_violations, "stale_generation",
                  DescribeTuple(verdict) + " verdict gen=" + std::to_string(verdict_gen) +
                      " exceeds every logged mutation (max " +

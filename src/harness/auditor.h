@@ -74,16 +74,10 @@ class TraceAuditor {
     // auditor recomputes shard and subregion placement.
     size_t cache_shards = 8;
     size_t cache_subregions = 64;
-    // Flag audited-pair miss chains lacking a guard stage.
-    bool require_guard_on_miss = true;
-    // When true, every mutation that can bump an audited subregion's
-    // generations went through the (enabled) MutationLog, so a verdict
-    // generation above the final logged stamp is itself a violation
-    // ("generation from the future"). The workload driver guarantees
-    // this; hand-fed traces may not.
-    bool complete_mutation_log = true;
-    size_t max_violation_samples = 32;
   };
+
+  // Violations kept verbatim in Report::samples (the rest are counted).
+  static constexpr size_t kMaxViolationSamples = 32;
 
   struct Violation {
     std::string kind;    // "serializability" | "stale_generation" | ...
@@ -105,7 +99,7 @@ class TraceAuditor {
     // invalidation (mesh cross-node coherence): the cached answer outlived
     // a peer's goal/proof change that should have retired it.
     uint64_t remote_invalidation_violations = 0;
-    std::vector<Violation> samples;  // First max_violation_samples.
+    std::vector<Violation> samples;  // First kMaxViolationSamples.
 
     uint64_t total_violations() const {
       return serializability_violations + stale_generation_violations +

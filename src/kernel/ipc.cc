@@ -119,40 +119,52 @@ OpId SyscallOp(Syscall call) {
   return index < ids.size() ? ids[index] : 0;
 }
 
-// ------------------------------------------------------- Typed accessors
+// ------------------------------------------------------------ Slot reads
 
 namespace {
 
-// Shared scalar read: the exact tag or kU64 (the generic integer).
-Result<uint64_t> ScalarArg(const ArgVec& args, size_t i, ArgTag exact, const char* what) {
+Status MissingSlot(size_t i) {
+  return InvalidArgument("missing argument slot " + std::to_string(i));
+}
+
+Status WrongTag(size_t i, const char* what) {
+  return InvalidArgument("argument slot " + std::to_string(i) + " is not " + what);
+}
+
+// The exact tag or kU64 (the generic integer), read into one Result.
+template <typename T>
+Result<T> ScalarSlot(const ArgVec& args, size_t i, ArgTag exact, const char* what) {
   if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
+    return MissingSlot(i);
   }
   ArgSlot slot = args[i];
   if (slot.tag() == exact || slot.tag() == ArgTag::kU64) {
-    return slot.scalar();
+    return static_cast<T>(slot.scalar());
   }
-  return InvalidArgument("argument slot " + std::to_string(i) + " is not a " +
-                         std::string(what));
+  return WrongTag(i, what);
 }
 
 }  // namespace
 
-Result<uint64_t> IpcMessage::ArgU64(size_t i) const {
-  return ScalarArg(args, i, ArgTag::kU64, "u64");
+Result<uint64_t> SlotU64(const ArgVec& args, size_t i) {
+  return ScalarSlot<uint64_t>(args, i, ArgTag::kU64, "a u64");
 }
 
-Result<ProcessId> IpcMessage::ArgProcess(size_t i) const {
-  return ScalarArg(args, i, ArgTag::kProcess, "process id");
+Result<ProcessId> SlotProcess(const ArgVec& args, size_t i) {
+  return ScalarSlot<ProcessId>(args, i, ArgTag::kProcess, "a process id");
 }
 
-Result<PortId> IpcMessage::ArgPort(size_t i) const {
-  return ScalarArg(args, i, ArgTag::kPort, "port id");
+Result<PortId> SlotPort(const ArgVec& args, size_t i) {
+  return ScalarSlot<PortId>(args, i, ArgTag::kPort, "a port id");
 }
 
-Result<ObjectId> IpcMessage::ArgObject(size_t i) const {
+Result<uint64_t> SlotFormula(const ArgVec& args, size_t i) {
+  return ScalarSlot<uint64_t>(args, i, ArgTag::kFormula, "a formula id");
+}
+
+Result<ObjectId> SlotObject(const ArgVec& args, size_t i) {
   if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
+    return MissingSlot(i);
   }
   ArgSlot slot = args[i];
   if (slot.tag() == ArgTag::kObject) {
@@ -163,72 +175,70 @@ Result<ObjectId> IpcMessage::ArgObject(size_t i) const {
     // wire applies to kObject slots (IsKnownObjectId: a forged id would
     // reach the fail-OPEN bootstrap policy as an "unregistered object").
     if (!IsKnownObjectId(slot.scalar())) {
-      return InvalidArgument("argument slot " + std::to_string(i) +
-                             " is not a known object id");
+      return WrongTag(i, "a known object id");
     }
     return static_cast<ObjectId>(slot.scalar());
   }
   // No text coercion: object NAMES must enter through the charged intern
   // surface (Kernel::InternObjectCharged), never sneak in as ids.
-  return InvalidArgument("argument slot " + std::to_string(i) + " is not an object id");
+  return WrongTag(i, "an object id");
 }
 
-Result<uint64_t> IpcMessage::ArgFormula(size_t i) const {
+Result<std::string_view> SlotString(const ArgVec& args, size_t i) {
   if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
-  }
-  ArgSlot slot = args[i];
-  if (slot.tag() == ArgTag::kFormula || slot.tag() == ArgTag::kU64) {
-    return slot.scalar();
-  }
-  return InvalidArgument("argument slot " + std::to_string(i) + " is not a formula id");
-}
-
-Result<std::string_view> IpcMessage::ArgString(size_t i) const {
-  if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
+    return MissingSlot(i);
   }
   if (args[i].tag() != ArgTag::kString) {
-    return InvalidArgument("argument slot " + std::to_string(i) + " is not a string");
+    return WrongTag(i, "a string");
   }
   return args[i].text();
 }
 
-Result<ByteView> IpcMessage::ArgBytes(size_t i) const {
+Result<ByteView> SlotBytes(const ArgVec& args, size_t i) {
   if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
+    return MissingSlot(i);
   }
   if (args[i].tag() != ArgTag::kBytes) {
-    return InvalidArgument("argument slot " + std::to_string(i) + " is not a byte payload");
+    return WrongTag(i, "a byte payload");
   }
   return args[i].blob();
 }
 
 // ----------------------------------------------------------- Wire format
 //
-//   u8  version (2)
-//   u8  op kind: 0 = u32 interned OpId follows (the only kind)
+// A message and a reply differ only in their header:
+//
+//   message: u8 version (2)
+//            u8 op kind: 0 = u32 interned OpId follows (the only kind)
+//   reply:   u8 version (2)
+//            u8 status code (ErrorCode)
+//            u32 status message length + text (<= kMaxReplyStatusMessage)
+//
+// and share the body:
+//
 //   u8  argc (<= ArgVec::kMaxArgs)
 //   per arg: u8 tag, then u64 scalar | u32 length + payload
 //   u32 data length + data
 //   (end of buffer — trailing bytes are rejected)
 
-Status ValidateWireBounds(const IpcMessage& message) {
-  if (message.args_overflowed()) {
-    return InvalidArgument("message exceeds the typed-slot capacity (" +
+namespace {
+
+// The body's bounds: slot overflow, the data cap, the per-slot payload
+// cap, forged object ids. This and CheckReplyFormulas are forced inline
+// and end in an inline OK so the validators fold the intermediate Status
+// away: the reply check runs on every Call reply that carries slots, and
+// as out-of-line calls the two helpers doubled its cost.
+[[gnu::always_inline]] inline Status ValidateBody(const ArgVec& args, const Payload& data,
+                                                  bool overflowed) {
+  if (overflowed) {
+    return InvalidArgument("IPC record exceeds the typed-slot capacity (" +
                            std::to_string(ArgVec::kMaxArgs) + " slots)");
   }
-  if (!IsKnownOpId(message.op)) {
-    // Forged-id rejection is part of the bounds contract, so it holds with
-    // or without interposition (the marshaled path also re-checks at
-    // unmarshal time for buffers arriving from elsewhere).
-    return InvalidArgument("unknown interned operation id");
-  }
-  if (message.data.size() > kMaxIpcData) {
+  if (data.size() > kMaxIpcData) {
     return InvalidArgument("data payload exceeds wire bound");
   }
-  for (size_t i = 0; i < message.args.size(); ++i) {
-    ArgSlot arg = message.args[i];
+  for (size_t i = 0; i < args.size(); ++i) {
+    ArgSlot arg = args[i];
     if (!arg.is_scalar() && arg.payload_size() > kMaxArgPayload) {
       return InvalidArgument("argument payload exceeds wire bound");
     }
@@ -236,27 +246,22 @@ Status ValidateWireBounds(const IpcMessage& message) {
       return InvalidArgument("unknown interned object id");
     }
   }
-  return OkStatus();
+  return Status();
 }
 
-Result<Bytes> MarshalMessage(const IpcMessage& message) {
-  Status bounded = ValidateWireBounds(message);
-  if (!bounded.ok()) {
-    return bounded;
-  }
-  size_t size = 3 + 4 + 4 + message.data.size();
-  for (size_t i = 0; i < message.args.size(); ++i) {
-    ArgSlot arg = message.args[i];
+size_t BodySize(const ArgVec& args, const Payload& data) {
+  size_t size = 1 + 4 + data.size();
+  for (size_t i = 0; i < args.size(); ++i) {
+    ArgSlot arg = args[i];
     size += 1 + (arg.is_scalar() ? 8 : 4 + arg.payload_size());
   }
-  Bytes out;
-  out.reserve(size);
-  out.push_back(kWireVersion);
-  out.push_back(kOpInterned);
-  AppendU32(out, message.op);
-  out.push_back(static_cast<uint8_t>(message.args.size()));
-  for (size_t i = 0; i < message.args.size(); ++i) {
-    ArgSlot arg = message.args[i];
+  return size;
+}
+
+void WriteBody(const ArgVec& args, const Payload& data, Bytes& out) {
+  out.push_back(static_cast<uint8_t>(args.size()));
+  for (size_t i = 0; i < args.size(); ++i) {
+    ArgSlot arg = args[i];
     out.push_back(static_cast<uint8_t>(arg.tag()));
     if (arg.is_scalar()) {
       AppendU64(out, arg.scalar());
@@ -264,16 +269,12 @@ Result<Bytes> MarshalMessage(const IpcMessage& message) {
       AppendLengthPrefixed(out, arg.blob());
     }
   }
-  AppendLengthPrefixed(out, message.data);
-  return out;
+  AppendLengthPrefixed(out, data);
 }
 
-namespace {
-
-// Shared slot-body decoder (message and reply bodies carry the identical
-// argc + tagged-slot layout). Strict: bad tag, overlong count, oversized
-// payload, and forged object ids reject the whole buffer.
-Status ReadArgSlots(ByteReader& reader, ArgVec* args) {
+// Strict: bad tag, overlong count, oversized payload or data, forged
+// object ids and trailing bytes reject the whole buffer.
+Status ReadBody(ByteReader& reader, ArgVec* args, Payload* data) {
   Result<uint8_t> argc = reader.ReadU8();
   if (!argc.ok()) {
     return argc.status();
@@ -323,10 +324,56 @@ Status ReadArgSlots(ByteReader& reader, ArgVec* args) {
         return InvalidArgument("bad argument tag");
     }
   }
+  Result<Bytes> block = reader.ReadLengthPrefixed();
+  if (!block.ok()) {
+    return block.status();
+  }
+  if (block->size() > kMaxIpcData) {
+    return InvalidArgument("data payload exceeds wire bound");
+  }
+  *data = std::move(*block);
+  if (!reader.AtEnd()) {
+    return InvalidArgument("trailing bytes after IPC record");
+  }
   return OkStatus();
 }
 
+// A reply is a RESULT: a formula id the receiving side cannot resolve
+// names nothing and can only mislead whatever consumes it — forged,
+// reject whole. (Requests leave this to the consumer, which resolves the
+// goal itself; replies have no later resolution step.)
+[[gnu::always_inline]] inline Status CheckReplyFormulas(const ArgVec& args) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (args[i].tag() == ArgTag::kFormula &&
+        nal::Interner::Global().Resolve(args[i].scalar()) == nullptr) {
+      return InvalidArgument("unknown interned formula id");
+    }
+  }
+  return Status();
+}
+
 }  // namespace
+
+Status ValidateWireBounds(const IpcMessage& message) {
+  if (!IsKnownOpId(message.op)) {
+    // Forged-id rejection is part of the bounds contract, so it holds with
+    // or without interposition (the marshaled path also re-checks at
+    // unmarshal time for buffers arriving from elsewhere).
+    return InvalidArgument("unknown interned operation id");
+  }
+  return ValidateBody(message.args, message.data, message.args_overflowed());
+}
+
+Result<Bytes> MarshalMessage(const IpcMessage& message) {
+  NEXUS_RETURN_IF_ERROR(ValidateWireBounds(message));
+  Bytes out;
+  out.reserve(2 + 4 + BodySize(message.args, message.data));
+  out.push_back(kWireVersion);
+  out.push_back(kOpInterned);
+  AppendU32(out, message.op);
+  WriteBody(message.args, message.data, out);
+  return out;
+}
 
 Result<IpcMessage> UnmarshalMessage(ByteView buffer) {
   ByteReader reader(buffer);
@@ -337,7 +384,6 @@ Result<IpcMessage> UnmarshalMessage(ByteView buffer) {
   if (*version != kWireVersion) {
     return InvalidArgument("unsupported IPC wire version");
   }
-  IpcMessage message;
   Result<uint8_t> op_kind = reader.ReadU8();
   if (!op_kind.ok()) {
     return op_kind.status();
@@ -354,155 +400,28 @@ Result<IpcMessage> UnmarshalMessage(ByteView buffer) {
   if (!IsKnownOpId(*op)) {
     return InvalidArgument("unknown interned operation id");
   }
-  message.op = *op;
-  Status slots = ReadArgSlots(reader, &message.args);
-  if (!slots.ok()) {
-    return slots;
-  }
-  Result<Bytes> data = reader.ReadLengthPrefixed();
-  if (!data.ok()) {
-    return data.status();
-  }
-  if (data->size() > kMaxIpcData) {
-    return InvalidArgument("data payload exceeds wire bound");
-  }
-  message.data = std::move(*data);
-  if (!reader.AtEnd()) {
-    return InvalidArgument("trailing bytes after message");
-  }
+  IpcMessage message(*op);
+  NEXUS_RETURN_IF_ERROR(ReadBody(reader, &message.args, &message.data));
   return message;
 }
 
-// ------------------------------------------------------------ Reply side
-//
-//   u8  version (2)
-//   u8  status code (ErrorCode)
-//   u32 status message length + text (<= kMaxReplyStatusMessage)
-//   u8  argc (<= ArgVec::kMaxArgs)
-//   per arg: u8 tag, then u64 scalar | u32 length + payload
-//   u32 data length + data
-//   (end of buffer — trailing bytes are rejected)
-
-Result<uint64_t> IpcReply::ArgU64(size_t i) const {
-  return ScalarArg(args, i, ArgTag::kU64, "u64");
-}
-
-Result<ProcessId> IpcReply::ArgProcess(size_t i) const {
-  return ScalarArg(args, i, ArgTag::kProcess, "process id");
-}
-
-Result<PortId> IpcReply::ArgPort(size_t i) const {
-  return ScalarArg(args, i, ArgTag::kPort, "port id");
-}
-
-Result<ObjectId> IpcReply::ArgObject(size_t i) const {
-  if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
-  }
-  ArgSlot slot = args[i];
-  if (slot.tag() == ArgTag::kObject) {
-    return static_cast<ObjectId>(slot.scalar());
-  }
-  if (slot.tag() == ArgTag::kU64) {
-    // Same forged-id discipline as the request side: the generic-integer
-    // coercion must not smuggle an unknown id past the kObject check.
-    if (!IsKnownObjectId(slot.scalar())) {
-      return InvalidArgument("argument slot " + std::to_string(i) +
-                             " is not a known object id");
-    }
-    return static_cast<ObjectId>(slot.scalar());
-  }
-  return InvalidArgument("argument slot " + std::to_string(i) + " is not an object id");
-}
-
-Result<uint64_t> IpcReply::ArgFormula(size_t i) const {
-  if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
-  }
-  ArgSlot slot = args[i];
-  if (slot.tag() == ArgTag::kFormula || slot.tag() == ArgTag::kU64) {
-    return slot.scalar();
-  }
-  return InvalidArgument("argument slot " + std::to_string(i) + " is not a formula id");
-}
-
-Result<std::string_view> IpcReply::ArgString(size_t i) const {
-  if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
-  }
-  if (args[i].tag() != ArgTag::kString) {
-    return InvalidArgument("argument slot " + std::to_string(i) + " is not a string");
-  }
-  return args[i].text();
-}
-
-Result<ByteView> IpcReply::ArgBytes(size_t i) const {
-  if (i >= args.size()) {
-    return InvalidArgument("missing argument slot " + std::to_string(i));
-  }
-  if (args[i].tag() != ArgTag::kBytes) {
-    return InvalidArgument("argument slot " + std::to_string(i) + " is not a byte payload");
-  }
-  return args[i].blob();
-}
-
 Status ValidateReplyWireBounds(const IpcReply& reply) {
-  if (reply.args_overflowed()) {
-    return InvalidArgument("reply exceeds the typed-slot capacity (" +
-                           std::to_string(ArgVec::kMaxArgs) + " slots)");
-  }
   if (reply.status.message().size() > kMaxReplyStatusMessage) {
     return InvalidArgument("reply status message exceeds wire bound");
   }
-  if (reply.data.size() > kMaxIpcData) {
-    return InvalidArgument("data payload exceeds wire bound");
-  }
-  for (size_t i = 0; i < reply.args.size(); ++i) {
-    ArgSlot arg = reply.args[i];
-    if (!arg.is_scalar() && arg.payload_size() > kMaxArgPayload) {
-      return InvalidArgument("argument payload exceeds wire bound");
-    }
-    if (arg.tag() == ArgTag::kObject && !IsKnownObjectId(arg.scalar())) {
-      return InvalidArgument("unknown interned object id");
-    }
-    // A reply is a RESULT: a formula id the receiving side cannot resolve
-    // names nothing and can only mislead whatever consumes it — forged,
-    // reject whole. (Requests leave this to the consumer, which resolves
-    // the goal itself; replies have no later resolution step.)
-    if (arg.tag() == ArgTag::kFormula &&
-        nal::Interner::Global().Resolve(arg.scalar()) == nullptr) {
-      return InvalidArgument("unknown interned formula id");
-    }
-  }
-  return OkStatus();
+  NEXUS_RETURN_IF_ERROR(ValidateBody(reply.args, reply.data, reply.args_overflowed()));
+  return CheckReplyFormulas(reply.args);
 }
 
 Result<Bytes> MarshalReply(const IpcReply& reply) {
-  Status bounded = ValidateReplyWireBounds(reply);
-  if (!bounded.ok()) {
-    return bounded;
-  }
-  size_t size = 2 + 4 + reply.status.message().size() + 1 + 4 + reply.data.size();
-  for (size_t i = 0; i < reply.args.size(); ++i) {
-    ArgSlot arg = reply.args[i];
-    size += 1 + (arg.is_scalar() ? 8 : 4 + arg.payload_size());
-  }
+  NEXUS_RETURN_IF_ERROR(ValidateReplyWireBounds(reply));
+  const std::string& message = reply.status.message();
   Bytes out;
-  out.reserve(size);
+  out.reserve(2 + 4 + message.size() + BodySize(reply.args, reply.data));
   out.push_back(kWireVersion);
   out.push_back(static_cast<uint8_t>(reply.status.code()));
-  AppendLengthPrefixed(out, ToBytes(reply.status.message()));
-  out.push_back(static_cast<uint8_t>(reply.args.size()));
-  for (size_t i = 0; i < reply.args.size(); ++i) {
-    ArgSlot arg = reply.args[i];
-    out.push_back(static_cast<uint8_t>(arg.tag()));
-    if (arg.is_scalar()) {
-      AppendU64(out, arg.scalar());
-    } else {
-      AppendLengthPrefixed(out, arg.blob());
-    }
-  }
-  AppendLengthPrefixed(out, reply.data);
+  AppendLengthPrefixed(out, ToBytes(message));
+  WriteBody(reply.args, reply.data, out);
   return out;
 }
 
@@ -530,29 +449,8 @@ Result<IpcReply> UnmarshalReply(ByteView buffer) {
     return InvalidArgument("reply status message exceeds wire bound");
   }
   IpcReply reply(Status(static_cast<ErrorCode>(*code), ToString(*status_message)));
-  Status slots = ReadArgSlots(reader, &reply.args);
-  if (!slots.ok()) {
-    return slots;
-  }
-  Result<Bytes> data = reader.ReadLengthPrefixed();
-  if (!data.ok()) {
-    return data.status();
-  }
-  if (data->size() > kMaxIpcData) {
-    return InvalidArgument("data payload exceeds wire bound");
-  }
-  reply.data = std::move(*data);
-  if (!reader.AtEnd()) {
-    return InvalidArgument("trailing bytes after reply");
-  }
-  // The shared slot decoder covers object-id forgery; formula ids are a
-  // reply-only check (see ValidateReplyWireBounds).
-  for (size_t i = 0; i < reply.args.size(); ++i) {
-    if (reply.args[i].tag() == ArgTag::kFormula &&
-        nal::Interner::Global().Resolve(reply.args[i].scalar()) == nullptr) {
-      return InvalidArgument("unknown interned formula id");
-    }
-  }
+  NEXUS_RETURN_IF_ERROR(ReadBody(reader, &reply.args, &reply.data));
+  NEXUS_RETURN_IF_ERROR(CheckReplyFormulas(reply.args));
   return reply;
 }
 

@@ -13,6 +13,9 @@
 // interned ids builds, hashes, and parses ZERO heap strings end to end.
 // Operations cross only as interned ids and a string slot is never read
 // as an integer, so nothing an IPC caller sends interns operation text.
+// Calls and replies are one record shape (TypedRecord): the same slots,
+// data block, builders and indexed accessors, one header field each (the
+// call's op, the reply's status), and one body codec on the wire.
 #ifndef NEXUS_KERNEL_IPC_H_
 #define NEXUS_KERNEL_IPC_H_
 
@@ -72,7 +75,7 @@ class ArgSlot {
 // copy-on-write: appending through a SHARED arena clones it first, and
 // payload slots are immutable once added (SetScalar refuses them), so an
 // aliasing reply can never corrupt the request it borrowed from. Adds
-// past capacity are refused (IpcMessage records the overflow and the
+// past capacity are refused (TypedRecord records the overflow and the
 // kernel rejects such a message with InvalidArgument instead of silently
 // dropping arguments at a security boundary).
 class ArgVec {
@@ -222,177 +225,86 @@ inline ByteView ArgSlot::blob() const {
   return ByteView(reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
 }
 
-// Wire-format bounds, enforced strictly by UnmarshalMessage (and by
-// MarshalMessage, so a hostile payload cannot even be emitted). A buffer
-// that is truncated, carries trailing bytes, declares more slots than
+// Wire-format bounds, enforced strictly by the decoders (and by the
+// encoders, so a hostile payload cannot even be emitted). A buffer that is
+// truncated, carries trailing bytes, declares more slots than
 // ArgVec::kMaxArgs, uses an unknown tag, or exceeds these payload caps is
 // rejected with InvalidArgument — never partially decoded.
 inline constexpr size_t kMaxArgPayload = 64 * 1024;        // per string/bytes slot
 inline constexpr size_t kMaxIpcData = 16 * 1024 * 1024;    // trailing data block
 
-struct IpcMessage {
-  // The interned operation (kernel/types.h OpTable). 0 is the empty name:
-  // syscall messages that carry no operation of their own are well-formed.
-  OpId op = 0;
+// Typed slot reads, the one definition behind every record's Arg*
+// accessors. Status-returning, never throwing. Scalar reads accept EXACTLY
+// the matching tag plus kU64 (the generic integer) — a slot tagged kObject
+// does not read back as a port, and a kString slot is not an integer.
+// SlotObject re-validates a kU64-sourced id against the object table
+// (unknown objects fail OPEN in the bootstrap policy, so a forged id must
+// not ride in through the generic-integer coercion); object names enter
+// through the charged intern surface (Kernel::InternObjectCharged).
+Result<uint64_t> SlotU64(const ArgVec& args, size_t i);
+Result<ProcessId> SlotProcess(const ArgVec& args, size_t i);
+Result<PortId> SlotPort(const ArgVec& args, size_t i);
+Result<ObjectId> SlotObject(const ArgVec& args, size_t i);
+Result<uint64_t> SlotFormula(const ArgVec& args, size_t i);
+Result<std::string_view> SlotString(const ArgVec& args, size_t i);
+Result<ByteView> SlotBytes(const ArgVec& args, size_t i);
+
+// What both IPC directions carry: the typed slots, the data block, their
+// builders and accessors. A call (IpcMessage) adds only its operation and
+// a reply (IpcReply) only its status, and both cross the wire with one
+// body codec, so a reply whose results are integers or interned ids owns
+// no heap memory and a reply-rewriting monitor pattern-matches slots
+// exactly as a call monitor does. `Record` is the derived type, so the
+// builders chain to it: IpcMessage m = IpcMessage::Of(op).AddU64(1).
+template <typename Record>
+class TypedRecord {
+ public:
   ArgVec args;
-  // Ref-counted (kernel/payload.h): copying the message — the monitor
-  // working copy, a batched submission — bumps a refcount; bytes move
-  // only through the Payload class's counted copy-on-write surface.
+  // Ref-counted (kernel/payload.h): copying a record — the monitor working
+  // copy, a batched submission — bumps a refcount, a read reply is a SLICE
+  // of the fileserver's backing store, and an echoing monitor aliases the
+  // request's data outright. Bytes move only through the Payload class's
+  // counted copy-on-write surface.
   Payload data;
 
-  IpcMessage() = default;
-  explicit IpcMessage(OpId operation) : op(operation) {}
-
-  // Trusted-producer constructors: interning here is NOT charged to any
-  // quota (servers, monitors, and tests name their own vocabulary).
-  static IpcMessage Of(OpId operation) { return IpcMessage(operation); }
-  static IpcMessage Of(std::string_view operation) { return IpcMessage(InternOp(operation)); }
-
-  std::string_view operation() const { return OpName(op); }
-
   // ---- Builders (chainable). Capacity overflow is recorded, not dropped.
-  IpcMessage& AddU64(uint64_t v) { return AddScalar(ArgTag::kU64, v); }
-  IpcMessage& AddProcess(ProcessId v) { return AddScalar(ArgTag::kProcess, v); }
-  IpcMessage& AddPort(PortId v) { return AddScalar(ArgTag::kPort, v); }
-  IpcMessage& AddObject(ObjectId v) { return AddScalar(ArgTag::kObject, v); }
-  IpcMessage& AddFormula(uint64_t v) { return AddScalar(ArgTag::kFormula, v); }
-  IpcMessage& AddString(std::string_view v) { return AddPayload(ArgTag::kString, v); }
-  IpcMessage& AddBytes(ByteView v) {
+  Record& AddU64(uint64_t v) { return AddScalar(ArgTag::kU64, v); }
+  Record& AddProcess(ProcessId v) { return AddScalar(ArgTag::kProcess, v); }
+  Record& AddPort(PortId v) { return AddScalar(ArgTag::kPort, v); }
+  Record& AddObject(ObjectId v) { return AddScalar(ArgTag::kObject, v); }
+  Record& AddFormula(uint64_t v) { return AddScalar(ArgTag::kFormula, v); }
+  Record& AddString(std::string_view v) { return AddPayload(ArgTag::kString, v); }
+  Record& AddBytes(ByteView v) {
     return AddPayload(ArgTag::kBytes,
                       std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
   }
-  IpcMessage& AddScalar(ArgTag tag, uint64_t v) {
+  Record& AddScalar(ArgTag tag, uint64_t v) {
     if (!args.AddScalar(tag, v)) {
       args_overflowed_ = true;
     }
-    return *this;
+    return static_cast<Record&>(*this);
   }
-  IpcMessage& AddPayload(ArgTag tag, std::string_view v) {
+  Record& AddPayload(ArgTag tag, std::string_view v) {
     if (!args.AddPayload(tag, v)) {
       args_overflowed_ = true;
     }
-    return *this;
+    return static_cast<Record&>(*this);
   }
 
-  // ---- Typed accessors. Status-returning, never throwing. Scalar
-  // accessors accept EXACTLY the matching tag plus kU64 (the generic
-  // integer) — a slot tagged kObject does not read back as a port, and a
-  // kString slot is not an integer. ArgObject re-validates a kU64-sourced
-  // id against the object table (unknown objects fail OPEN in the
-  // bootstrap policy, so a forged id must not ride in through the
-  // generic-integer coercion); object names enter through the charged
-  // intern surface (Kernel::InternObjectCharged).
-  Result<uint64_t> ArgU64(size_t i) const;
-  Result<ProcessId> ArgProcess(size_t i) const;
-  Result<PortId> ArgPort(size_t i) const;
-  Result<ObjectId> ArgObject(size_t i) const;
-  Result<uint64_t> ArgFormula(size_t i) const;
-  Result<std::string_view> ArgString(size_t i) const;
-  Result<ByteView> ArgBytes(size_t i) const;
+  // ---- Typed accessors, by slot index (see SlotU64 and its siblings).
+  Result<uint64_t> ArgU64(size_t i) const { return SlotU64(args, i); }
+  Result<ProcessId> ArgProcess(size_t i) const { return SlotProcess(args, i); }
+  Result<PortId> ArgPort(size_t i) const { return SlotPort(args, i); }
+  Result<ObjectId> ArgObject(size_t i) const { return SlotObject(args, i); }
+  Result<uint64_t> ArgFormula(size_t i) const { return SlotFormula(args, i); }
+  Result<std::string_view> ArgString(size_t i) const { return SlotString(args, i); }
+  Result<ByteView> ArgBytes(size_t i) const { return SlotBytes(args, i); }
 
   bool ArgIsString(size_t i) const {
     return i < args.size() && args[i].tag() == ArgTag::kString;
   }
   // True when any slot carries a text/bytes payload — the arg-type audit
   // hook for the zero-string hot-path assertion.
-  bool HasTextArgs() const {
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (!args[i].is_scalar()) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool args_overflowed() const { return args_overflowed_; }
-
-  friend bool operator==(const IpcMessage& a, const IpcMessage& b) {
-    return a.op == b.op && a.args == b.args && a.data == b.data &&
-           a.args_overflowed_ == b.args_overflowed_;
-  }
-
- private:
-  bool args_overflowed_ = false;
-};
-
-// Reply wire bound: the status context message is short human text, not a
-// data channel — anything longer is rejected whole.
-inline constexpr size_t kMaxReplyStatusMessage = 1024;
-
-// The typed reply — v2 twin of IpcMessage. Results travel in the same
-// fixed vector of typed slots over the same single payload arena, so a
-// reply whose results are integers or interned ids owns no heap memory
-// and a reply-rewriting monitor pattern-matches slots structurally
-// instead of reparsing text. The v1 {text, value} fields survive only as
-// ACCESSORS over the slot vector (first kString / first kU64 slot).
-struct IpcReply {
-  Status status;
-  ArgVec args;
-  // Ref-counted (kernel/payload.h): a read reply is a SLICE of the
-  // fileserver's backing store, not a copy of it, and an echoing monitor
-  // aliases the request's data outright.
-  Payload data;
-
-  IpcReply() = default;
-  explicit IpcReply(Status s) : status(std::move(s)) {}
-
-  static IpcReply Ok() { return IpcReply(OkStatus()); }
-
-  // ---- Builders (chainable). Capacity overflow is recorded, not dropped.
-  IpcReply& AddU64(uint64_t v) { return AddScalar(ArgTag::kU64, v); }
-  IpcReply& AddProcess(ProcessId v) { return AddScalar(ArgTag::kProcess, v); }
-  IpcReply& AddPort(PortId v) { return AddScalar(ArgTag::kPort, v); }
-  IpcReply& AddObject(ObjectId v) { return AddScalar(ArgTag::kObject, v); }
-  IpcReply& AddFormula(uint64_t v) { return AddScalar(ArgTag::kFormula, v); }
-  IpcReply& AddString(std::string_view v) { return AddPayload(ArgTag::kString, v); }
-  IpcReply& AddBytes(ByteView v) {
-    return AddPayload(ArgTag::kBytes,
-                      std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
-  }
-  IpcReply& AddScalar(ArgTag tag, uint64_t v) {
-    if (!args.AddScalar(tag, v)) {
-      args_overflowed_ = true;
-    }
-    return *this;
-  }
-  IpcReply& AddPayload(ArgTag tag, std::string_view v) {
-    if (!args.AddPayload(tag, v)) {
-      args_overflowed_ = true;
-    }
-    return *this;
-  }
-
-  // ---- Typed accessors, same coercion discipline as IpcMessage.
-  Result<uint64_t> ArgU64(size_t i) const;
-  Result<ProcessId> ArgProcess(size_t i) const;
-  Result<PortId> ArgPort(size_t i) const;
-  Result<ObjectId> ArgObject(size_t i) const;
-  Result<uint64_t> ArgFormula(size_t i) const;
-  Result<std::string_view> ArgString(size_t i) const;
-  Result<ByteView> ArgBytes(size_t i) const;
-
-  // ---- v1-compat readers over the slot vector.
-  // First kU64 slot's scalar, or 0 (the v1 `value` field).
-  int64_t value() const {
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (args[i].tag() == ArgTag::kU64) {
-        return static_cast<int64_t>(args[i].scalar());
-      }
-    }
-    return 0;
-  }
-  // First kString slot's payload, or empty (the v1 `text` field).
-  std::string_view text() const {
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (args[i].tag() == ArgTag::kString) {
-        return args[i].text();
-      }
-    }
-    return std::string_view();
-  }
-
-  // True when any slot carries a text/bytes payload — the reply half of
-  // the zero-string hot-path assertion.
   bool HasTextPayloads() const {
     for (size_t i = 0; i < args.size(); ++i) {
       if (!args[i].is_scalar()) {
@@ -404,15 +316,53 @@ struct IpcReply {
 
   bool args_overflowed() const { return args_overflowed_; }
 
-  friend bool operator==(const IpcReply& a, const IpcReply& b) {
-    return a.status == b.status && a.args == b.args && a.data == b.data &&
-           a.args_overflowed_ == b.args_overflowed_;
+ protected:
+  bool SameBody(const TypedRecord& other) const {
+    return args == other.args && data == other.data &&
+           args_overflowed_ == other.args_overflowed_;
   }
 
  private:
-  friend Result<IpcReply> UnmarshalReply(ByteView buffer);
-
   bool args_overflowed_ = false;
+};
+
+// A call: the operation plus its arguments.
+struct IpcMessage : TypedRecord<IpcMessage> {
+  // The interned operation (kernel/types.h OpTable). 0 is the empty name:
+  // syscall messages that carry no operation of their own are well-formed.
+  OpId op = 0;
+
+  IpcMessage() = default;
+  explicit IpcMessage(OpId operation) : op(operation) {}
+
+  // Trusted-producer constructors: interning here is NOT charged to any
+  // quota (servers, monitors, and tests name their own vocabulary).
+  static IpcMessage Of(OpId operation) { return IpcMessage(operation); }
+  static IpcMessage Of(std::string_view operation) { return IpcMessage(InternOp(operation)); }
+
+  std::string_view operation() const { return OpName(op); }
+
+  friend bool operator==(const IpcMessage& a, const IpcMessage& b) {
+    return a.op == b.op && a.SameBody(b);
+  }
+};
+
+// Reply wire bound: the status context message is short human text, not a
+// data channel — anything longer is rejected whole.
+inline constexpr size_t kMaxReplyStatusMessage = 1024;
+
+// A reply: the verdict plus its results.
+struct IpcReply : TypedRecord<IpcReply> {
+  Status status;
+
+  IpcReply() = default;
+  explicit IpcReply(Status s) : status(std::move(s)) {}
+
+  static IpcReply Ok() { return IpcReply(OkStatus()); }
+
+  friend bool operator==(const IpcReply& a, const IpcReply& b) {
+    return a.status == b.status && a.SameBody(b);
+  }
 };
 
 // Context passed to port handlers and interceptors.
@@ -443,11 +393,12 @@ class PortHandler {
 };
 
 // Marshals a message into the flat v2 buffer the kernel produces for every
-// interposed call (§5.1): interned op, one tag byte + payload per slot,
-// length-prefixed data. Fails on slot overflow or payloads past the wire
+// interposed call (§5.1): a header (version, interned op), then the body
+// both directions share (argc, one tag byte + payload per slot,
+// length-prefixed data). Fails on slot overflow or payloads past the wire
 // bounds. UnmarshalMessage is strict: truncated, oversized, trailing-byte,
-// bad-tag, bad-op-kind, overlong-count, and unknown-op-id buffers are all
-// rejected whole.
+// bad-tag, bad-op-kind, overlong-count, forged-object-id and unknown-op-id
+// buffers are all rejected whole.
 Result<Bytes> MarshalMessage(const IpcMessage& message);
 Result<IpcMessage> UnmarshalMessage(ByteView buffer);
 
@@ -457,13 +408,11 @@ Result<IpcMessage> UnmarshalMessage(ByteView buffer);
 // being enabled. O(slot count); no buffer is built.
 Status ValidateWireBounds(const IpcMessage& message);
 
-// Reply codec — same strict discipline as the message side: version byte,
-// status code + bounded context message, ≤8 typed slots, length-prefixed
-// data, reject-whole on truncation / trailing bytes / bad tag / slot
-// overflow / forged interned id (kObject against the object table,
-// kFormula against the NAL interner — a reply is a RESULT, so an id the
-// receiving instance cannot resolve is a forgery, not a request to
-// resolve later).
+// Reply codec — the message body after a reply header (version byte,
+// status code + bounded context message), with the same reject-whole
+// discipline. One check is reply-only: a reply is a RESULT, so a kFormula
+// slot the receiving instance cannot resolve against the NAL interner is
+// a forgery, not a request to resolve later.
 Result<Bytes> MarshalReply(const IpcReply& reply);
 Result<IpcReply> UnmarshalReply(ByteView buffer);
 

@@ -35,6 +35,11 @@ TraceEvent Unpack(const uint64_t w[7]) {
   return e;
 }
 
+void SortByTimestamp(std::vector<TraceEvent>& events) {
+  std::sort(events.begin(), events.end(),
+            [](const TraceEvent& a, const TraceEvent& b) { return a.timestamp < b.timestamp; });
+}
+
 }  // namespace
 
 std::string_view TraceStageName(TraceStage stage) {
@@ -266,16 +271,18 @@ FlightRecorder::DrainStats FlightRecorder::Drain(DrainCursor* cursor,
   return stats;
 }
 
-std::vector<TraceEvent> FlightRecorder::Recent(size_t max) const {
+std::vector<TraceEvent> FlightRecorder::Retained() const {
   std::vector<TraceEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    for (const auto& ring : rings_) {
-      ReadRing(*ring, &events);
-    }
+  std::lock_guard<std::mutex> lock(rings_mu_);
+  for (const auto& ring : rings_) {
+    ReadRing(*ring, &events);
   }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) { return a.timestamp < b.timestamp; });
+  return events;
+}
+
+std::vector<TraceEvent> FlightRecorder::Recent(size_t max) const {
+  std::vector<TraceEvent> events = Retained();
+  SortByTimestamp(events);
   if (events.size() > max) {
     events.erase(events.begin(), events.end() - static_cast<ptrdiff_t>(max));
   }
@@ -283,8 +290,9 @@ std::vector<TraceEvent> FlightRecorder::Recent(size_t max) const {
 }
 
 std::vector<TraceEvent> FlightRecorder::ForTrace(uint64_t trace_id) const {
-  std::vector<TraceEvent> events = Recent();
+  std::vector<TraceEvent> events = Retained();
   std::erase_if(events, [trace_id](const TraceEvent& e) { return e.trace_id != trace_id; });
+  SortByTimestamp(events);
   return events;
 }
 

@@ -134,9 +134,14 @@ class FlightRecorder {
   void Emit(const TraceEvent& event);
 
   // The most recent events across every ring (merged, timestamp order,
-  // last `max` kept). A slot being overwritten mid-read is dropped.
+  // last `max` kept) — the bounded tail proc:/trace/recent renders. A
+  // slot being overwritten mid-read is dropped.
   std::vector<TraceEvent> Recent(size_t max = kRingCapacity) const;
-  // All retained events of one trace, in timestamp order.
+  // Every retained event of every ring, ring by ring. Nothing is cut
+  // across rings: timestamps are ring-local sequence numbers, so a merged
+  // "newest N" would keep only the busiest ring's tail.
+  std::vector<TraceEvent> Retained() const;
+  // All retained events of one trace (from every ring), in timestamp order.
   std::vector<TraceEvent> ForTrace(uint64_t trace_id) const;
 
   // --- Cursor-based harvest (the auditor-facing drain API) -------------

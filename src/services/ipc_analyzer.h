@@ -48,8 +48,8 @@ class IpcAnalyzer {
 
   // ---------------------------------------------- observed traffic (trace)
   // The static channel graph above says who COULD talk; the flight
-  // recorder says who DID. These walk the recorder's retained kCall events
-  // (subject = caller, aux = destination port) and resolve each port to
+  // recorder says who DID. These walk every retained kCall event of every
+  // ring (subject = caller, aux = destination port) and resolve each port to
   // its owner, yielding caller->callee edges weighted by call count. Only
   // meaningful while FlightRecorder::Global() is enabled; ports whose
   // owner died resolve to no edge.

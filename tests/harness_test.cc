@@ -428,9 +428,7 @@ TEST(TraceAuditorTest, DeniedCallNeedsNoReplyStage) {
 }
 
 TEST(TraceAuditorTest, GenerationFromTheFutureFlagged) {
-  TraceAuditor::Config config = SmallConfig();
-  config.complete_mutation_log = true;
-  TraceAuditor auditor = MakeAuditor(config);
+  TraceAuditor auditor = MakeAuditor(SmallConfig());
   const MutationRecord mutations[] = {GoalMutation(1, kAllowGoal, 2)};
   auditor.IngestMutations(mutations);
   // Generation 9 exceeds every logged mutation: deferred during the run

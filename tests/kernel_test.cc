@@ -9,6 +9,7 @@
 #include "kernel/hash_attestation.h"
 #include "kernel/kernel.h"
 #include "kernel/sched.h"
+#include "util/rng.h"
 
 namespace nexus::kernel {
 namespace {
@@ -20,7 +21,8 @@ class EchoHandler : public PortHandler {
     ++calls;
     last_caller = context.caller;
     last_operation = std::string(message.operation());
-    // Echo: value() = argc, text() = the op name, data = the request data.
+    // Echo: slot 0 = argc (when there are args), then the op name; data =
+    // the request data.
     IpcReply reply = IpcReply::Ok();
     if (!message.args.empty()) {
       reply.AddU64(message.args.size());
@@ -143,8 +145,8 @@ TEST(KernelIpcTest, CallDispatchesToHandler) {
   msg.AddString("a").AddString("b");
   IpcReply reply = k.Call(client, port, msg);
   EXPECT_TRUE(reply.status.ok());
-  EXPECT_EQ(reply.text(), "ping");
-  EXPECT_EQ(reply.value(), 2);
+  EXPECT_EQ(*reply.ArgString(1), "ping");
+  EXPECT_EQ(*reply.ArgU64(0), 2u);
   EXPECT_EQ(handler.last_caller, client);
 }
 
@@ -406,7 +408,7 @@ TEST(IpcAbiV2Test, InterposedScalarCallBuildsNoTextPayloads) {
   class ScalarAudit : public Interceptor {
    public:
     InterposeVerdict OnCall(const IpcContext&, IpcMessage& message) override {
-      saw_text |= message.HasTextArgs();
+      saw_text |= message.HasTextPayloads();
       return InterposeVerdict::kAllow;
     }
     bool saw_text = false;
@@ -437,7 +439,7 @@ TEST(IpcAbiV2Test, InterposedScalarCallBuildsNoTextPayloads) {
   for (int i = 0; i < 100; ++i) {
     IpcReply reply = k.Call(client, port, msg);
     ASSERT_TRUE(reply.status.ok());
-    ASSERT_EQ(reply.value(), 5);  // All five slots arrived.
+    ASSERT_EQ(*reply.ArgU64(0), 5u);  // All five slots arrived.
   }
   EXPECT_EQ(IpcTextPayloadCount(), before)
       << "an integer/id-arg interposed call materialized text payloads";
@@ -641,6 +643,153 @@ TEST(ReplyAbiV2Test, MonitorPresenceDoesNotChangeVerdicts) {
   EXPECT_EQ(verdicts[0][3], ErrorCode::kInvalidArgument);
 }
 
+// ------------------------------------------------------ Wire format pins
+// Byte-exact images of one record of each shape, and a seeded mutation
+// property over them: whatever the decoders accept re-encodes to the same
+// bytes and passes the pure bounds check.
+
+// Big-endian image of an interned id (ids depend on intern order, so they
+// are spliced into the golden buffers at run time).
+Bytes BigEndian(uint64_t value, size_t width) {
+  Bytes out;
+  for (size_t i = width; i-- > 0;) {
+    out.push_back(static_cast<uint8_t>(value >> (8 * i)));
+  }
+  return out;
+}
+
+Bytes Cat(std::initializer_list<Bytes> parts) {
+  Bytes out;
+  for (const Bytes& part : parts) {
+    Append(out, part);
+  }
+  return out;
+}
+
+struct GoldenRecords {
+  IpcMessage full;   // every slot tag plus a data block
+  IpcMessage empty;  // op 0, no slots, no data
+  IpcReply ok;       // slots plus data
+  IpcReply error;    // status only
+  Bytes full_wire, empty_wire, ok_wire, error_wire;
+};
+
+GoldenRecords MakeGoldenRecords() {
+  GoldenRecords g;
+  OpId op = InternOp("golden-op");
+  ObjectId obj = InternObject("file:/golden");
+  nal::FormulaId fid = InternTestFormula("K says golden(wire)");
+  g.full = IpcMessage::Of(op);
+  g.full.AddU64(0x0102030405060708)
+      .AddProcess(12)
+      .AddPort(999)
+      .AddObject(obj)
+      .AddFormula(fid)
+      .AddString("path")
+      .AddBytes(Bytes{0x00, 0xff});
+  g.full.data = {1, 2, 3};
+  g.full_wire = Cat({{0x02, 0x00},  // version, interned op
+                     BigEndian(op, 4),
+                     {0x07},  // argc
+                     {0x01, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08},
+                     {0x02, 0, 0, 0, 0, 0, 0, 0, 12},
+                     {0x03, 0, 0, 0, 0, 0, 0, 0x03, 0xe7},
+                     {0x04}, BigEndian(obj, 8),
+                     {0x05}, BigEndian(fid, 8),
+                     {0x07, 0, 0, 0, 4, 'p', 'a', 't', 'h'},
+                     {0x06, 0, 0, 0, 2, 0x00, 0xff},
+                     {0, 0, 0, 3, 1, 2, 3}});
+  g.empty_wire = {0x02, 0x00, 0, 0, 0, 0, 0x00, 0, 0, 0, 0};
+
+  g.ok = IpcReply::Ok();
+  g.ok.AddU64(41).AddObject(obj).AddFormula(fid).AddString("ok");
+  g.ok.data = {9, 8};
+  g.ok_wire = Cat({{0x02, 0x00, 0, 0, 0, 0},  // version, kOk, empty message
+                   {0x04},                    // argc
+                   {0x01, 0, 0, 0, 0, 0, 0, 0, 41},
+                   {0x04}, BigEndian(obj, 8),
+                   {0x05}, BigEndian(fid, 8),
+                   {0x07, 0, 0, 0, 2, 'o', 'k'},
+                   {0, 0, 0, 2, 9, 8}});
+  g.error = IpcReply(Status(ErrorCode::kPermissionDenied, "denied"));
+  g.error_wire = {0x02, 0x04, 0, 0, 0, 6, 'd', 'e', 'n', 'i', 'e', 'd', 0x00, 0, 0, 0, 0};
+  return g;
+}
+
+TEST(IpcWireFormatTest, GoldenBytes) {
+  GoldenRecords g = MakeGoldenRecords();
+  EXPECT_EQ(*MarshalMessage(g.full), g.full_wire);
+  EXPECT_EQ(*MarshalMessage(g.empty), g.empty_wire);
+  EXPECT_EQ(*MarshalReply(g.ok), g.ok_wire);
+  EXPECT_EQ(*MarshalReply(g.error), g.error_wire);
+  EXPECT_EQ(*UnmarshalMessage(g.full_wire), g.full);
+  EXPECT_EQ(*UnmarshalMessage(g.empty_wire), g.empty);
+  EXPECT_EQ(*UnmarshalReply(g.ok_wire), g.ok);
+  EXPECT_EQ(*UnmarshalReply(g.error_wire), g.error);
+}
+
+// One seeded edit of a wire image: a bit flip, a truncation, a u32 length
+// field or slot-count byte rewritten, a tag swapped, or bytes appended.
+Bytes Mutate(Bytes wire, Rng& rng) {
+  size_t at = rng.NextBelow(wire.size());
+  switch (rng.NextBelow(6)) {
+    case 0:
+      wire[at] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
+      break;
+    case 1:
+      wire.resize(at);
+      break;
+    case 2: {  // A small length: most land inside the buffer.
+      Bytes length = BigEndian(rng.NextBelow(24), 4);
+      for (size_t i = 0; i < 4 && at + i < wire.size(); ++i) {
+        wire[at + i] = length[i];
+      }
+      break;
+    }
+    case 3:
+      wire[at] = static_cast<uint8_t>(rng.NextBelow(ArgVec::kMaxArgs + 2));
+      break;
+    case 4:
+      wire[at] = static_cast<uint8_t>(1 + rng.NextBelow(7));  // some ArgTag
+      break;
+    default:
+      for (uint64_t n = 1 + rng.NextBelow(4); n > 0; --n) {
+        wire.push_back(static_cast<uint8_t>(rng.NextU64()));
+      }
+      break;
+  }
+  return wire;
+}
+
+TEST(IpcWireFormatTest, AcceptedMutationsReencodeIdentically) {
+  GoldenRecords g = MakeGoldenRecords();
+  Rng rng(20);
+  size_t accepted = 0;
+  for (int i = 0; i < 2500; ++i) {
+    for (const Bytes* wire : {&g.full_wire, &g.empty_wire}) {
+      Bytes mutated = Mutate(*wire, rng);
+      Result<IpcMessage> message = UnmarshalMessage(mutated);
+      if (message.ok()) {
+        ++accepted;
+        EXPECT_EQ(*MarshalMessage(*message), mutated) << "iteration " << i;
+        EXPECT_TRUE(ValidateWireBounds(*message).ok()) << "iteration " << i;
+      }
+    }
+    for (const Bytes* wire : {&g.ok_wire, &g.error_wire}) {
+      Bytes mutated = Mutate(*wire, rng);
+      Result<IpcReply> reply = UnmarshalReply(mutated);
+      if (reply.ok()) {
+        ++accepted;
+        EXPECT_EQ(*MarshalReply(*reply), mutated) << "iteration " << i;
+        EXPECT_TRUE(ValidateReplyWireBounds(*reply).ok()) << "iteration " << i;
+      }
+    }
+  }
+  // Enough survivors that the property is not vacuous (bit flips inside
+  // scalars, payloads and status text decode fine).
+  EXPECT_GT(accepted, 1000u);
+}
+
 // ---------------------------------------------------------------- Payload
 
 TEST(PayloadTest, SliceAliasesWithoutCopying) {
@@ -725,8 +874,8 @@ TEST(SyscallTest, IpcCallForwardsTypedSlots) {
   outer.AddPort(port).AddU64(InternOp("ping")).AddU64(5).AddU64(6);
   IpcReply reply = k.Call(client, SyscallIpcPort(Syscall::kIpcCall), outer);
   ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
-  EXPECT_EQ(reply.text(), "ping");
-  EXPECT_EQ(reply.value(), 2);  // Two forwarded slots.
+  EXPECT_EQ(*reply.ArgString(1), "ping");
+  EXPECT_EQ(*reply.ArgU64(0), 2u);  // Two forwarded slots.
 
   // Operation text is not an op id, and is never interned.
   IpcMessage outer2;
@@ -754,14 +903,14 @@ TEST(SyscallTest, ProcReadMemoizesProcObjects) {
   msg.AddString("/proc/memo-test-unique");
   IpcReply first = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), msg);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-  EXPECT_EQ(first.text(), "v");
+  EXPECT_EQ(*first.ArgString(0), "v");
   EXPECT_EQ(k.ProcObjectMemoSize(), memo_before + 1);
 
   // The repeat read hits the memo: no growth, no re-charge (the quota of 1
   // is already spent, so a second charge would deny).
   IpcReply again = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), msg);
   EXPECT_TRUE(again.status.ok());
-  EXPECT_EQ(again.text(), "v");
+  EXPECT_EQ(*again.ArgString(0), "v");
   EXPECT_EQ(k.ProcObjectMemoSize(), memo_before + 1);
 
   // A novel path still pays: the quota root is exhausted.
@@ -787,7 +936,8 @@ class CountingInterceptor : public Interceptor {
     ++returns;
     if (!annotate.empty()) {
       IpcReply annotated(reply.status);
-      annotated.AddString(std::string(reply.text()) + annotate);
+      // The echoed op name: slot 0 of a reply to an argument-less call.
+      annotated.AddString(std::string(*reply.ArgString(0)) + annotate);
       annotated.data = std::move(reply.data);
       reply = std::move(annotated);
     }
@@ -818,7 +968,7 @@ TEST(InterposeTest, InterceptorSeesAndModifiesCall) {
   EXPECT_EQ(interceptor.calls, 1);
   EXPECT_EQ(interceptor.returns, 1);
   EXPECT_EQ(handler.last_operation, "rewritten");
-  EXPECT_EQ(reply.text(), "rewritten+seen");
+  EXPECT_EQ(*reply.ArgString(0), "rewritten+seen");
 }
 
 TEST(InterposeTest, DenyBlocksCall) {
@@ -947,7 +1097,7 @@ TEST(CallManyTest, BatchDispatchesEveryMessage) {
   EXPECT_EQ(k.CallMany(client, port, messages, replies), 4u);
   for (const IpcReply& reply : replies) {
     EXPECT_TRUE(reply.status.ok());
-    EXPECT_EQ(reply.text(), "batched-op");
+    EXPECT_EQ(*reply.ArgString(1), "batched-op");
   }
   EXPECT_EQ(handler.calls, 4);
 }
@@ -975,7 +1125,7 @@ TEST(CallManyTest, SyscallPortBatchInvokes) {
   std::vector<IpcReply> replies(3);
   EXPECT_EQ(k.CallMany(child, SyscallIpcPort(Syscall::kGetPpid), messages, replies), 3u);
   for (const IpcReply& reply : replies) {
-    EXPECT_EQ(reply.value(), static_cast<int64_t>(parent));
+    EXPECT_EQ(*reply.ArgU64(0), parent);
   }
 }
 
@@ -1121,11 +1271,10 @@ TEST(SyscallTest, BasicCalls) {
   ProcessId parent = *k.CreateProcess("parent", ToBytes("p"));
   ProcessId child = *k.CreateProcess("child", ToBytes("c"), parent);
   EXPECT_TRUE(k.Call(child, SyscallIpcPort(Syscall::kNull), {}).status.ok());
-  EXPECT_EQ(k.Call(child, SyscallIpcPort(Syscall::kGetPpid), {}).value(),
-            static_cast<int64_t>(parent));
+  EXPECT_EQ(*k.Call(child, SyscallIpcPort(Syscall::kGetPpid), {}).ArgU64(0), parent);
   IpcReply time1 = k.Call(child, SyscallIpcPort(Syscall::kGetTimeOfDay), {});
   EXPECT_TRUE(time1.status.ok());
-  EXPECT_GT(time1.value(), 0);
+  EXPECT_GT(*time1.ArgU64(0), 0u);
 }
 
 TEST(SyscallTest, YieldDrivesScheduler) {
@@ -1179,7 +1328,7 @@ TEST(SyscallTest, ProcReadGoesThroughAuthorization) {
   EXPECT_EQ(denied.status.code(), ErrorCode::kPermissionDenied);
   k.set_engine(nullptr);
   IpcReply allowed = k.Call(pid, SyscallIpcPort(Syscall::kProcRead), read);
-  EXPECT_EQ(allowed.text(), "42");
+  EXPECT_EQ(*allowed.ArgString(0), "42");
 }
 
 // §2.9 applied to the name tables: novel object names arriving through the
@@ -1268,7 +1417,7 @@ TEST_F(FileServerTest, OpenReadWriteClose) {
   fs_.CreateFile("/etc/motd", ToBytes("hello nexus"));
   IpcReply open = Open("/etc/motd");
   ASSERT_TRUE(open.status.ok());
-  uint64_t fd = open.value();
+  uint64_t fd = *open.ArgU64(0);
 
   IpcReply read = FdCall(Syscall::kRead, {fd});
   EXPECT_EQ(ToString(read.data), "hello nexus");
@@ -1283,7 +1432,7 @@ TEST_F(FileServerTest, OpenReadWriteClose) {
 
 TEST_F(FileServerTest, PartialReads) {
   fs_.CreateFile("/data", ToBytes("0123456789"));
-  uint64_t fd = Open("/data").value();
+  uint64_t fd = *Open("/data").ArgU64(0);
   IpcReply read = FdCall(Syscall::kRead, {fd, 3, 4});
   EXPECT_EQ(ToString(read.data), "3456");
   EXPECT_FALSE(FdCall(Syscall::kRead, {fd, 11}).status.ok());
@@ -1291,7 +1440,7 @@ TEST_F(FileServerTest, PartialReads) {
 
 TEST_F(FileServerTest, WriteExtendsFile) {
   fs_.CreateFile("/log", ToBytes("ab"));
-  uint64_t fd = Open("/log").value();
+  uint64_t fd = *Open("/log").ArgU64(0);
   FdCall(Syscall::kWrite, {fd, 2}, ToBytes("cdef"));
   EXPECT_EQ(ToString(*fs_.ReadFile("/log")), "abcdef");
 }
@@ -1302,7 +1451,7 @@ TEST_F(FileServerTest, OpenMissingFileFails) {
 
 TEST_F(FileServerTest, ForeignFdRejected) {
   fs_.CreateFile("/private", ToBytes("secret"));
-  uint64_t fd = Open("/private").value();
+  uint64_t fd = *Open("/private").ArgU64(0);
   ProcessId intruder = *kernel_.CreateProcess("intruder", ToBytes("i"));
   IpcMessage read_msg;
   read_msg.AddU64(fd);
@@ -1319,9 +1468,9 @@ TEST_F(FileServerTest, TypedReadPathBuildsNoTextPayloads) {
   fs_.CreateFile("/hot", ToBytes("0123456789"));
   IpcMessage open_msg;
   open_msg.AddString("/hot");
-  int64_t fd = kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), open_msg).value();
+  uint64_t fd = *kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), open_msg).ArgU64(0);
   IpcMessage read_msg;
-  read_msg.AddU64(static_cast<uint64_t>(fd)).AddU64(0).AddU64(4);
+  read_msg.AddU64(fd).AddU64(0).AddU64(4);
   ASSERT_TRUE(kernel_.Call(
       client_, SyscallIpcPort(Syscall::kRead), read_msg).status.ok());  // Warm.
 
@@ -1343,10 +1492,10 @@ TEST_F(FileServerTest, TypedReadPerformsZeroPayloadCopies) {
   fs_.CreateFile("/bench/big", Bytes(kBig, 0x5a));
   IpcMessage open_msg;
   open_msg.AddString("/bench/big");
-  int64_t fd = kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), open_msg).value();
+  uint64_t fd = *kernel_.Call(client_, SyscallIpcPort(Syscall::kOpen), open_msg).ArgU64(0);
 
   IpcMessage read_msg;
-  read_msg.AddU64(static_cast<uint64_t>(fd)).AddU64(0).AddU64(kBig);
+  read_msg.AddU64(fd).AddU64(0).AddU64(kBig);
   kernel_.Call(client_, SyscallIpcPort(Syscall::kRead), read_msg);  // Warm caches/interning.
 
   uint64_t copies_before = IpcPayloadCopyCount();
@@ -1366,7 +1515,7 @@ TEST_F(FileServerTest, WriteDetachesOutstandingReadSlices) {
   // Copy-on-write isolation: a read slice handed out before a write keeps
   // observing the pre-write bytes; the write lands in a fresh arena.
   fs_.CreateFile("/cow", ToBytes("original-content"));
-  uint64_t fd = Open("/cow").value();
+  uint64_t fd = *Open("/cow").ArgU64(0);
   IpcReply before = FdCall(Syscall::kRead, {fd});
   ASSERT_EQ(ToString(before.data), "original-content");
 
@@ -1378,7 +1527,7 @@ TEST_F(FileServerTest, WriteDetachesOutstandingReadSlices) {
 
 TEST_F(FileServerTest, UnlinkLeavesOutstandingSlicesAlive) {
   fs_.CreateFile("/doomed", ToBytes("still-here-after-unlink"));
-  uint64_t fd = Open("/doomed").value();
+  uint64_t fd = *Open("/doomed").ArgU64(0);
   IpcReply read = FdCall(Syscall::kRead, {fd});
   ASSERT_TRUE(read.status.ok());
   IpcMessage unlink = IpcMessage::Of("unlink");
@@ -1393,7 +1542,7 @@ TEST_F(FileServerTest, BatchedReadsViaCallMany) {
   // CallMany straight at the fileserver port exercises HandleMany's
   // prefetch-batch authorization path; replies stay zero-copy slices.
   fs_.CreateFile("/batch", ToBytes("abcdefgh"));
-  uint64_t fd = Open("/batch").value();
+  uint64_t fd = *Open("/batch").ArgU64(0);
   std::vector<IpcMessage> messages(4);
   for (size_t i = 0; i < messages.size(); ++i) {
     messages[i] = IpcMessage::Of("read");

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/bgp_verifier.h"
@@ -87,7 +89,7 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
   // operation under test.
   kernel::IpcReply open = Syscall(client_, kernel::Syscall::kOpen, "/data");
   ASSERT_TRUE(open.status.ok()) << open.status.ToString();
-  int64_t fd = open.value();
+  uint64_t fd = *open.ArgU64(0);
 
   // Guard the read behind a certifier attestation, with the client holding
   // a valid pre-submitted proof.
@@ -152,8 +154,8 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
   kernel::IpcReply trace_read =
       Syscall(client_, kernel::Syscall::kProcRead, "/trace/recent");
   ASSERT_TRUE(trace_read.status.ok()) << trace_read.status.ToString();
-  EXPECT_NE(trace_read.text().find("trace=" + std::to_string(id)), std::string::npos);
-  EXPECT_NE(trace_read.text().find("stage=guard_check"), std::string::npos);
+  EXPECT_NE(trace_read.ArgString(0)->find("trace=" + std::to_string(id)), std::string::npos);
+  EXPECT_NE(trace_read.ArgString(0)->find("stage=guard_check"), std::string::npos);
 
   ASSERT_TRUE(k.RemoveInterposition(*token).ok());
 }
@@ -192,10 +194,10 @@ TEST_F(ObservabilityTest, ProcStatsExportIsGuarded) {
   // Unguarded: anyone can read the export (bootstrap fail-open).
   kernel::IpcReply stats = Syscall(client_, kernel::Syscall::kProcRead, "/stats/kernel");
   ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
-  EXPECT_NE(stats.text().find("kernel.authorize_requests"), std::string::npos);
+  EXPECT_NE(stats.ArgString(0)->find("kernel.authorize_requests"), std::string::npos);
   kernel::IpcReply cache_stats = Syscall(client_, kernel::Syscall::kProcRead, "/stats/cache");
   ASSERT_TRUE(cache_stats.status.ok());
-  EXPECT_NE(cache_stats.text().find("cache.misses"), std::string::npos);
+  EXPECT_NE(cache_stats.ArgString(0)->find("cache.misses"), std::string::npos);
 
   // Register the stats node and guard it behind an unprovable goal: the
   // client's next read is denied by the same authorization path as any
@@ -244,7 +246,7 @@ TEST_F(ObservabilityTest, StatsNodeForEveryRegisteredPrefix) {
     kernel::IpcReply reply = Syscall(client_, kernel::Syscall::kProcRead, "/stats/" + prefix);
     ASSERT_TRUE(reply.status.ok()) << prefix << ": " << reply.status.ToString();
     for (const std::string& name : names) {
-      EXPECT_NE(reply.text().find(name + " "), std::string::npos) << name;
+      EXPECT_NE(reply.ArgString(0)->find(name + " "), std::string::npos) << name;
     }
   }
 }
@@ -253,12 +255,12 @@ TEST_F(ObservabilityTest, StatsNodeForEveryRegisteredPrefix) {
 TEST_F(ObservabilityTest, TraceStatsNodeReportsRecorderState) {
   kernel::IpcReply off = Syscall(client_, kernel::Syscall::kProcRead, "/stats/trace");
   ASSERT_TRUE(off.status.ok());
-  EXPECT_NE(off.text().find("enabled 0"), std::string::npos);
+  EXPECT_NE(off.ArgString(0)->find("enabled 0"), std::string::npos);
 
   ScopedRecorder recorder;
   kernel::IpcReply on = Syscall(client_, kernel::Syscall::kProcRead, "/stats/trace");
   ASSERT_TRUE(on.status.ok());
-  EXPECT_NE(on.text().find("enabled 1"), std::string::npos);
+  EXPECT_NE(on.ArgString(0)->find("enabled 1"), std::string::npos);
 }
 
 // The analyzer's dynamic view: kCall events resolve to caller->callee
@@ -280,13 +282,46 @@ TEST_F(ObservabilityTest, AnalyzerSeesObservedTraffic) {
   EXPECT_EQ(analyzer.ObservedTraffic(client_, fs_pid), 0u);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        Syscall(client_, kernel::Syscall::kRead, open.value()).status.ok());
+        Syscall(client_, kernel::Syscall::kRead, *open.ArgU64(0)).status.ok());
   }
   EXPECT_EQ(analyzer.ObservedTraffic(client_, fs_pid), 3u);
   auto edges = analyzer.ObservedEdges();
   EXPECT_EQ((edges[{client_, fs_pid}]), 3u);
   // The static reachability view agrees that the observed edge is legal.
   EXPECT_TRUE(analyzer.HasPath(client_, fs_pid));
+}
+
+// ForTrace reads every ring. Ring timestamps are ring-local, so a busy
+// ring's later events must not crowd out a quiet ring's chain; the quiet
+// thread stays alive, so its ring is not handed to another thread.
+TEST_F(ObservabilityTest, ForTraceKeepsAQuietRingsChainBesideABusyRing) {
+  kernel::FlightRecorder& recorder = kernel::FlightRecorder::Global();
+  ScopedRecorder scoped;
+  const uint64_t id = recorder.NewTraceId();
+  std::latch emitted(1);
+  std::latch release(1);
+  std::thread quiet([&] {
+    for (int i = 0; i < 3; ++i) {
+      recorder.Emit(kernel::TraceEvent{.trace_id = id, .stage = kernel::TraceStage::kCall});
+    }
+    emitted.count_down();
+    release.wait();
+  });
+  emitted.wait();
+  std::vector<kernel::TraceEvent> chain = recorder.ForTrace(id);
+  ASSERT_EQ(chain.size(), 3u);
+
+  // This thread's ring then emits well past a ring's capacity, and past
+  // the quiet chain's own ring-local timestamps.
+  const uint64_t noise_id = recorder.NewTraceId();
+  for (uint64_t i = 0; i < chain.back().timestamp + 1000; ++i) {
+    recorder.Emit(
+        kernel::TraceEvent{.trace_id = noise_id, .stage = kernel::TraceStage::kSyscall});
+  }
+  EXPECT_EQ(recorder.ForTrace(id).size(), 3u);
+  EXPECT_EQ(recorder.ForTrace(noise_id).size(), kernel::FlightRecorder::kRingCapacity);
+  release.count_down();
+  quiet.join();
 }
 
 // Emission is free when the recorder is off: no events are retained and

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <thread>
+
 #include "core/nexus.h"
 #include "kernel/fileserver.h"
+#include "kernel/trace.h"
 #include "services/read_redactor.h"
 #include "nal/parser.h"
 #include "services/cobuf.h"
@@ -87,6 +92,54 @@ TEST_F(AnalyzerTest, CyclesTerminate) {
   EXPECT_TRUE(analyzer.HasPath(app_, relay_));
   EXPECT_TRUE(analyzer.HasPath(relay_, app_));
   EXPECT_FALSE(analyzer.HasPath(app_, fsd_));
+}
+
+// The observed-traffic view reads every ring's retained kCall events:
+// calls made on a quiet thread still count after another thread's ring has
+// emitted far more events than a ring holds (ring timestamps are
+// ring-local, so no cross-ring "newest N" cut may apply).
+TEST_F(AnalyzerTest, ObservedTrafficCountsAQuietRingBesideABusyRing) {
+  class OkHandler : public kernel::PortHandler {
+   public:
+    kernel::IpcReply Handle(const kernel::IpcContext&, const kernel::IpcMessage&) override {
+      return kernel::IpcReply::Ok();
+    }
+  };
+  OkHandler handler;
+  nexus_.kernel().BindHandler(relay_port_, &handler);
+  IpcAnalyzer analyzer(&nexus_.kernel(), &nexus_.engine(), analyzer_pid_);
+  kernel::FlightRecorder& recorder = kernel::FlightRecorder::Global();
+  recorder.Clear();
+  recorder.set_enabled(true);
+
+  std::latch called(1);
+  std::latch release(1);
+  std::thread quiet([&] {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(
+          nexus_.kernel().Call(app_, relay_port_, kernel::IpcMessage::Of("ping")).status.ok());
+    }
+    called.count_down();
+    release.wait();  // Keep the ring owned by this thread.
+  });
+  called.wait();
+  EXPECT_EQ(analyzer.ObservedTraffic(app_, relay_), 3u);
+
+  // This thread's ring emits past a ring's capacity and past every
+  // ring-local timestamp the quiet ring holds.
+  uint64_t newest = 0;
+  for (const kernel::TraceEvent& e : recorder.Recent()) {
+    newest = std::max(newest, e.timestamp);
+  }
+  for (uint64_t i = 0; i < newest + 1000; ++i) {
+    recorder.Emit(kernel::TraceEvent{.trace_id = 1, .stage = kernel::TraceStage::kSyscall});
+  }
+  EXPECT_EQ(analyzer.ObservedTraffic(app_, relay_), 3u);
+
+  release.count_down();
+  quiet.join();
+  recorder.set_enabled(false);
+  recorder.Clear();
 }
 
 // ---------------------------------------------------------- TimeAuthority
@@ -379,7 +432,7 @@ class RedactionTest : public ::testing::Test {
     kernel::IpcReply reply =
         kernel_.Call(client_, kernel::SyscallIpcPort(kernel::Syscall::kOpen), msg);
     EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
-    return reply.value();
+    return static_cast<int64_t>(*reply.ArgU64(0));
   }
 
   kernel::IpcReply Read(int64_t fd) {
