@@ -64,12 +64,13 @@ int main() {
               safe_label.ok() ? "safe(reader) issued" : safe_label.status().ToString().c_str());
 
   // Make the certifier's label visible to the reader's guard evaluation.
-  for (const auto& label : nexus.engine().StoreFor(certifier_pid).All()) {
+  auto credentials = nexus.engine().StoreFor(certifier_pid).All();
+  for (const auto& label : credentials) {
     nexus.engine().AddObjectLabel("file:/secret/report", label);
   }
 
-  // --- The reader constructs its proof (the guard only checks, §2.6).
-  auto credentials = nexus.engine().CollectCredentials(reader, "file:/secret/report");
+  // --- The reader constructs its proof from those labels (the guard only
+  //     checks, §2.6).
   nal::ProverOptions options;
   options.may_query_authority = [](const nal::Formula& f) {
     return nal::ScopeMatches(f, "TimeNow");

@@ -497,7 +497,7 @@ Status Engine::TransferOwnership(kernel::ProcessId caller, const std::string& ob
 }
 
 Engine::Credentials Engine::CredentialsLocked(kernel::ProcessId subject,
-                                              std::optional<kernel::ObjectId> object) const {
+                                              kernel::ObjectId object) const {
   auto share = [](const SnapshotHandle& snapshot) {
     return snapshot->id == 0 ? SnapshotHandle() : PinForThisThread(snapshot);
   };
@@ -506,27 +506,10 @@ Engine::Credentials Engine::CredentialsLocked(kernel::ProcessId subject,
   if (auto store = stores_.find(subject); store != stores_.end()) {
     credentials.subject = share(store->second.Snapshot());
   }
-  if (object.has_value()) {
-    if (auto labels = object_labels_.find(*object); labels != object_labels_.end()) {
-      credentials.object = share(labels->second);
-    }
+  if (auto labels = object_labels_.find(object); labels != object_labels_.end()) {
+    credentials.object = share(labels->second);
   }
   return credentials;
-}
-
-std::vector<nal::Formula> Engine::CollectCredentials(kernel::ProcessId subject,
-                                                     kernel::ObjectId object) const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return CredentialsLocked(subject, object).View().ToVector();
-}
-
-std::vector<nal::Formula> Engine::CollectCredentials(kernel::ProcessId subject,
-                                                     const std::string& object) const {
-  // Read path: the name table must not grow from lookups with novel names,
-  // and a never-interned object cannot carry object labels.
-  std::optional<kernel::ObjectId> id = kernel::FindObject(object);
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return CredentialsLocked(subject, id).View().ToVector();
 }
 
 }  // namespace nexus::core

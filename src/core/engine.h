@@ -156,14 +156,6 @@ class Engine : public kernel::AuthorizationEngine {
 
   Guard& default_guard() { return *default_guard_; }
 
-  // The credentials visible to a guard evaluation for `subject` on
-  // `object`, flattened into one vector (subject, system, then object
-  // labels) for callers that want a copy, such as the prover.
-  std::vector<nal::Formula> CollectCredentials(kernel::ProcessId subject,
-                                               kernel::ObjectId object) const;
-  std::vector<nal::Formula> CollectCredentials(kernel::ProcessId subject,
-                                               const std::string& object) const;
-
   // Stripe selection: same mixer as the kernel decision cache, so a
   // subject that scales there scales here. Public so tests can pick
   // subjects that provably land on distinct stripes.
@@ -213,10 +205,8 @@ class Engine : public kernel::AuthorizationEngine {
       return snapshot == nullptr ? 0 : snapshot->id;
     }
   };
-  // Caller holds state_mu_ (either side). No `object` (a never-interned
-  // name) means no object labels.
-  Credentials CredentialsLocked(kernel::ProcessId subject,
-                                std::optional<kernel::ObjectId> object) const;
+  // Caller holds state_mu_ (either side).
+  Credentials CredentialsLocked(kernel::ProcessId subject, kernel::ObjectId object) const;
 
   // Where the miss routine stages its default-guard work: the guard items,
   // each item's slot in the caller's span, the snapshots behind each

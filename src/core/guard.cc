@@ -1,5 +1,6 @@
 #include "core/guard.h"
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -102,93 +103,73 @@ Authority* Guard::ResolveLocally(const nal::Formula& statement, bool* answer) {
 }
 
 bool Guard::Consult(const nal::Formula& statement, AuthorityMemo* memo) {
-  using State = MemoEntry::State;
-  auto known = memo->find(statement);
-  if (known != memo->end() && known->second.state != State::kPending) {
-    if (std::exchange(known->second.state, State::kRead) == State::kRead) {
+  if (auto known = memo->find(statement); known != memo->end()) {
+    if (std::exchange(known->second.read, true)) {
       stats_.batch_collapsed_queries->Increment();  // Asked before: not asked again.
     }
     return known->second.answer;
   }
-  // Never asked (a local leaf, or a remote one past the prefetch cap), or
-  // in flight for an item checked later: consult now, a remote leaf as a
-  // round trip of one.
+  // Never asked (a local leaf, or a remote one past the prefetch cap):
+  // consult now, a remote leaf as a round trip of one.
   bool answer = false;
   if (Authority* remote = ResolveLocally(statement, &answer)) {
     stats_.remote_queries->Increment();
     answer = remote->VouchOne(statement, config_.remote_query_timeout_us);
   }
-  memo->insert_or_assign(statement, MemoEntry{answer, State::kRead});
+  memo->emplace(statement, MemoEntry{answer, /*read=*/true});
   return answer;
 }
 
-std::vector<Guard::InFlightBatch> Guard::IssuePrefetches(std::span<const BatchItem> items,
-                                                         AuthorityMemo* memo,
-                                                         std::vector<size_t>* blocked) {
-  using State = MemoEntry::State;
+void Guard::PrefetchRemoteLeaves(std::span<const nal::Formula> leaves,
+                                 std::span<const WaitingItem> waiting, AuthorityMemo* memo) {
   if (remote_authorities_.empty()) {
-    return {};  // Nothing could be in flight: every leaf is consulted lazily.
+    return;  // Nothing could go out early: every leaf is consulted in order.
   }
-  // Serial checking stops at the first declined leaf, so a malicious proof
-  // stuffed with authority leaves must not amplify into unbounded eager
-  // consultations (or a giant Vouch payload). Leaves beyond the cap are
-  // simply not prefetched; the checker consults them lazily as round
-  // trips of one, preserving correctness.
+  // Serial consultation stops at the first declined leaf, so a malicious
+  // proof stuffed with authority leaves must not amplify into unbounded
+  // eager consultations (or a giant Vouch payload). Leaves beyond the cap
+  // are simply not prefetched; they are consulted in order as round trips
+  // of one, preserving correctness.
   constexpr size_t kMaxPrefetchLeavesPerProof = 64;
   // Statements bound for one remote peer travel in a single Vouch round
   // trip; groups accumulate in first-seen order within each peer.
   std::map<Authority*, std::vector<nal::Formula>> remote_groups;
-  for (size_t i = 0; i < items.size(); ++i) {
-    const BatchItem& item = items[i];
-    // Items CheckImpl short-circuits (no goal, trivially-true goal, no
-    // proof) never reach proof checking serially; consulting their leaves
-    // here would create consultations the serial path cannot produce.
-    if (item.goal == nullptr || item.goal->kind() == nal::FormulaKind::kTrue ||
-        item.proof == nullptr) {
-      continue;
-    }
-    std::vector<nal::Formula> leaves = nal::AuthorityLeaves(item.proof);
-    size_t considered = std::min(leaves.size(), kMaxPrefetchLeavesPerProof);
-    bool depends = false;
-    for (size_t j = 0; j < considered; ++j) {
+  for (const WaitingItem& w : waiting) {
+    const size_t considered = std::min(w.end, w.first + kMaxPrefetchLeavesPerProof);
+    for (size_t j = w.first; j < considered; ++j) {
       const nal::Formula& leaf = leaves[j];
-      if (auto known = memo->find(leaf); known != memo->end()) {
-        // Already answered, or riding an issued (or soon-issued) round trip.
-        depends = depends || known->second.state == State::kPending;
-        continue;
-      }
       // Only a remote-bound leaf gains from going out early. An embedded
-      // authority answers it first, lazily; an IPC-port one is asked now,
+      // authority answers it first, in order; an IPC-port one is asked now,
       // since only its reply says whether it handles the leaf.
-      if (FirstHandling(remote_authorities_, leaf) == nullptr ||
+      if (memo->contains(leaf) || FirstHandling(remote_authorities_, leaf) == nullptr ||
           FirstHandling(embedded_authorities_, leaf) != nullptr) {
         continue;
       }
       bool answer = false;
       Authority* remote = ResolveLocally(leaf, &answer);
-      if (remote == nullptr) {
-        memo->emplace(leaf, MemoEntry{answer, State::kUnread});
-        continue;
+      memo->emplace(leaf, MemoEntry{answer, /*read=*/false});
+      if (remote != nullptr) {
+        remote_groups[remote].push_back(leaf);
       }
-      memo->emplace(leaf, MemoEntry{false, State::kPending});
-      remote_groups[remote].push_back(leaf);
-      depends = true;
-    }
-    if (depends) {
-      blocked->push_back(i);
     }
   }
   // Issue every round trip BEFORE waiting on any: all wire messages are in
   // flight together on the simulated clock, so K peers cost max(latency),
-  // not sum(latency) — and local checking proceeds in the meantime.
-  std::vector<InFlightBatch> inflight;
+  // not sum(latency).
+  std::vector<VouchFuture> inflight;
   inflight.reserve(remote_groups.size());
-  for (auto& [remote, statements] : remote_groups) {
+  for (const auto& [remote, statements] : remote_groups) {
     stats_.remote_queries->Increment();  // One attested round trip for the whole group.
-    VouchFuture future = remote->Vouch(statements, config_.remote_query_timeout_us);
-    inflight.push_back(InFlightBatch{std::move(future), std::move(statements)});
+    inflight.push_back(remote->Vouch(statements, config_.remote_query_timeout_us));
   }
-  return inflight;
+  // Harvest: a lost or late reply yields fail-closed denies.
+  size_t next = 0;
+  for (const auto& [remote, statements] : remote_groups) {
+    VouchOutcome outcome = inflight[next++].Wait();
+    for (size_t k = 0; k < statements.size(); ++k) {
+      memo->at(statements[k]).answer = k < outcome.answers.size() && outcome.answers[k];
+    }
+  }
 }
 
 void Guard::InsertCacheEntryLocked(CacheShard& shard, kernel::ProcessId quota_root,
@@ -255,7 +236,8 @@ AuthzDecision Guard::Check(const AuthzRequest& request, const nal::Formula& goal
   return decision;
 }
 
-AuthzDecision Guard::CheckImpl(const BatchItem& item, AuthorityMemo* memo) {
+std::optional<AuthzDecision> Guard::CheckImpl(const BatchItem& item,
+                                              std::vector<nal::Formula>* leaves) {
   const AuthzRequest& request = item.request;
   const nal::Formula& goal = item.goal;
   const nal::Proof& proof = item.proof;
@@ -279,11 +261,10 @@ AuthzDecision Guard::CheckImpl(const BatchItem& item, AuthorityMemo* memo) {
     quota_root = (*p)->quota_root;
   }
 
-  // Proof-cache lookup is sound only for proofs without authority leaves,
-  // and only when the caller supplied a credential stamp (the stamp is what
-  // ties a cached verdict to the credential set it was checked under).
-  bool static_proof = nal::IsStaticallyCacheable(proof);
-  bool may_cache = static_proof && item.stamp.enabled();
+  // Only verdicts no authority answer decided are ever inserted, and only
+  // when the caller supplied a credential stamp (the stamp is what ties a
+  // cached verdict to the credential set it was checked under).
+  bool may_cache = item.stamp.enabled();
   CacheKey cache_key;
   if (may_cache) {
     if (goal_id == nal::kInvalidFormulaId) {
@@ -313,18 +294,23 @@ AuthzDecision Guard::CheckImpl(const BatchItem& item, AuthorityMemo* memo) {
     }
   }
 
-  uint32_t consulted = 0;
-  auto consult = [this, memo, &consulted](const nal::Formula& statement) {
-    ++consulted;
-    return Consult(statement, memo);
+  // Goal first: every authority leaf is recorded and taken as vouched. A
+  // successful check visits every node, so a pass records every leaf.
+  const size_t first = leaves->size();
+  auto record = [leaves](const nal::Formula& statement) {
+    leaves->push_back(statement);
+    return true;
   };
-  nal::CheckResult result =
-      nal::CheckProof(proof, goal, item.credentials, std::ref(consult));
+  nal::CheckResult result = nal::CheckProof(proof, goal, item.credentials, std::ref(record));
+  if (result.status.ok() && leaves->size() > first) {
+    return std::nullopt;  // Allowed iff the recorded leaves vouch.
+  }
+  leaves->resize(first);  // Final: no answer can change it, so none is asked.
 
   // A denial caused by a missing credential must not be cached anywhere:
   // the subject may acquire the label later without touching its proof.
-  bool verdict_cacheable = result.cacheable && !result.missing_credential;
-  if (may_cache && !result.missing_credential) {
+  bool cacheable = !result.missing_credential;
+  if (may_cache && cacheable) {
     CacheShard& shard = ShardFor(quota_root);
     std::lock_guard<std::mutex> lock(shard.mu);
     // Two concurrent misses on the same key both reach here; the loser
@@ -336,41 +322,52 @@ AuthzDecision Guard::CheckImpl(const BatchItem& item, AuthorityMemo* memo) {
       InsertCacheEntryLocked(shard, quota_root, cache_key, proof, result.status.ok());
     }
   }
-  AuthzDecision decision = AuthzDecision::FromStatus(result.status, verdict_cacheable);
-  decision.consulted_authorities = consulted;
-  EmitGuardCheck(request,
-                 decision.cacheable ? uint16_t{0} : kernel::kTraceFlagUncacheable,
-                 decision.allowed(), consulted, goal_id);
+  AuthzDecision decision = AuthzDecision::FromStatus(result.status, cacheable);
+  EmitGuardCheck(request, cacheable ? uint16_t{0} : kernel::kTraceFlagUncacheable,
+                 decision.allowed(), 0, goal_id);
+  return decision;
+}
+
+AuthzDecision Guard::DecideByLeaves(const BatchItem& item, std::span<const nal::Formula> leaves,
+                                    AuthorityMemo* memo) {
+  // Every verdict here rests on fresh answers (§2.7): never cacheable.
+  AuthzDecision decision = AuthzDecision::Allow(/*cacheable=*/false);
+  for (const nal::Formula& leaf : leaves) {
+    ++decision.consulted_authorities;
+    if (!Consult(leaf, memo)) {
+      decision.verdict = kernel::AuthzVerdict::kDeny;
+      decision.deny_reason =
+          PermissionDenied("authority declined to vouch for: " + leaf->ToString());
+      break;
+    }
+  }
+  EmitGuardCheck(item.request, kernel::kTraceFlagUncacheable, decision.allowed(),
+                 decision.consulted_authorities, item.goal_id);
   return decision;
 }
 
 void Guard::CheckBatch(std::span<const BatchItem> items, std::span<AuthzDecision> decisions) {
+  // Goal first: each item is checked once with its authority leaves
+  // recorded in `leaves`, item after item. Only an item whose proof
+  // discharges its goal keeps its leaves and waits on their answers.
+  std::vector<nal::Formula> leaves;
+  std::vector<WaitingItem> waiting;
+  for (size_t i = 0; i < items.size(); ++i) {
+    const size_t first = leaves.size();
+    if (std::optional<AuthzDecision> verdict = CheckImpl(items[i], &leaves)) {
+      decisions[i] = std::move(*verdict);
+    } else {
+      waiting.push_back(WaitingItem{i, first, leaves.size()});
+    }
+  }
+  if (waiting.empty()) {
+    return;
+  }
   AuthorityMemo memo;
-  std::vector<size_t> blocked;
-  std::vector<InFlightBatch> inflight = IssuePrefetches(items, &memo, &blocked);
-
-  // Overlap phase: while the remote round trips are on the wire, check
-  // every item that does not depend on one. Its verdict cannot depend on
-  // the fabric.
-  for (size_t i = 0, next = 0; i < items.size(); ++i) {
-    if (next < blocked.size() && blocked[next] == i) {
-      ++next;
-      continue;
-    }
-    decisions[i] = CheckImpl(items[i], &memo);
-  }
-  // Harvest: fold every future's answers into the memo. A lost or late
-  // reply yields fail-closed denies.
-  for (InFlightBatch& batch : inflight) {
-    VouchOutcome outcome = batch.future.Wait();
-    for (size_t k = 0; k < batch.statements.size(); ++k) {
-      bool answer = k < outcome.answers.size() && outcome.answers[k];
-      memo.insert_or_assign(batch.statements[k], MemoEntry{answer, MemoEntry::State::kUnread});
-    }
-  }
-  // Remaining items: every prefetched leaf now has its answer in the memo.
-  for (size_t i : blocked) {
-    decisions[i] = CheckImpl(items[i], &memo);
+  PrefetchRemoteLeaves(leaves, waiting, &memo);
+  for (const WaitingItem& w : waiting) {
+    decisions[w.item] =
+        DecideByLeaves(items[w.item], std::span(leaves).subspan(w.first, w.end - w.first), &memo);
   }
 }
 

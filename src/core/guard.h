@@ -4,30 +4,34 @@
 // proof against the goal formula, authenticates the credentials, consults
 // authorities for dynamic-state leaves, and answers an AuthzDecision
 // (allow/deny, a cacheability bit, and accounting). Proof checking is
-// amortized by an internal cache keyed on the interned goal identity, the
-// proof's structural hash, and the caller's CredentialStamp — for the
-// engine, the ids of the exact subject, system and object credential
-// snapshots the check saw. All integers, no ToString() anywhere on the hot
-// path. Entries are sound to reuse because a snapshot id names one
-// immutable label set and labels are valid indefinitely; only authority
-// consultations are repeated.
+// amortized by an internal cache of the verdicts no authority answer
+// decided, keyed on the interned goal identity, the proof's structural
+// hash, and the caller's CredentialStamp — for the engine, the ids of the
+// exact subject, system and object credential snapshots the check saw.
+// All integers, no ToString() anywhere on the hot path. Entries are sound
+// to reuse because a snapshot id names one immutable label set and labels
+// are valid indefinitely; only authority consultations are repeated.
 // Eviction preferentially removes the requesting principal's own entries
 // and per-process-tree quotas bound the damage of principal-spawning
 // exhaustion attacks.
 //
-// Check is CheckBatch run over one item, and CheckBatch is an ASYNC
-// PIPELINE. Leaves bound for a remote authority are collected across the
-// batch, identical queries are collapsed, and all statements bound for one
-// remote authority travel in a single Vouch round trip instead of N. The
-// round trips are issued as futures on the simulated clock before any is
-// waited on, and local proof checking for items whose leaves are not in
-// flight proceeds meanwhile — remote latency overlaps local work instead
-// of serializing ahead of it. Every other leaf (local authorities, and
-// remote leaves past the per-proof prefetch cap) is consulted lazily, when
-// the checker reaches it, through the same batch memo, so a proof whose
-// first leaf declines costs one consultation. Items that depend on an
-// in-flight answer are checked after the futures are harvested, so every
-// verdict equals the serial one.
+// Check is CheckBatch run over one item, and CheckBatch asks an authority
+// only when its answer can decide the verdict: GOAL FIRST. Each item's
+// proof is checked once against its goal with every authority leaf
+// recorded, not asked. A proof that fails even with every leaf vouched
+// fails whatever the authorities answer — every checker rule passes a
+// child's failure up and none recovers from one — so that deny is final,
+// no authority is asked, and it is as cacheable as a static proof's
+// verdict. A proof that passes with recorded leaves is allowed only if
+// every one of them vouches. Those leaves are then asked across the
+// batch: identical statements collapse to one consultation, all
+// statements bound for one remote authority travel in a single Vouch
+// round trip, and the round trips to every peer are issued before any is
+// waited on, so K peers cost max(latency), not sum(latency). Every other
+// leaf (local authorities, and remote leaves past the per-proof prefetch
+// cap) is asked in record order through the same batch memo, stopping at
+// the first decline, so a proof whose first leaf declines costs one
+// consultation. Every verdict equals the serial one.
 //
 // Threading: the guard is safe for concurrent Check/CheckBatch callers.
 // The proof-check cache is SHARDED by Mix64(quota root) — every entry a
@@ -49,6 +53,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -145,15 +150,16 @@ class Guard {
 
   // Batched evaluation: decisions[i] answers items[i] (`decisions` holds
   // at least items.size() slots). Verdict-equivalent to calling Check per
-  // item; authority consultations are deduplicated batch-wide, remote
+  // item; only leaves of proofs that discharge their goal are asked,
+  // authority consultations are deduplicated batch-wide, and remote
   // consultations are coalesced into one Vouch round trip per remote
-  // authority, and those round trips overlap local proof checking (see the
-  // class comment). The consultation SET may exceed serial's only for
-  // remote-bound leaves: those are prefetched (up to 64 per proof), so a
-  // proof that serial checking would abandon early still has its remote
-  // leaves consulted — answers affect nothing beyond what the checker
-  // reads. Authority answers stay decision-scoped: the memo and every
-  // future are drained before this call returns (§2.7 untransferability).
+  // authority, all in flight together (see the class comment). The
+  // consultation SET may exceed serial's only for remote-bound leaves:
+  // those are prefetched (up to 64 per proof), so a proof whose local leaf
+  // declines first still has its remote leaves consulted — answers affect
+  // nothing beyond the verdict that asked. Authority answers stay
+  // decision-scoped: the memo and every future are drained before this
+  // call returns (§2.7 untransferability).
   // The caller (the engine's miss routine) flushes at designated-guard
   // items, so in-batch label mutations stay serially observable; within
   // one CheckBatch no item mutates label state.
@@ -191,13 +197,8 @@ class Guard {
   // spam grow the append-only interner without bound. The memo dies with
   // the Check or CheckBatch call (§2.7 untransferability).
   struct MemoEntry {
-    enum class State {
-      kPending,  // Riding an in-flight remote future; no answer yet.
-      kUnread,   // Prefetched and not yet read by the checker.
-      kRead,
-    };
     bool answer;
-    State state;
+    bool read;  // False while a prefetched answer waits for its first reader.
   };
   struct StatementHash {
     size_t operator()(const nal::Formula& f) const { return nal::StructuralHash(f); }
@@ -215,27 +216,37 @@ class Guard {
   // when no local one handles it; otherwise sets *answer (a deny when no
   // authority evaluates the statement at all).
   Authority* ResolveLocally(const nal::Formula& statement, bool* answer);
-  // The checker's authority callback: the memoized answer, else a fresh
-  // consultation (a remote one as a round trip of one) recorded in `memo`.
+  // One leaf's answer: the memoized one, else a fresh consultation (a
+  // remote one as a round trip of one) recorded in `memo`.
   bool Consult(const nal::Formula& statement, AuthorityMemo* memo);
 
-  // One coalesced remote round trip in flight: the future plus the
-  // statements it will answer (in issue order), to be folded into the memo
-  // at harvest time.
-  struct InFlightBatch {
-    VouchFuture future;
-    std::vector<nal::Formula> statements;
+  // An item whose proof discharges its goal if every authority leaf it
+  // recorded vouches: those leaves are leaves[first, end) of the batch's
+  // record.
+  struct WaitingItem {
+    size_t item;
+    size_t first;
+    size_t end;
   };
-  // Phase 1 of the async pipeline: walks the remote-bound leaves of every
-  // item (at most 64 per proof), collapses duplicates, and issues one Vouch
-  // per remote authority. A leaf an IPC-port authority answers first is
-  // resolved into `memo`, a leaf awaiting a future is recorded there as
-  // pending, and the items depending on one are appended to `blocked` in
-  // ascending order (they must be checked after the harvest).
-  std::vector<InFlightBatch> IssuePrefetches(std::span<const BatchItem> items,
-                                             AuthorityMemo* memo, std::vector<size_t>* blocked);
+  // Asks the remote-bound leaves of every waiting item (at most 64 per
+  // proof) and folds the answers into `memo`: duplicates collapse, each
+  // remote authority gets one Vouch, and every Vouch is issued before any
+  // is waited on. A leaf an IPC-port authority answers first is answered
+  // here too, since only its reply says whether it handles the leaf.
+  void PrefetchRemoteLeaves(std::span<const nal::Formula> leaves,
+                            std::span<const WaitingItem> waiting, AuthorityMemo* memo);
 
-  kernel::AuthzDecision CheckImpl(const BatchItem& item, AuthorityMemo* memo);
+  // The goal-first check of one item: its proof against its goal with
+  // every authority leaf appended to `leaves` instead of asked. Returns the
+  // final verdict, or nullopt when the proof discharges the goal only if
+  // the leaves it appended vouch (a final verdict appends none).
+  std::optional<kernel::AuthzDecision> CheckImpl(const BatchItem& item,
+                                                 std::vector<nal::Formula>* leaves);
+  // The verdict of a waiting item: allowed iff each of `leaves` vouches,
+  // asked in record order up to the first decline; never cacheable.
+  kernel::AuthzDecision DecideByLeaves(const BatchItem& item,
+                                       std::span<const nal::Formula> leaves,
+                                       AuthorityMemo* memo);
 
   struct CacheEntry {
     CacheKey key;

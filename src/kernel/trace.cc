@@ -186,10 +186,12 @@ void FlightRecorder::Emit(const TraceEvent& event) {
   ring->head.store(h + 1, std::memory_order_release);
 }
 
-void FlightRecorder::ReadRing(const Ring& ring, std::vector<TraceEvent>* out) const {
+void FlightRecorder::ReadRing(const Ring& ring, size_t max,
+                              std::vector<TraceEvent>* out) const {
   uint64_t head = ring.head.load(std::memory_order_acquire);
   uint64_t floor = ring.cleared_below.load(std::memory_order_relaxed);
-  uint64_t from = head > kRingCapacity ? head - kRingCapacity : 0;
+  uint64_t keep = std::min<uint64_t>(max, kRingCapacity);
+  uint64_t from = head > keep ? head - keep : 0;
   if (from < floor) {
     from = floor;
   }
@@ -271,26 +273,17 @@ FlightRecorder::DrainStats FlightRecorder::Drain(DrainCursor* cursor,
   return stats;
 }
 
-std::vector<TraceEvent> FlightRecorder::Retained() const {
+std::vector<TraceEvent> FlightRecorder::Recent(size_t max_per_ring) const {
   std::vector<TraceEvent> events;
   std::lock_guard<std::mutex> lock(rings_mu_);
   for (const auto& ring : rings_) {
-    ReadRing(*ring, &events);
-  }
-  return events;
-}
-
-std::vector<TraceEvent> FlightRecorder::Recent(size_t max) const {
-  std::vector<TraceEvent> events = Retained();
-  SortByTimestamp(events);
-  if (events.size() > max) {
-    events.erase(events.begin(), events.end() - static_cast<ptrdiff_t>(max));
+    ReadRing(*ring, max_per_ring, &events);
   }
   return events;
 }
 
 std::vector<TraceEvent> FlightRecorder::ForTrace(uint64_t trace_id) const {
-  std::vector<TraceEvent> events = Retained();
+  std::vector<TraceEvent> events = Recent();
   std::erase_if(events, [trace_id](const TraceEvent& e) { return e.trace_id != trace_id; });
   SortByTimestamp(events);
   return events;

@@ -133,14 +133,13 @@ class FlightRecorder {
   // Records `event` into the calling thread's ring (no-op when disabled).
   void Emit(const TraceEvent& event);
 
-  // The most recent events across every ring (merged, timestamp order,
-  // last `max` kept) — the bounded tail proc:/trace/recent renders. A
-  // slot being overwritten mid-read is dropped.
-  std::vector<TraceEvent> Recent(size_t max = kRingCapacity) const;
-  // Every retained event of every ring, ring by ring. Nothing is cut
-  // across rings: timestamps are ring-local sequence numbers, so a merged
-  // "newest N" would keep only the busiest ring's tail.
-  std::vector<TraceEvent> Retained() const;
+  // Each ring's newest `max_per_ring` retained events, ring by ring, each
+  // ring in its own order — the bounded tail proc:/trace/recent renders;
+  // the default returns every retained event. Nothing is cut across rings:
+  // timestamps are ring-local sequence numbers, so a merged "newest N"
+  // would keep only the busiest ring's tail. A slot being overwritten
+  // mid-read is dropped.
+  std::vector<TraceEvent> Recent(size_t max_per_ring = kRingCapacity) const;
   // All retained events of one trace (from every ring), in timestamp order.
   std::vector<TraceEvent> ForTrace(uint64_t trace_id) const;
 
@@ -217,8 +216,9 @@ class FlightRecorder {
   Ring* RingForThisThread();
   Ring* AcquireRing();
   void ReleaseRing(Ring* ring);
-  // Seqlock-validated read of ring indices [from, head); appends to out.
-  void ReadRing(const Ring& ring, std::vector<TraceEvent>* out) const;
+  // Seqlock-validated read of the ring's newest `max` retained events;
+  // appends to out.
+  void ReadRing(const Ring& ring, size_t max, std::vector<TraceEvent>* out) const;
   // Seqlock-validated read of ring indices [from, to); appends to out.
   void ReadRingRange(const Ring& ring, uint64_t from, uint64_t to,
                      std::vector<TraceEvent>* out) const;

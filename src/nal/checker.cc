@@ -69,7 +69,6 @@ class Checker {
     return Internal("unknown proof rule");
   }
 
-  bool used_authority() const { return used_authority_; }
   bool missing_credential() const { return missing_credential_; }
   int rules_applied() const { return rules_applied_; }
 
@@ -135,7 +134,6 @@ class Checker {
     if (!authority_) {
       return Unavailable("proof requires an authority but none is reachable");
     }
-    used_authority_ = true;
     if (!authority_(p->aux())) {
       return PermissionDenied("authority declined to vouch for: " + p->aux()->ToString());
     }
@@ -470,20 +468,11 @@ class Checker {
   CredentialView credentials_;
   const AuthorityCallback& authority_;
   std::vector<Formula> assumptions_;
-  bool used_authority_ = false;
   bool missing_credential_ = false;
   int rules_applied_ = 0;
 };
 
 }  // namespace
-
-std::vector<Formula> CredentialView::ToVector() const {
-  std::vector<Formula> out;
-  for (std::span<const Formula> part : parts()) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
 
 CheckResult ConcludeProof(const Proof& p, CredentialView credentials,
                           const AuthorityCallback& authority) {
@@ -494,7 +483,6 @@ CheckResult ConcludeProof(const Proof& p, CredentialView credentials,
   }
   Checker checker(credentials, authority);
   Result<NodeInfo> info = checker.Conclude(p);
-  result.cacheable = !checker.used_authority();
   result.missing_credential = checker.missing_credential();
   result.rules_applied = checker.rules_applied();
   if (!info.ok()) {
@@ -545,18 +533,6 @@ CheckResult CheckProof(const Proof& p, const Formula& goal, CredentialView crede
   result.status = PermissionDenied("proof concludes '" + result.conclusion->ToString() +
                                    "' which does not discharge goal '" + goal->ToString() + "'");
   return result;
-}
-
-bool IsStaticallyCacheable(const Proof& p) {
-  if (p->rule() == ProofRule::kAuthority) {
-    return false;
-  }
-  for (const Proof& child : p->children()) {
-    if (!IsStaticallyCacheable(child)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace nexus::nal

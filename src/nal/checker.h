@@ -20,13 +20,14 @@
 namespace nexus::nal {
 
 // Answers whether a live authority currently vouches for a formula. The
-// answer is used once and never cached or stored (§2.7).
+// answer is used once and never cached or stored (§2.7). The checker calls
+// it once per authority leaf it reaches, in proof order; a caller that
+// answers yes without asking learns every leaf a passing proof rests on.
 using AuthorityCallback = std::function<bool(const Formula&)>;
 
 struct CheckResult {
   Status status;          // OK iff the proof is valid and discharges the goal
   Formula conclusion;     // what the proof actually proves (if valid)
-  bool cacheable = true;  // false if any authority query was consulted
   int rules_applied = 0;  // proof size, for accounting
   Bindings bindings;      // goal-variable instantiation on success
   // True if the failure was a premise absent from the credential set. Such
@@ -56,8 +57,6 @@ class CredentialView {
 
   // The non-empty parts, in order.
   std::span<const std::span<const Formula>> parts() const { return {parts_.data(), count_}; }
-  // The credentials concatenated in order, for callers that need a copy.
-  std::vector<Formula> ToVector() const;
 
  private:
   static constexpr size_t kMaxParts = 3;  // Each constructor appends at most this many.
@@ -80,12 +79,6 @@ CheckResult CheckProof(const Proof& p, const Formula& goal, CredentialView crede
 // Verifies derivation validity only, returning the conclusion.
 CheckResult ConcludeProof(const Proof& p, CredentialView credentials,
                           const AuthorityCallback& authority = nullptr);
-
-// Conservative static test: a proof is cacheable iff it contains no
-// authority leaves (§2.8 — "NAL's structure makes it easy to mechanically
-// and conservatively determine those proofs that do not have references to
-// dynamic system state").
-bool IsStaticallyCacheable(const Proof& p);
 
 }  // namespace nexus::nal
 

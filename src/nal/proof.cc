@@ -63,22 +63,6 @@ int ProofNode::Size() const {
   return total;
 }
 
-namespace {
-
-void CollectAuthorityLeaves(const Proof& p, std::vector<Formula>* out) {
-  if (p == nullptr) {
-    return;
-  }
-  if (p->rule() == ProofRule::kAuthority && p->aux() != nullptr) {
-    out->push_back(p->aux());
-  }
-  for (const Proof& child : p->children()) {
-    CollectAuthorityLeaves(child, out);
-  }
-}
-
-}  // namespace
-
 uint64_t ProofHash(const Proof& p) {
   if (p == nullptr) {
     return 0;
@@ -123,12 +107,6 @@ bool ProofEquals(const Proof& a, const Proof& b) {
     }
   }
   return true;
-}
-
-std::vector<Formula> AuthorityLeaves(const Proof& p) {
-  std::vector<Formula> leaves;
-  CollectAuthorityLeaves(p, &leaves);
-  return leaves;
 }
 
 Proof ProofNode::Make(ProofRule rule, std::vector<Proof> children, Formula aux,

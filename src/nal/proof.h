@@ -116,11 +116,6 @@ Proof Handoff(Proof says_speaksfor);
 
 }  // namespace proof
 
-// Collects the statements of every kAuthority leaf in `p` (depth-first,
-// duplicates preserved). Authority leaves are syntactic, so a batch caller
-// can prefetch every consultation a proof will make before checking it.
-std::vector<Formula> AuthorityLeaves(const Proof& p);
-
 // 64-bit structural hash of a proof (rule, children, aux formulas,
 // says-intro speakers). Structurally equal proofs hash equal; a cache
 // keying on this hash — unlike one keying on the proof's ADDRESS — cannot

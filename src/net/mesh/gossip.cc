@@ -140,19 +140,20 @@ size_t GossipService::RetryPendingLocked() {
 }
 
 size_t GossipService::ApplyState(ByteView payload, const NodeId& from) {
+  // The whole payload decodes — peer section, certificate section, and
+  // nothing after them — before any of it is applied: a malformed payload
+  // (trailing bytes included) is rejected whole.
   ByteReader reader(payload);
+  Result<std::vector<Bytes>> peer_blobs = reader.ReadLengthPrefixedList();
+  Result<std::vector<Bytes>> cert_blobs = reader.ReadLengthPrefixedList();
+  if (!peer_blobs.ok() || !cert_blobs.ok() || !reader.AtEnd()) {
+    stats_.rejected->Increment();
+    return 0;
+  }
   size_t fresh = 0;
   bool new_peers = false;
-  Result<uint32_t> peer_count = reader.ReadU32();
-  if (!peer_count.ok() || *peer_count > reader.remaining() / sizeof(uint32_t)) {
-    return 0;  // Malformed header: drop the whole payload.
-  }
-  for (uint32_t i = 0; i < *peer_count; ++i) {
-    Result<Bytes> blob = reader.ReadLengthPrefixed();
-    if (!blob.ok()) {
-      return fresh;
-    }
-    Result<PeerRecord> record = PeerRecord::DeserializeRecord(*blob);
+  for (const Bytes& blob : *peer_blobs) {
+    Result<PeerRecord> record = PeerRecord::DeserializeRecord(blob);
     if (!record.ok()) {
       stats_.rejected->Increment();
       continue;
@@ -162,16 +163,9 @@ size_t GossipService::ApplyState(ByteView payload, const NodeId& from) {
       new_peers = true;
     }
   }
-  Result<uint32_t> cert_count = reader.ReadU32();
-  if (cert_count.ok() && *cert_count <= reader.remaining() / sizeof(uint32_t)) {
-    for (uint32_t i = 0; i < *cert_count; ++i) {
-      Result<Bytes> cert = reader.ReadLengthPrefixed();
-      if (!cert.ok()) {
-        break;
-      }
-      if (ApplyCertificate(*cert)) {
-        ++fresh;
-      }
+  for (const Bytes& cert : *cert_blobs) {
+    if (ApplyCertificate(cert)) {
+      ++fresh;
     }
   }
   if (new_peers) {

@@ -81,7 +81,9 @@ class GossipService : public Service {
   // u32 cert count, length-prefixed certs).
   Bytes SerializeState() const;
   // Applies one gossip payload; returns how many records were NEW. `from`
-  // names the delivering channel's peer (excluded from the re-flood).
+  // names the delivering channel's peer (excluded from the re-flood). The
+  // payload is decoded whole first: a malformed one, trailing bytes
+  // included, applies nothing and counts as rejected.
   size_t ApplyState(ByteView payload, const NodeId& from);
   // Imports one peer record (registry + Nexus trust anchor), one cert.
   bool ApplyPeerRecord(const PeerRecord& record);

@@ -49,39 +49,32 @@ bool AuthorityService::Evaluate(const nal::Formula& statement) {
 
 Result<Bytes> AuthorityService::Handle(AttestedChannel& channel, ByteView request) {
   (void)channel;
-  // Wire format: u32 count, then `count` length-prefixed statement texts.
-  // Reply: a marshaled typed IpcReply — slot 0 the verdict count (u64),
-  // slot 1 the verdict bytes — so the client consumes the batch through
-  // the strict reply codec instead of trusting raw bytes. A malformed
-  // request returns an empty buffer, which the client's UnmarshalReply
-  // rejects: deny-all, fail closed.
+  // Wire format: u32 count, then `count` length-prefixed statement texts
+  // and nothing after them. Reply: a marshaled typed IpcReply — slot 0 the
+  // verdict count (u64), slot 1 the verdict bytes — so the client consumes
+  // the batch through the strict reply codec instead of trusting raw
+  // bytes. A malformed request (a statement cut short, or bytes after the
+  // last one) returns an empty buffer, which the client's UnmarshalReply
+  // rejects: deny-all, fail closed. The whole request is decoded before
+  // any statement is evaluated.
   batches_served_->Increment();
   ByteReader reader(request);
-  Result<uint32_t> count = reader.ReadU32();
-  if (!count.ok()) {
+  Result<std::vector<Bytes>> texts = reader.ReadLengthPrefixedList();
+  if (!texts.ok() || !reader.AtEnd()) {
     return Bytes{};
   }
-  // Every statement costs at least its 4-byte length prefix, so a count
-  // the payload cannot possibly carry is malformed — reject before sizing
-  // the reply from an attacker-declared number.
-  if (*count > reader.remaining() / sizeof(uint32_t)) {
-    return Bytes{};
-  }
-  Bytes verdicts(*count, 0);
-  for (uint32_t i = 0; i < *count; ++i) {
-    Result<Bytes> text = reader.ReadLengthPrefixed();
-    if (!text.ok()) {
-      break;  // Remaining statements stay denied.
-    }
+  Bytes verdicts(texts->size(), 0);
+  for (size_t i = 0; i < texts->size(); ++i) {
+    const Bytes& text = (*texts)[i];
     // Statements are untrusted remote text sharing the IPC ABI's
     // per-payload wire bound, so a hostile peer cannot feed the NAL parser
     // an arbitrarily large formula. An oversized statement is a deny, and
     // the rest of the batch still answers.
-    if (text->size() > kernel::kMaxArgPayload) {
+    if (text.size() > kernel::kMaxArgPayload) {
       queries_served_->Increment();
       continue;
     }
-    Result<nal::Formula> statement = nal::ParseFormula(ToString(*text));
+    Result<nal::Formula> statement = nal::ParseFormula(ToString(text));
     if (!statement.ok()) {
       queries_served_->Increment();
       continue;
@@ -91,7 +84,7 @@ Result<Bytes> AuthorityService::Handle(AttestedChannel& channel, ByteView reques
   // One kBytes slot carries ALL verdicts: batches routinely exceed the 8
   // typed slots, and verdict-per-slot would also waste 9 bytes a verdict.
   kernel::IpcReply typed = kernel::IpcReply::Ok();
-  typed.AddU64(*count).AddBytes(verdicts);
+  typed.AddU64(texts->size()).AddBytes(verdicts);
   return kernel::MarshalReply(typed);
 }
 

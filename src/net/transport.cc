@@ -54,11 +54,6 @@ uint64_t Transport::now_us() const {
   return now_us_;
 }
 
-void Transport::AdvanceTime(uint64_t us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  now_us_ += us;
-}
-
 void Transport::ArmPumpGate(size_t queued_messages) {
   std::lock_guard<std::mutex> lock(mu_);
   gate_queued_messages_ = queued_messages;

@@ -94,7 +94,6 @@ class Transport {
   uint64_t AllocateChannelId();
 
   uint64_t now_us() const;
-  void AdvanceTime(uint64_t us);
   // "transport.*" counters; reads are lock-free relaxed loads.
   const metrics::MetricGroup& metrics() const { return metrics_; }
 

@@ -46,7 +46,7 @@ std::map<std::pair<kernel::ProcessId, kernel::ProcessId>, uint64_t> IpcAnalyzer:
   std::map<std::pair<kernel::ProcessId, kernel::ProcessId>, uint64_t> edges;
   // Port ownership is resolved at read time, once per distinct port.
   std::map<kernel::PortId, Result<kernel::ProcessId>> owners;
-  for (const kernel::TraceEvent& event : kernel::FlightRecorder::Global().Retained()) {
+  for (const kernel::TraceEvent& event : kernel::FlightRecorder::Global().Recent()) {
     if (event.stage != kernel::TraceStage::kCall) {
       continue;
     }

@@ -134,4 +134,24 @@ Result<Bytes> ByteReader::ReadLengthPrefixed() {
   return out;
 }
 
+Result<std::vector<Bytes>> ByteReader::ReadLengthPrefixedList() {
+  Result<uint32_t> count = ReadU32();
+  if (!count.ok()) {
+    return count.status();
+  }
+  if (*count > remaining() / sizeof(uint32_t)) {
+    return OutOfRange("chunk count exceeds the remaining bytes");
+  }
+  std::vector<Bytes> chunks;
+  chunks.reserve(*count);
+  for (uint32_t i = 0; i < *count; ++i) {
+    Result<Bytes> chunk = ReadLengthPrefixed();
+    if (!chunk.ok()) {
+      return chunk.status();
+    }
+    chunks.push_back(std::move(*chunk));
+  }
+  return chunks;
+}
+
 }  // namespace nexus

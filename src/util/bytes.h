@@ -49,6 +49,10 @@ class ByteReader {
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<Bytes> ReadLengthPrefixed();
+  // A u32 count, then that many length-prefixed chunks. A count the
+  // remaining bytes cannot carry (each chunk costs at least its 4-byte
+  // prefix) fails before anything is sized from it.
+  Result<std::vector<Bytes>> ReadLengthPrefixedList();
   bool AtEnd() const { return offset_ == data_.size(); }
   size_t remaining() const { return data_.size() - offset_; }
 

@@ -15,6 +15,15 @@ nal::Formula F(std::string_view text) {
   return f.ok() ? *f : nullptr;
 }
 
+// The labels a guard check for `subject` cites on an object that carries
+// no object labels: the subject's own, then the system's.
+std::vector<nal::Formula> SubjectAndSystemLabels(Engine& engine, kernel::ProcessId subject) {
+  std::vector<nal::Formula> labels = engine.StoreFor(subject).All();
+  std::vector<nal::Formula> system = engine.SystemStore().All();
+  labels.insert(labels.end(), system.begin(), system.end());
+  return labels;
+}
+
 // ------------------------------------------------------------ LabelStore
 
 TEST(LabelStoreTest, SayAndGet) {
@@ -144,7 +153,7 @@ class AuthorizationFlowTest : public NexusTest {
     nal::Formula goal = F("Certifier says safe(" + client_name + ")");
     ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal).ok());
     nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
-    auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
+    auto creds = SubjectAndSystemLabels(nexus_.engine(), client_);
     Result<nal::Proof> proof = nal::AutoProve(goal, creds);
     ASSERT_TRUE(proof.ok()) << proof.status().ToString();
     ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", *proof).ok());
@@ -172,7 +181,7 @@ TEST_F(AuthorizationFlowTest, GoalWithProofGrantsAccess) {
 
   // The certifier (a distinguished principal) issues the label system-side.
   nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
-  auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
+  auto creds = SubjectAndSystemLabels(nexus_.engine(), client_);
   Result<nal::Proof> proof = nal::AutoProve(goal, creds);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", *proof).ok());
@@ -185,7 +194,7 @@ TEST_F(AuthorizationFlowTest, DecisionCacheMakesRepeatsCheap) {
   nal::Formula goal = F("Certifier says safe(" + client_name + ")");
   nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal);
   nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
-  auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
+  auto creds = SubjectAndSystemLabels(nexus_.engine(), client_);
   nexus_.engine().SetProof(client_, "read", "file:/secret",
                            *nal::AutoProve(goal, creds));
 
@@ -371,7 +380,7 @@ TEST_F(AuthorizationFlowTest, DesignatedGuardOverIpc) {
   ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal, guard_port).ok());
 
   nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
-  auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
+  auto creds = SubjectAndSystemLabels(nexus_.engine(), client_);
   nexus_.engine().SetProof(client_, "read", "file:/secret", *nal::AutoProve(goal, creds));
 
   EXPECT_TRUE(Authorize(client_, "read", "file:/secret").ok());
@@ -395,7 +404,7 @@ TEST_F(AuthorizationFlowTest, GuardProofCacheHitsOnRepeatedChecks) {
   nal::Formula goal = F("Certifier says safe(" + client_name + ")");
   nexus_.engine().SetGoal(owner_, "read", "file:/secret", goal);
   nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
-  auto creds = nexus_.engine().CollectCredentials(client_, "file:/secret");
+  auto creds = SubjectAndSystemLabels(nexus_.engine(), client_);
   nexus_.engine().SetProof(client_, "read", "file:/secret", *nal::AutoProve(goal, creds));
 
   // Disable the kernel cache to reach the guard every time.
@@ -429,7 +438,7 @@ TEST_F(AuthorizationFlowTest, ProofCacheDoesNotReplayAcrossSubjects) {
   ASSERT_TRUE(nexus_.engine().SetProof(child, "read", "file:/secret", proof).ok());
   EXPECT_FALSE(Authorize(child, "read", "file:/secret").ok());
   EXPECT_FALSE(
-      nal::CheckProof(proof, goal, nexus_.engine().CollectCredentials(child, "file:/secret"))
+      nal::CheckProof(proof, goal, SubjectAndSystemLabels(nexus_.engine(), child))
           .status.ok());
 }
 
@@ -450,7 +459,7 @@ TEST_F(AuthorizationFlowTest, ProofCacheDoesNotReplayAcrossObjects) {
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/secret", proof).ok());
   EXPECT_FALSE(Authorize(client_, "read", "file:/secret").ok());
   EXPECT_FALSE(nal::CheckProof(proof, goal,
-                               nexus_.engine().CollectCredentials(client_, "file:/secret"))
+                               SubjectAndSystemLabels(nexus_.engine(), client_))
                    .status.ok());
 }
 

@@ -261,7 +261,7 @@ TEST(EndToEndConsistencyTest, CacheAndNoCacheAgreeOnVerdicts) {
     nexus.engine().SetGoal(owner, "use", object, goal);
     if (grant) {
       nexus.engine().SayAs(nal::Principal("Cert"), F("ok" + std::to_string(round) + "()"));
-      auto creds = nexus.engine().CollectCredentials(subject, object);
+      auto creds = nexus.engine().SystemStore().All();
       nexus.engine().SetProof(subject, "use", object, *nal::AutoProve(goal, creds));
     }
     nexus.kernel().set_decision_cache_enabled(true);

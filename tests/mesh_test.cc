@@ -305,6 +305,33 @@ TEST(MeshGossipTest, ByteVariantOfAConvergedCertificateIsRejected) {
   }
 }
 
+TEST(MeshGossipTest, PayloadWithTrailingBytesIsRejectedWhole) {
+  MeshWorld w(3, MeshWorld::kChain);
+  w.JoinChain();
+  ASSERT_TRUE(w.Converge(8));
+  Bytes good = w.MintCertificate(0);
+  Bytes payload;
+  AppendU32(payload, 0);
+  AppendU32(payload, 1);
+  AppendLengthPrefixed(payload, good);
+  Bytes trailing = payload;
+  trailing.push_back(0);
+  AttestedChannel* channel = w.nodes[0]->ChannelTo("n1");
+  ASSERT_NE(channel, nullptr);
+
+  // The certificate decodes and verifies, but the payload carrying it does
+  // not end where its sections do: nothing of it applies.
+  uint64_t rejected_before = *w.meshes[1]->gossip().metrics().Value("rejected");
+  ASSERT_TRUE(channel->SendSecure(std::string(GossipService::kServiceName), trailing).ok());
+  w.transport.DeliverAll();
+  EXPECT_EQ(*w.meshes[1]->gossip().metrics().Value("rejected"), rejected_before + 1);
+  EXPECT_EQ(w.meshes[1]->registry().cert_count(), 0u);
+
+  ASSERT_TRUE(channel->SendSecure(std::string(GossipService::kServiceName), payload).ok());
+  w.transport.DeliverAll();
+  EXPECT_TRUE(w.meshes[1]->registry().HasCertificate(crypto::Sha256Hex(good)));
+}
+
 // ------------------------------------------------- cross-node invalidation
 
 TEST(MeshInvalidationTest, CrossNodeSetGoalRetiresRemoteCachedVerdicts) {

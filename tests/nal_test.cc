@@ -286,7 +286,6 @@ TEST(CheckerTest, PremiseMatchesCredential) {
   auto creds = Creds({"A says ok()"});
   CheckResult r = CheckProof(proof::Premise(F("A says ok()")), F("A says ok()"), creds);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.cacheable);
   EXPECT_EQ(r.rules_applied, 1);
 }
 
@@ -501,16 +500,6 @@ TEST(CheckerTest, SpeaksForTransChainMismatchFails) {
   EXPECT_FALSE(CheckProof(p, F("A speaksfor C"), creds).status.ok());
 }
 
-TEST(CheckerTest, AuthorityLeafMakesProofNonCacheable) {
-  auto authority = [](const Formula& f) { return ScopeMatches(f, "TimeNow"); };
-  auto creds = Creds({});
-  CheckResult r =
-      CheckProof(proof::Authority(F("NTP says TimeNow < 100")), F("NTP says TimeNow < 100"),
-                 creds, authority);
-  EXPECT_TRUE(r.status.ok());
-  EXPECT_FALSE(r.cacheable);
-}
-
 TEST(CheckerTest, AuthorityDeclineFailsProof) {
   auto authority = [](const Formula&) { return false; };
   CheckResult r = CheckProof(proof::Authority(F("NTP says TimeNow < 100")),
@@ -582,15 +571,6 @@ TEST(CheckerTest, PaperSafetyCertifierScenario) {
       proof::Premise(F("/proc/ipd/30 says not hasPath(/proc/ipd/12, Filesystem)")),
       proof::Premise(F("/proc/ipd/30 says not hasPath(/proc/ipd/12, Nameserver)")));
   EXPECT_TRUE(CheckProof(p, goal, creds).status.ok());
-}
-
-TEST(CheckerTest, StaticCacheabilityAnalysis) {
-  Proof static_proof = proof::AndIntro(proof::Premise(F("A says p()")),
-                                       proof::Premise(F("B says q()")));
-  EXPECT_TRUE(IsStaticallyCacheable(static_proof));
-  Proof dynamic_proof = proof::AndIntro(proof::Premise(F("A says p()")),
-                                        proof::Authority(F("NTP says TimeNow < 1")));
-  EXPECT_FALSE(IsStaticallyCacheable(dynamic_proof));
 }
 
 TEST(CheckerTest, NullProofRejected) {
@@ -692,7 +672,9 @@ TEST(ProverTest, AuthorityDischargeWhenPermitted) {
   options.may_query_authority = [](const Formula& f) { return ScopeMatches(f, "TimeNow"); };
   Result<Proof> p = AutoProve(F("NTP says TimeNow < 100"), {}, options);
   ASSERT_TRUE(p.ok());
-  EXPECT_FALSE(IsStaticallyCacheable(*p));
+  // The proof rests on the authority: with none reachable it fails.
+  EXPECT_EQ(CheckProof(*p, F("NTP says TimeNow < 100"), {}).status.code(),
+            ErrorCode::kUnavailable);
 }
 
 TEST(ProverTest, FailsWhenUnprovable) {
@@ -803,20 +785,34 @@ TEST(InternerTest, NullAndUnknownIdsAreInvalid) {
   EXPECT_EQ(interner.Resolve(999), nullptr);
 }
 
-// --------------------------------------------------------- AuthorityLeaves
+// ------------------------------------------------- Recorded authority leaves
 
-TEST(ProofTest, AuthorityLeavesCollectsEveryLeaf) {
+// The guard's goal-first check rests on this contract: a callback that
+// answers yes sees every authority leaf of a passing proof, in proof order,
+// and nothing of a proof that fails before reaching a leaf.
+TEST(CheckerTest, RecordingCallbackSeesEveryLeafOfAPassingProofInOrder) {
   Formula s1 = F("Clock says TimeNow < 10");
   Formula s2 = F("Quota says usage < 80");
   Proof p = proof::AndIntro(proof::Authority(s1),
                             proof::AndIntro(proof::Premise(F("A says ok()")),
                                             proof::Authority(s2)));
-  std::vector<Formula> leaves = AuthorityLeaves(p);
+  std::vector<Formula> leaves;
+  auto record = [&leaves](const Formula& f) {
+    leaves.push_back(f);
+    return true;
+  };
+  Formula goal = F("(Clock says TimeNow < 10) and ((A says ok()) and (Quota says usage < 80))");
+  EXPECT_TRUE(CheckProof(p, goal, Creds({"A says ok()"}), record).status.ok());
   ASSERT_EQ(leaves.size(), 2u);
   EXPECT_TRUE(Equals(leaves[0], s1));
   EXPECT_TRUE(Equals(leaves[1], s2));
-  EXPECT_TRUE(AuthorityLeaves(proof::Premise(F("A says ok()"))).empty());
-  EXPECT_TRUE(AuthorityLeaves(nullptr).empty());
+
+  leaves.clear();
+  Proof premise_first = proof::AndIntro(proof::Premise(F("A says ok()")), proof::Authority(s1));
+  EXPECT_FALSE(CheckProof(premise_first, F("(A says ok()) and (Clock says TimeNow < 10)"),
+                          Creds({}), record)
+                   .status.ok());
+  EXPECT_TRUE(leaves.empty());
 }
 
 }  // namespace

@@ -596,6 +596,24 @@ TEST(RemoteAuthorityTest, MalformedBatchCountIsRejectedWithoutAllocation) {
   EXPECT_EQ(*w.service.metrics().Value("queries_served"), 0u);
 }
 
+TEST(RemoteAuthorityTest, TrailingBytesAfterTheLastStatementFailTheBatchClosed) {
+  // A batch is its declared statements and nothing after them: bytes past
+  // the last statement make the whole request malformed, so the reply is
+  // empty (deny-all) and no statement is evaluated.
+  RemoteAuthorityWorld w;
+  Result<AttestedChannel*> channel = w.node_a->Connect("b");
+  ASSERT_TRUE(channel.ok());
+  Bytes batch;
+  AppendU32(batch, 1);
+  AppendLengthPrefixed(batch, ToBytes(std::string("Session says sessionActive(alice)")));
+  batch.push_back(0);
+  Result<Bytes> reply = (*channel)->Call(std::string(AuthorityService::kServiceName), batch,
+                                         /*timeout_us=*/100000);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_TRUE(reply->empty());
+  EXPECT_EQ(*w.service.metrics().Value("queries_served"), 0u);
+}
+
 TEST(RemoteAuthorityTest, OversizedStatementsAreDeniedNotParsed) {
   // The authority wire handler shares the IPC ABI's per-payload bound: a
   // hostile peer cannot feed the NAL parser an arbitrarily large formula.
@@ -811,6 +829,104 @@ TEST(RemoteAuthorityTest, GuardConsultsRemoteAuthorityThroughProofLeaf) {
   w.vouch = false;
   EXPECT_FALSE(w.nexus_a.kernel().Authorize(
       kernel::AuthzRequest::Of(subject, "open", "door")).ok());
+}
+
+TEST(RemoteAuthorityTest, GoalTheProofCannotDischargeIsDeniedWithoutAsking) {
+  // A goal flip installs a goal the holder's proof cannot discharge. No
+  // authority answer could change that deny, so none is asked, and the
+  // deny is cached like a static proof's.
+  RemoteAuthorityWorld w;
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
+  w.nexus_a.guard().AddRemoteAuthority(&remote);
+  kernel::ProcessId subject = *w.nexus_a.CreateProcess("subject", ToBytes("s"));
+  w.nexus_a.engine().RegisterObject("door", subject, kernel::kKernelProcessId);
+  nal::Formula allow_goal = F("Session says sessionActive(alice)");
+  ASSERT_TRUE(w.nexus_a.engine().SetGoal(subject, "open", "door", allow_goal).ok());
+  ASSERT_TRUE(w.nexus_a.engine()
+                  .SetProof(subject, "open", "door", nal::proof::Authority(allow_goal))
+                  .ok());
+  const kernel::AuthzRequest request = kernel::AuthzRequest::Of(subject, "open", "door");
+  ASSERT_TRUE(w.nexus_a.kernel().Authorize(request).ok());
+  const uint64_t queries = *remote.metrics().Value("queries");
+  ASSERT_EQ(queries, 1u);
+
+  ASSERT_TRUE(
+      w.nexus_a.engine().SetGoal(subject, "open", "door", F("HomeCA says absent(alice)")).ok());
+  const metrics::MetricGroup& cache = w.nexus_a.kernel().decision_cache().metrics();
+  EXPECT_FALSE(w.nexus_a.kernel().Authorize(request).ok());
+  EXPECT_EQ(*remote.metrics().Value("queries"), queries);
+  const uint64_t hits = *cache.Value("hits");
+  EXPECT_FALSE(w.nexus_a.kernel().Authorize(request).ok());
+  EXPECT_EQ(*cache.Value("hits"), hits + 1);
+  EXPECT_EQ(*remote.metrics().Value("queries"), queries);
+
+  // A goal the proof discharges again: the allow rests on a fresh answer.
+  ASSERT_TRUE(w.nexus_a.engine().SetGoal(subject, "open", "door", allow_goal).ok());
+  EXPECT_TRUE(w.nexus_a.kernel().Authorize(request).ok());
+  EXPECT_EQ(*remote.metrics().Value("queries"), queries + 1);
+}
+
+TEST(RemoteAuthorityTest, MixedBatchMatchesSerialAndAsksOnlyDischargingProofs) {
+  RemoteAuthorityWorld w;
+  core::LambdaAuthority revoked(
+      [](const nal::Formula& f) {
+        return f->kind() == nal::FormulaKind::kSays && f->speaker().base() == "Revoked";
+      },
+      [](const nal::Formula&) { return false; });
+  w.service.AddAuthority(&revoked);
+  RemoteAuthority remote(w.node_a.get(), "b", nullptr);
+  w.nexus_a.guard().AddRemoteAuthority(&remote);
+  w.nexus_a.kernel().set_decision_cache_enabled(false);
+
+  kernel::ProcessId owner = *w.nexus_a.CreateProcess("owner", ToBytes("o"));
+  nal::Formula shared = F("Session says sessionActive(alice)");
+  nal::Formula declined = F("Revoked says sessionActive(mallory)");
+  nal::Formula certified = F("Certifier says safe()");
+  w.nexus_a.engine().SayAs(nal::Principal("Certifier"), F("safe()"));
+  struct Item {
+    nal::Formula goal;
+    nal::Proof proof;  // Null: the subject holds no proof.
+    bool allowed;
+  };
+  const std::vector<Item> items = {
+      {shared, nal::proof::Authority(shared), true},
+      {shared, nal::proof::Authority(shared), true},
+      // A goal no answer lets this proof discharge: its leaf stays unasked.
+      {F("HomeCA says absent(alice)"),
+       nal::proof::Authority(F("Session says sessionActive(bob)")), false},
+      {declined, nal::proof::Authority(declined), false},
+      {shared, nullptr, false},
+      {certified, nal::proof::Premise(certified), true},
+  };
+  std::vector<kernel::AuthzRequest> requests;
+  for (size_t i = 0; i < items.size(); ++i) {
+    kernel::ProcessId subject =
+        *w.nexus_a.CreateProcess("s" + std::to_string(i), ToBytes("s"));
+    std::string object = "door" + std::to_string(i);
+    w.nexus_a.engine().RegisterObject(object, owner, kernel::kKernelProcessId);
+    ASSERT_TRUE(w.nexus_a.engine().SetGoal(owner, "open", object, items[i].goal).ok());
+    if (items[i].proof != nullptr) {
+      ASSERT_TRUE(w.nexus_a.engine().SetProof(subject, "open", object, items[i].proof).ok());
+    }
+    requests.push_back(kernel::AuthzRequest::Of(subject, "open", object));
+  }
+
+  std::vector<Status> serial;
+  for (const kernel::AuthzRequest& request : requests) {
+    serial.push_back(w.nexus_a.kernel().Authorize(request));
+  }
+  const uint64_t queries = *remote.metrics().Value("queries");
+  const uint64_t trips = *remote.metrics().Value("batch_round_trips");
+  std::vector<Status> batched = w.nexus_a.kernel().AuthorizeBatch(requests);
+  ASSERT_EQ(batched.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(serial[i].ok(), items[i].allowed) << "request " << i;
+    EXPECT_EQ(batched[i].ok(), serial[i].ok()) << "request " << i;
+  }
+  // One round trip carries the shared leaf once and the declined one; the
+  // leaf of the proof that cannot discharge its goal never goes out.
+  EXPECT_EQ(*remote.metrics().Value("batch_round_trips") - trips, 1u);
+  EXPECT_EQ(*remote.metrics().Value("queries") - queries, 2u);
 }
 
 // ---------------------------------------------------- Federated scenario

@@ -98,7 +98,7 @@ TEST_F(ObservabilityTest, InterposedReadYieldsCorrelatedProvenanceChain) {
   ASSERT_TRUE(nexus_.engine().RegisterObject("file:/data", owner_, kernel::kKernelProcessId).ok());
   ASSERT_TRUE(nexus_.engine().SetGoal(owner_, "read", "file:/data", goal).ok());
   nexus_.engine().SayAs(nal::Principal("Certifier"), F("safe(" + client_name + ")"));
-  auto creds = nexus_.engine().CollectCredentials(client_, "file:/data");
+  auto creds = nexus_.engine().SystemStore().All();
   Result<nal::Proof> proof = nal::AutoProve(goal, creds);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
   ASSERT_TRUE(nexus_.engine().SetProof(client_, "read", "file:/data", *proof).ok());
@@ -322,6 +322,37 @@ TEST_F(ObservabilityTest, ForTraceKeepsAQuietRingsChainBesideABusyRing) {
   EXPECT_EQ(recorder.ForTrace(noise_id).size(), kernel::FlightRecorder::kRingCapacity);
   release.count_down();
   quiet.join();
+}
+
+// proc:/trace/recent keeps each ring's newest events, so a busy ring
+// cannot crowd a live quiet ring out of the procfs tail.
+TEST_F(ObservabilityTest, ProcTraceRecentShowsAQuietRingBesideABusyRing) {
+  kernel::FlightRecorder& recorder = kernel::FlightRecorder::Global();
+  ScopedRecorder scoped;
+  const uint64_t quiet_id = recorder.NewTraceId();
+  std::latch emitted(1);
+  std::latch release(1);
+  std::thread quiet([&] {
+    for (int i = 0; i < 3; ++i) {
+      recorder.Emit(kernel::TraceEvent{.trace_id = quiet_id, .stage = kernel::TraceStage::kCall});
+    }
+    emitted.count_down();
+    release.wait();
+  });
+  emitted.wait();
+  const uint64_t busy_id = recorder.NewTraceId();
+  for (int i = 0; i < 1000; ++i) {
+    recorder.Emit(
+        kernel::TraceEvent{.trace_id = busy_id, .stage = kernel::TraceStage::kSyscall});
+  }
+  kernel::IpcReply recent = Syscall(client_, kernel::Syscall::kProcRead, "/trace/recent");
+  release.count_down();
+  quiet.join();
+  ASSERT_TRUE(recent.status.ok()) << recent.status.ToString();
+  Result<std::string_view> text = recent.ArgString(0);
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("trace=" + std::to_string(quiet_id) + " "), std::string::npos);
+  EXPECT_NE(text->find("trace=" + std::to_string(busy_id) + " "), std::string::npos);
 }
 
 // Emission is free when the recorder is off: no events are retained and

@@ -127,6 +127,33 @@ TEST(BytesTest, ReaderRejectsTruncatedInput) {
   EXPECT_FALSE(reader.ReadLengthPrefixed().ok());
 }
 
+TEST(BytesTest, LengthPrefixedListRoundTripsAndRejectsImpossibleCounts) {
+  Bytes buf;
+  AppendU32(buf, 2);
+  AppendLengthPrefixed(buf, ToBytes("alpha"));
+  AppendLengthPrefixed(buf, ToBytes(""));
+  ByteReader reader(buf);
+  Result<std::vector<Bytes>> chunks = reader.ReadLengthPrefixedList();
+  ASSERT_TRUE(chunks.ok());
+  ASSERT_EQ(chunks->size(), 2u);
+  EXPECT_EQ(ToString((*chunks)[0]), "alpha");
+  EXPECT_TRUE((*chunks)[1].empty());
+  EXPECT_TRUE(reader.AtEnd());
+
+  // Three chunks cannot fit in the 8 bytes after the count.
+  Bytes too_many;
+  AppendU32(too_many, 3);
+  AppendLengthPrefixed(too_many, ToBytes("abcd"));
+  ByteReader overcount(too_many);
+  EXPECT_FALSE(overcount.ReadLengthPrefixedList().ok());
+
+  // A chunk cut short fails the whole list.
+  Bytes cut = buf;
+  cut.back() = 0x01;  // The empty chunk's length now claims a missing byte.
+  ByteReader truncated(cut);
+  EXPECT_FALSE(truncated.ReadLengthPrefixedList().ok());
+}
+
 TEST(BytesTest, ReaderRejectsShortU32) {
   Bytes buf = {0x01, 0x02};
   ByteReader reader(buf);
