@@ -10,10 +10,6 @@ ContentServer::ContentServer(core::Nexus* nexus, Mode mode, Bytes content)
   certifier_pid_ = *nexus_->CreateProcess("safetycertifier", ToBytes("nexus-safety-certifier"));
 }
 
-void ContentServer::SetForbiddenTargets(std::vector<std::string> targets) {
-  forbidden_targets_ = std::move(targets);
-}
-
 Result<Bytes> ContentServer::RequestStream(kernel::ProcessId player) {
   if (mode_ == Mode::kHashWhitelist) {
     Result<bool> listed = whitelist_.Check(nexus_->kernel(), player);

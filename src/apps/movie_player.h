@@ -29,9 +29,6 @@ class ContentServer {
   // Whitelist management (axiomatic mode).
   void WhitelistPlayer(ByteView binary) { whitelist_.AllowBinary(binary); }
 
-  // Forbidden reach for analytic mode (defaults: filesystem + netdriver).
-  void SetForbiddenTargets(std::vector<std::string> targets);
-
   // The player requests the stream; the server decides per its mode.
   Result<Bytes> RequestStream(kernel::ProcessId player);
 
@@ -42,6 +39,7 @@ class ContentServer {
   Mode mode_;
   Bytes content_;
   kernel::HashWhitelist whitelist_;
+  // Forbidden reach for analytic mode.
   std::vector<std::string> forbidden_targets_ = {"filesystem", "netdriver"};
   kernel::ProcessId analyzer_pid_ = 0;
   kernel::ProcessId certifier_pid_ = 0;

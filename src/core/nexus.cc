@@ -185,15 +185,6 @@ bool Nexus::IsTrustedPeerEk(const crypto::RsaPublicKey& ek) const {
   return false;
 }
 
-Result<std::string> Nexus::PeerNameForEk(const crypto::RsaPublicKey& ek) const {
-  for (const auto& [name, peer_ek] : peers_) {
-    if (peer_ek == ek) {
-      return name;
-    }
-  }
-  return NotFound("EK does not belong to any registered peer");
-}
-
 Result<LabelHandle> Nexus::ImportPeerCertificate(kernel::ProcessId pid,
                                                  const Certificate& cert) {
   if (!IsTrustedPeerEk(cert.ek_public)) {

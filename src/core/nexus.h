@@ -78,7 +78,6 @@ class Nexus {
   Status RegisterPeer(const std::string& name, const crypto::RsaPublicKey& ek);
   Result<crypto::RsaPublicKey> PeerEk(const std::string& name) const;
   bool IsTrustedPeerEk(const crypto::RsaPublicKey& ek) const;
-  Result<std::string> PeerNameForEk(const crypto::RsaPublicKey& ek) const;
 
   // Imports a certificate rooted in any registered peer EK. Idempotent per
   // (pid, certificate): re-importing a replayed or re-ordered duplicate

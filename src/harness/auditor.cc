@@ -40,7 +40,6 @@ std::string TraceAuditor::Report::Summary() const {
   return out;
 }
 
-TraceAuditor::TraceAuditor() : TraceAuditor(Config()) {}
 
 TraceAuditor::TraceAuditor(Config config) : config_(config) {
   if (config_.cache_shards == 0) {

@@ -110,7 +110,6 @@ class TraceAuditor {
     std::string Summary() const;
   };
 
-  TraceAuditor();
   explicit TraceAuditor(Config config);
 
   // Registers an audited (op, obj) pair. `allow_goal_id` is the interned

@@ -1,15 +1,10 @@
 #include "kernel/ipc.h"
 
-#include <atomic>
-
 #include "nal/interner.h"
 
 namespace nexus::kernel {
 
 namespace {
-
-// Process-wide audit counter for the zero-string hot-path assertion.
-std::atomic<uint64_t> text_payloads{0};
 
 // Wire op-kind discriminator (first byte after the version). Interned ids
 // are the only kind; any other value is rejected.
@@ -18,29 +13,12 @@ constexpr uint8_t kWireVersion = 2;
 
 }  // namespace
 
-uint64_t IpcTextPayloadCount() { return text_payloads.load(); }
-
-void ArgVec::DetachArena() {
-  // Copy-on-write: appending through an arena some other ArgVec still
-  // reads (a monitor's working copy, an aliasing reply) clones it first,
-  // so existing slots — including the aliased ones — never move.
-  if (arena_ != nullptr && arena_.use_count() > 1) {
-    arena_ = std::make_shared<std::string>(*arena_);
-  }
-}
-
 bool ArgVec::AddPayload(ArgTag tag, std::string_view payload) {
-  size_t arena_size = arena_ == nullptr ? 0 : arena_->size();
-  if (count_ >= kMaxArgs || arena_size + payload.size() > 0xffffffffULL) {
+  if (count_ >= kMaxArgs || arena_.size() + payload.size() > 0xffffffffULL) {
     return false;
   }
-  text_payloads.fetch_add(1, std::memory_order_relaxed);
-  DetachArena();
-  if (arena_ == nullptr) {
-    arena_ = std::make_shared<std::string>();
-  }
-  uint32_t offset = static_cast<uint32_t>(arena_->size());
-  arena_->append(payload);
+  uint32_t offset = static_cast<uint32_t>(arena_.size());
+  arena_.Append(ByteView(reinterpret_cast<const uint8_t*>(payload.data()), payload.size()));
   slots_[count_++] = Slot{tag, offset, static_cast<uint32_t>(payload.size()), 0};
   return true;
 }
@@ -53,17 +31,25 @@ bool ArgVec::AddAliasedPayload(ArgTag tag, const ArgVec& source, size_t i) {
   if (s.tag != ArgTag::kBytes && s.tag != ArgTag::kString) {
     return false;
   }
-  if (arena_ == nullptr || arena_ == source.arena_) {
-    // Adopt the source arena: the slot is a (offset, length) view into
-    // bytes that already exist — nothing moves, nothing is counted (the
-    // text-payload audit tracks MATERIALIZED payloads only).
-    arena_ = source.arena_;
-    slots_[count_++] = Slot{tag, s.offset, s.length, 0};
-    return true;
+  if (!arena_.empty()) {
+    // Mixed provenance (this vector already holds payload bytes): fall
+    // back to the counted copy.
+    return AddPayload(tag, source.PayloadOf(s));
   }
-  // Mixed provenance (this vector already owns different payload bytes):
-  // fall back to the counted copy.
-  return AddPayload(tag, source.PayloadOf(s));
+  // Adopt the source arena: the slot is an (offset, length) view into
+  // bytes that already exist — nothing moves, nothing is counted.
+  arena_ = source.arena_;
+  slots_[count_++] = Slot{tag, s.offset, s.length, 0};
+  return true;
+}
+
+ArgVec ArgVec::Tail(size_t from) const {
+  ArgVec out;
+  for (size_t i = from; i < count_; ++i) {
+    out.slots_[out.count_++] = slots_[i];
+  }
+  out.arena_ = arena_;
+  return out;
 }
 
 std::string_view SyscallName(Syscall call) {

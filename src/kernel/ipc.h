@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -67,17 +66,18 @@ class ArgSlot {
 };
 
 // The fixed small vector of argument slots: POD slot headers inline, all
-// text/bytes payloads packed into ONE shared, REF-COUNTED arena string. A
+// text/bytes payloads packed into ONE arena, a Payload (kernel/payload.h)
+// — the same copy-on-write buffer as the record's data block. A
 // scalar-only message owns no heap memory at all; copying a message with
 // payloads bumps one refcount instead of duplicating the arena, and a
 // reply can alias its request's arena outright (AddAliasedPayload) — the
-// echo/redaction paths build zero new payload bytes. The arena is
-// copy-on-write: appending through a SHARED arena clones it first, and
-// payload slots are immutable once added (SetScalar refuses them), so an
-// aliasing reply can never corrupt the request it borrowed from. Adds
-// past capacity are refused (TypedRecord records the overflow and the
-// kernel rejects such a message with InvalidArgument instead of silently
-// dropping arguments at a security boundary).
+// echo/redaction paths build zero new payload bytes. Appending to a
+// SHARED arena detaches it first (Payload::Append), and payload slots are
+// immutable once added (SetScalar refuses them), so an aliasing reply can
+// never corrupt the request it borrowed from. Adds past capacity are
+// refused (TypedRecord records the overflow and the kernel rejects such a
+// message with InvalidArgument instead of silently dropping arguments at
+// a security boundary).
 class ArgVec {
  public:
   static constexpr size_t kMaxArgs = 8;
@@ -132,13 +132,14 @@ class ArgVec {
     slots_[count_++] = Slot{tag, 0, 0, value};
     return true;
   }
+  // Counted copy-in of `payload` (Payload::Append).
   bool AddPayload(ArgTag tag, std::string_view payload);
 
   // Zero-copy slot alias: adds slot `i` of `source` (a payload slot) by
-  // adopting its arena — no bytes move, no text-payload audit bump. Falls
-  // back to a counted AddPayload copy when this vector already owns a
-  // DIFFERENT arena (mixed provenance). The error-reply and echo paths
-  // use this to carry request text back without rebuilding it.
+  // adopting its arena — no bytes move, no copy is counted. Falls back to
+  // a counted AddPayload copy when this vector already holds payload
+  // bytes. The error-reply and echo paths use this to carry request text
+  // back without rebuilding it.
   bool AddAliasedPayload(ArgTag tag, const ArgVec& source, size_t i);
 
   // In-place structural rewrite of one SCALAR slot — the reply-
@@ -156,21 +157,11 @@ class ArgVec {
   }
 
   // The slots from index `from` on (the ipc_call syscall strips its port
-  // and operation prefix before forwarding the inner message). Payload
-  // slots ALIAS this vector's arena — the forwarded inner message shares
-  // the outer one's bytes instead of re-materializing them.
-  ArgVec Tail(size_t from) const {
-    ArgVec out;
-    for (size_t i = from; i < count_; ++i) {
-      const Slot& s = slots_[i];
-      if (s.tag == ArgTag::kBytes || s.tag == ArgTag::kString) {
-        out.AddAliasedPayload(s.tag, *this, i);
-      } else {
-        out.AddScalar(s.tag, s.scalar);
-      }
-    }
-    return out;
-  }
+  // and operation prefix before forwarding the inner message). The tail
+  // shares this vector's arena handle and copies the slot headers, so the
+  // forwarded inner message reads the outer one's bytes instead of
+  // re-materializing them.
+  ArgVec Tail(size_t from) const;
 
   friend bool operator==(const ArgVec& a, const ArgVec& b) {
     if (a.count_ != b.count_) {
@@ -195,15 +186,14 @@ class ArgVec {
     uint64_t scalar;
   };
 
+  // Every payload slot lies inside the arena's view (slots are only ever
+  // added by appending to it or adopted together with their arena).
   std::string_view PayloadOf(const Slot& s) const {
-    if (arena_ == nullptr) {
+    if (s.length == 0) {
       return std::string_view();
     }
-    return std::string_view(*arena_).substr(s.offset, s.length);
+    return std::string_view(reinterpret_cast<const char*>(arena_.data()) + s.offset, s.length);
   }
-
-  // Clones the arena iff it is shared (copy-on-write before an append).
-  void DetachArena();
 
   // Deliberately NOT value-initialized: only [0, count_) is ever live
   // (see the copy/move rationale above), and zeroing 192 bytes per
@@ -211,8 +201,8 @@ class ArgVec {
   Slot slots_[kMaxArgs];
   uint8_t count_ = 0;
   // Ref-counted: copied ArgVecs (interposition working copies, aliasing
-  // replies) share it. Null until the first payload slot.
-  std::shared_ptr<std::string> arena_;
+  // replies) share it. Empty until the first payload byte.
+  Payload arena_;
 };
 
 inline ArgTag ArgSlot::tag() const { return vec_->slots_[index_].tag; }
@@ -260,11 +250,11 @@ template <typename Record>
 class TypedRecord {
  public:
   ArgVec args;
-  // Ref-counted (kernel/payload.h): copying a record — the monitor working
-  // copy, a batched submission — bumps a refcount, a read reply is a SLICE
-  // of the fileserver's backing store, and an echoing monitor aliases the
-  // request's data outright. Bytes move only through the Payload class's
-  // counted copy-on-write surface.
+  // Ref-counted (kernel/payload.h), like the slot arena: copying a record —
+  // the monitor working copy, a batched submission — bumps a refcount, a
+  // read reply is a SLICE of the fileserver's backing store, and an echoing
+  // monitor aliases the request's data outright. Bytes move only through
+  // the Payload class's counted copy-on-write surface.
   Payload data;
 
   // ---- Builders (chainable). Capacity overflow is recorded, not dropped.
@@ -445,12 +435,6 @@ inline Status CheckReplyWireBounds(const IpcReply& reply) {
 // The hoisted interned id of a syscall's operation name (interned once,
 // not per call — the syscall channel's marshal path is string-free).
 OpId SyscallOp(Syscall call);
-
-// Test-support counter: total text/bytes slot payloads materialized on the
-// heap by the IPC layer, process-wide. The
-// zero-string audit snapshots it around an interposed call with scalar
-// args and asserts it did not move.
-uint64_t IpcTextPayloadCount();
 
 }  // namespace nexus::kernel
 

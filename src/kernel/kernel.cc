@@ -6,7 +6,7 @@
 
 namespace nexus::kernel {
 
-Kernel::Kernel() : scheduler_(std::make_unique<StrideScheduler>()) {
+Kernel::Kernel() {
   // The reserved-port table (kernel/syscall_ports.h) exists from cycle
   // zero: boot-service ports waiting for their ClaimBootPort, and one
   // kernel-owned port per syscall so interposing on a syscall is
@@ -152,7 +152,7 @@ Status Kernel::KillProcess(ProcessId pid) {
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    scheduler_->RemoveClient(pid);  // Best effort; may not be scheduled.
+    scheduler_.RemoveClient(pid);  // Best effort; may not be scheduled.
   }
   lifecycle_generation_.fetch_add(1);
   return OkStatus();
@@ -390,18 +390,6 @@ Result<uint64_t> Kernel::PortGeneration(PortId port) const {
 std::map<ProcessId, std::set<PortId>> Kernel::ChannelsSnapshot() const {
   std::shared_lock<std::shared_mutex> lock(channels_mu_);
   return channels_;
-}
-
-std::vector<PortId> Kernel::Ports() const {
-  std::vector<PortId> out;
-  for (const PortShard& shard : port_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [id, p] : shard.ports) {
-      out.push_back(id);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 // ------------------------------------------------------------------- IPC
@@ -752,7 +740,7 @@ IpcReply Kernel::SysGetTimeOfDay(ProcessId, ProcessId, IpcMessage&) {
 
 IpcReply Kernel::SysYield(ProcessId caller, ProcessId, IpcMessage&) {
   std::unique_lock<std::mutex> lock(sched_mu_);
-  Result<ProcessId> next = scheduler_->Tick();
+  Result<ProcessId> next = scheduler_.Tick();
   lock.unlock();
   return IpcReply::Ok().AddU64(next.ok() ? *next : caller);
 }
@@ -1079,11 +1067,6 @@ void Kernel::OnGoalUpdate(OpId op, ObjectId obj, std::vector<uint64_t>* post_gen
   if (invalidation_sink_) {
     invalidation_sink_(op, obj);
   }
-}
-
-void Kernel::ReplaceScheduler(std::unique_ptr<Scheduler> scheduler) {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  scheduler_ = std::move(scheduler);
 }
 
 }  // namespace nexus::kernel

@@ -5,7 +5,7 @@
 // call is an IPC call to its reserved port, so interposing on a syscall is
 // interposing on a port, §3.2), an authorization hook with the in-kernel
 // decision cache (§2.8), the introspection namespace (§3.1), and a
-// pluggable CPU scheduler. The authorization engine itself (labelstores,
+// stride CPU scheduler (§4.1). The authorization engine itself (labelstores,
 // goalstores, guards) lives one layer up in src/core and plugs in through
 // the AuthorizationEngine interface, mirroring the kernel/guard split in
 // the paper's Figure 1.
@@ -138,9 +138,9 @@ struct Process {
 //  - procfs and the channel graph carry their own internal locks.
 //
 // Still single-threaded by contract: wiring (set_engine, set_fs_port,
-// ReplaceScheduler, Resize on the decision cache) happens at boot, and the
-// Scheduler object itself is externally serialized (the kernel wraps its
-// own calls in a mutex; direct scheduler() users stay on one thread).
+// Resize on the decision cache) happens at boot, and the scheduler itself
+// is externally serialized (the kernel wraps its own calls in a mutex;
+// direct scheduler() users stay on one thread).
 class Kernel {
  public:
   Kernel();
@@ -190,7 +190,6 @@ class Kernel {
   bool HasChannel(ProcessId pid, PortId port) const;
   // Snapshot of the whole channel graph (IPCAnalyzer's view).
   std::map<ProcessId, std::set<PortId>> ChannelsSnapshot() const;
-  std::vector<PortId> Ports() const;
   // The lifecycle_generation() value stamped when `port` was created: a
   // port id observed with a different stamp than before was destroyed and
   // is a different port, even mid-churn.
@@ -299,8 +298,7 @@ class Kernel {
     std::shared_lock<std::shared_mutex> lock(proc_memo_mu_);
     return proc_object_memo_.size();
   }
-  Scheduler& scheduler() { return *scheduler_; }
-  void ReplaceScheduler(std::unique_ptr<Scheduler> scheduler);
+  StrideScheduler& scheduler() { return scheduler_; }
 
   // Microsecond clock; overridable for deterministic tests.
   uint64_t NowMicros() const;
@@ -412,7 +410,7 @@ class Kernel {
       proc_object_memo_;
 
   IntrospectionFs procfs_;
-  std::unique_ptr<Scheduler> scheduler_;
+  StrideScheduler scheduler_;
   std::atomic<PortId> fs_port_{0};
   std::function<uint64_t()> time_source_;
 

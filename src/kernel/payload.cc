@@ -23,14 +23,6 @@ Payload::Payload(Bytes&& bytes) {
   }
 }
 
-Payload::Payload(const Bytes& bytes) {
-  if (!bytes.empty()) {
-    CountCopy();
-    length_ = bytes.size();
-    arena_ = std::make_shared<Bytes>(bytes);
-  }
-}
-
 Payload::Payload(std::initializer_list<uint8_t> init) {
   if (init.size() != 0) {
     CountCopy();
@@ -57,16 +49,6 @@ Payload Payload::Slice(std::shared_ptr<Bytes> arena, size_t offset, size_t lengt
   out.arena_ = std::move(arena);
   out.offset_ = offset;
   out.length_ = length;
-  return out;
-}
-
-Payload Payload::Copy(ByteView bytes) {
-  Payload out;
-  if (!bytes.empty()) {
-    CountCopy();
-    out.length_ = bytes.size();
-    out.arena_ = std::make_shared<Bytes>(bytes.begin(), bytes.end());
-  }
   return out;
 }
 
@@ -102,21 +84,37 @@ void Payload::resize(size_t n) {
   if (n <= length_) {
     length_ = n;  // Narrow the slice: zero-copy, shared or not.
     if (n == 0) {
-      clear();
+      arena_.reset();
+      offset_ = 0;
     }
     return;
   }
-  if (length_ == 0) {
-    // Nothing to preserve: fresh zeroed buffer, no copy to count.
-    arena_ = std::make_shared<Bytes>(n, uint8_t{0});
-    offset_ = 0;
+  if (GrowsInPlace()) {
+    arena_->resize(offset_ + n);
     length_ = n;
     return;
   }
-  Detach(n);
+  Detach(n);  // Nothing kept (an empty payload) counts no copy.
 }
 
-void Payload::assign(ByteView bytes) { *this = Copy(bytes); }
+void Payload::Append(ByteView bytes) {
+  if (bytes.empty()) {
+    return;
+  }
+  CountCopy();
+  size_t at = length_;
+  if (GrowsInPlace()) {
+    // Inserting at the end stays correct when `bytes` views this arena.
+    arena_->insert(arena_->end(), bytes.begin(), bytes.end());
+    length_ += bytes.size();
+    return;
+  }
+  // `bytes` may view the arena the detach lets go of: hold it until the
+  // copy-in is done.
+  std::shared_ptr<Bytes> previous = arena_;
+  Detach(at + bytes.size());
+  std::copy(bytes.begin(), bytes.end(), arena_->data() + at);
+}
 
 Bytes Payload::ToOwned() const {
   if (length_ == 0) {

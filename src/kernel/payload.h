@@ -1,4 +1,4 @@
-// Ref-counted, offset-sliced IPC payload.
+// Ref-counted, offset-sliced IPC bytes.
 //
 // The v2 typed ABI removed per-argument heap strings; this removes the
 // per-PAYLOAD memcpys. A Payload is a (shared arena, offset, length)
@@ -6,20 +6,24 @@
 // into a reply costs nothing, and a reply can outlive the store entry it
 // was sliced from (the arena lives until the last reference drops). The
 // LRPC idiom from the paper's lineage — share the bytes across the
-// protection-domain boundary, copy only on divergence.
+// protection-domain boundary, copy only on divergence. It is the one
+// buffer behind both the data block and the slot arena of an IPC record
+// (kernel/ipc.h), so one class decides when IPC bytes are shared and when
+// they are copied.
 //
 // Mutation is copy-on-write and EXPLICIT: the read surface is const
-// (data/begin/end/view), and writers go through MutableData()/resize(),
-// which detach from a shared arena before touching bytes — a monitor
-// rewriting a reply that aliases the request (or the fileserver's store)
-// can never corrupt what it borrowed from. Shrinking resize() is
-// zero-copy (the slice just narrows); only growth and shared-arena
-// detaches copy.
+// (data/begin/end/view), and writers go through MutableData()/resize()/
+// Append(), which detach from a shared arena before touching bytes — a
+// monitor rewriting a reply that aliases the request (or the fileserver's
+// store) can never corrupt what it borrowed from. Shrinking resize() is
+// zero-copy (the slice just narrows). Growth extends the arena in place
+// when this payload is its only owner and ends where it ends; otherwise
+// it detaches once.
 //
-// Every byte-copy the class performs bumps IpcPayloadCopyCount() — the
-// payload twin of IpcTextPayloadCount(). Refcount aliasing never bumps
-// it, so "this 64KiB read was not memcpy'd end to end" is a checkable
-// assertion, not a hope.
+// Every byte copy into or out of an IPC buffer (copy-ins, copy-on-write
+// detaches, copy-outs) bumps IpcPayloadCopyCount(). Refcount aliasing
+// never bumps it, so "this 64KiB read was not memcpy'd end to end" is a
+// checkable assertion, not a hope.
 #ifndef NEXUS_KERNEL_PAYLOAD_H_
 #define NEXUS_KERNEL_PAYLOAD_H_
 
@@ -33,9 +37,9 @@
 
 namespace nexus::kernel {
 
-// Process-wide count of payload byte-copies performed by Payload (counted
-// copies in/out, copy-on-write detaches, growth). The zero-copy audit
-// snapshots it around an operation and asserts it did not move.
+// Process-wide count of byte copies performed by Payload (copy-ins,
+// copy-on-write detaches, copy-outs). The zero-copy audits snapshot it
+// around an operation and assert it did not move.
 uint64_t IpcPayloadCopyCount();
 
 class Payload {
@@ -45,14 +49,21 @@ class Payload {
   // Adopts the buffer — no byte copy (the move-in path for producers that
   // already own a Bytes).
   Payload(Bytes&& bytes);
-  // Counted copy: the caller keeps its buffer, we clone it.
-  explicit Payload(const Bytes& bytes);
   Payload(std::initializer_list<uint8_t> init);
 
   Payload(const Payload&) = default;             // refcount bump, no copy
-  Payload(Payload&&) noexcept = default;
   Payload& operator=(const Payload&) = default;  // refcount bump, no copy
-  Payload& operator=(Payload&&) noexcept = default;
+  // Moves leave the source empty, so a moved-from record can be refilled.
+  Payload(Payload&& other) noexcept
+      : arena_(std::move(other.arena_)),
+        offset_(std::exchange(other.offset_, 0)),
+        length_(std::exchange(other.length_, 0)) {}
+  Payload& operator=(Payload&& other) noexcept {
+    arena_ = std::move(other.arena_);
+    offset_ = std::exchange(other.offset_, 0);
+    length_ = std::exchange(other.length_, 0);
+    return *this;
+  }
   Payload& operator=(Bytes&& bytes);             // adopt, no copy
   Payload& operator=(std::initializer_list<uint8_t> init) {
     *this = Payload(init);
@@ -63,8 +74,6 @@ class Payload {
   // fileserver hands back a slice of its backing store with this. The
   // range is clamped to the arena's size.
   static Payload Slice(std::shared_ptr<Bytes> arena, size_t offset, size_t length);
-  // Counted copy of an arbitrary view.
-  static Payload Copy(ByteView bytes);
 
   // ---- Read surface (const; never copies, never detaches).
   size_t size() const { return length_; }
@@ -85,17 +94,14 @@ class Payload {
   // payload mutates in place.
   uint8_t* MutableData();
   // Shrinking narrows the slice in place — zero-copy, the redaction
-  // clamp's hot path. Growth detaches into an owned buffer (old bytes
-  // copied, new bytes zero).
+  // clamp's hot path; resize(0) drops the arena. Growth zero-fills the
+  // new bytes, in place or through one detach (see the header comment).
   void resize(size_t n);
-  void clear() {
-    arena_.reset();
-    offset_ = 0;
-    length_ = 0;
-  }
-  // Counted copy-in / copy-out for the boundaries that genuinely need an
-  // owned buffer.
-  void assign(ByteView bytes);
+  // Counted copy-in of `bytes` at the end, in place or through one
+  // detach, like growth.
+  void Append(ByteView bytes);
+  // Counted copy-out for the boundaries that genuinely need an owned
+  // buffer.
   Bytes ToOwned() const;
 
   friend bool operator==(const Payload& a, const Payload& b) {
@@ -108,6 +114,11 @@ class Payload {
 
  private:
   static bool ViewEquals(ByteView a, ByteView b);
+  // True when growth may extend the arena in place: this payload is its
+  // only owner and the view ends where the arena ends.
+  bool GrowsInPlace() const {
+    return arena_ != nullptr && arena_.use_count() == 1 && offset_ + length_ == arena_->size();
+  }
   // Replaces the arena with a uniquely-owned copy of the current view,
   // sized `n` (extra bytes zero). Counts one copy when bytes move.
   void Detach(size_t n);

@@ -1,7 +1,6 @@
 #include "kernel/sched.h"
 
 #include <algorithm>
-#include <cstddef>
 
 namespace nexus::kernel {
 
@@ -80,62 +79,6 @@ std::vector<ProcessId> StrideScheduler::Clients() const {
 }
 
 uint32_t StrideScheduler::Weight(ProcessId pid) const {
-  auto it = clients_.find(pid);
-  return it == clients_.end() ? 0 : it->second.weight;
-}
-
-Status RoundRobinScheduler::AddClient(ProcessId pid, uint32_t weight) {
-  if (clients_.contains(pid)) {
-    return AlreadyExists("client already scheduled");
-  }
-  clients_[pid] = Client{weight, 0};
-  return OkStatus();
-}
-
-Status RoundRobinScheduler::RemoveClient(ProcessId pid) {
-  if (clients_.erase(pid) == 0) {
-    return NotFound("client not scheduled");
-  }
-  return OkStatus();
-}
-
-Status RoundRobinScheduler::SetWeight(ProcessId pid, uint32_t weight) {
-  auto it = clients_.find(pid);
-  if (it == clients_.end()) {
-    return NotFound("client not scheduled");
-  }
-  it->second.weight = weight;  // Recorded but ignored by selection.
-  return OkStatus();
-}
-
-Result<ProcessId> RoundRobinScheduler::Tick() {
-  if (clients_.empty()) {
-    return FailedPrecondition("no runnable clients");
-  }
-  size_t index = next_index_ % clients_.size();
-  next_index_ = (next_index_ + 1) % clients_.size();
-  auto it = clients_.begin();
-  std::advance(it, static_cast<ptrdiff_t>(index));
-  ++it->second.quanta;
-  ++total_quanta_;
-  return it->first;
-}
-
-uint64_t RoundRobinScheduler::QuantaReceived(ProcessId pid) const {
-  auto it = clients_.find(pid);
-  return it == clients_.end() ? 0 : it->second.quanta;
-}
-
-std::vector<ProcessId> RoundRobinScheduler::Clients() const {
-  std::vector<ProcessId> out;
-  out.reserve(clients_.size());
-  for (const auto& [pid, c] : clients_) {
-    out.push_back(pid);
-  }
-  return out;
-}
-
-uint32_t RoundRobinScheduler::Weight(ProcessId pid) const {
   auto it = clients_.find(pid);
   return it == clients_.end() ? 0 : it->second.weight;
 }

@@ -1,11 +1,10 @@
-// CPU schedulers (§4.1, "Resource Attestation").
+// The CPU scheduler (§4.1, "Resource Attestation").
 //
 // Fauxbook's resource-attestation guarantee relies on a proportional-share
 // scheduler whose internal allocation state is visible through the
 // introspection interface: a labeling function reads per-tenant weights and
 // realized shares and vouches that the provider delivers the contracted
-// fraction of the CPU. A stride scheduler provides proportional sharing; a
-// round-robin scheduler is kept as the baseline that *cannot* honor SLAs.
+// fraction of the CPU. Stride scheduling provides that proportional share.
 #ifndef NEXUS_KERNEL_SCHED_H_
 #define NEXUS_KERNEL_SCHED_H_
 
@@ -18,33 +17,20 @@
 
 namespace nexus::kernel {
 
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-  virtual Status AddClient(ProcessId pid, uint32_t weight) = 0;
-  virtual Status RemoveClient(ProcessId pid) = 0;
-  virtual Status SetWeight(ProcessId pid, uint32_t weight) = 0;
-  // Picks the next process to run and accounts one quantum to it.
-  virtual Result<ProcessId> Tick() = 0;
-  virtual uint64_t QuantaReceived(ProcessId pid) const = 0;
-  virtual uint64_t TotalQuanta() const = 0;
-  virtual std::vector<ProcessId> Clients() const = 0;
-  virtual uint32_t Weight(ProcessId pid) const = 0;
-};
-
 // Stride scheduling: client with weight w receives w / sum(w) of quanta,
 // with O(log n) selection via pass values (linear scan here; client counts
 // are small).
-class StrideScheduler : public Scheduler {
+class StrideScheduler {
  public:
-  Status AddClient(ProcessId pid, uint32_t weight) override;
-  Status RemoveClient(ProcessId pid) override;
-  Status SetWeight(ProcessId pid, uint32_t weight) override;
-  Result<ProcessId> Tick() override;
-  uint64_t QuantaReceived(ProcessId pid) const override;
-  uint64_t TotalQuanta() const override { return total_quanta_; }
-  std::vector<ProcessId> Clients() const override;
-  uint32_t Weight(ProcessId pid) const override;
+  Status AddClient(ProcessId pid, uint32_t weight);
+  Status RemoveClient(ProcessId pid);
+  Status SetWeight(ProcessId pid, uint32_t weight);
+  // Picks the next process to run and accounts one quantum to it.
+  Result<ProcessId> Tick();
+  uint64_t QuantaReceived(ProcessId pid) const;
+  uint64_t TotalQuanta() const { return total_quanta_; }
+  std::vector<ProcessId> Clients() const;
+  uint32_t Weight(ProcessId pid) const;
 
  private:
   static constexpr uint64_t kStrideUnit = 1 << 20;
@@ -57,29 +43,6 @@ class StrideScheduler : public Scheduler {
   };
 
   std::map<ProcessId, Client> clients_;
-  uint64_t total_quanta_ = 0;
-};
-
-// Round-robin baseline: ignores weights.
-class RoundRobinScheduler : public Scheduler {
- public:
-  Status AddClient(ProcessId pid, uint32_t weight) override;
-  Status RemoveClient(ProcessId pid) override;
-  Status SetWeight(ProcessId pid, uint32_t weight) override;
-  Result<ProcessId> Tick() override;
-  uint64_t QuantaReceived(ProcessId pid) const override;
-  uint64_t TotalQuanta() const override { return total_quanta_; }
-  std::vector<ProcessId> Clients() const override;
-  uint32_t Weight(ProcessId pid) const override;
-
- private:
-  struct Client {
-    uint32_t weight = 1;
-    uint64_t quanta = 0;
-  };
-
-  std::map<ProcessId, Client> clients_;
-  size_t next_index_ = 0;
   uint64_t total_quanta_ = 0;
 };
 

@@ -322,24 +322,6 @@ uint64_t FlightRecorder::NewTraceId() {
   return tls_next++;
 }
 
-std::string_view MutationKindName(MutationKind kind) {
-  switch (kind) {
-    case MutationKind::kSetGoal:
-      return "setgoal";
-    case MutationKind::kClearGoal:
-      return "cleargoal";
-    case MutationKind::kSetProof:
-      return "setproof";
-    case MutationKind::kClearProof:
-      return "clearproof";
-    case MutationKind::kSay:
-      return "say";
-    case MutationKind::kRemoteInvalidate:
-      return "remote_invalidate";
-  }
-  return "unknown";
-}
-
 MutationLog& MutationLog::Global() {
   // Leaked for the same teardown-order reason as the recorder.
   static MutationLog* global = new MutationLog();
@@ -351,7 +333,7 @@ uint64_t MutationLog::Append(MutationRecord record) {
   record.seq = next_seq_++;
   uint64_t seq = record.seq;
   records_.push_back(std::move(record));
-  while (records_.size() > capacity_) {
+  if (records_.size() > kCapacity) {
     records_.pop_front();
   }
   return seq;
@@ -359,40 +341,22 @@ uint64_t MutationLog::Append(MutationRecord record) {
 
 size_t MutationLog::DrainFrom(uint64_t* cursor, std::vector<MutationRecord>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Records are in seq order; find the first one past the cursor.
-  size_t appended = 0;
-  for (const MutationRecord& r : records_) {
-    if (r.seq > *cursor) {
-      out->push_back(r);
-      *cursor = r.seq;
-      ++appended;
-    }
+  if (records_.empty()) {
+    return 0;
   }
-  return appended;
+  // Records are seq-contiguous from the front, so the first one past the
+  // cursor sits at a computed index: no scan under the lock.
+  uint64_t front = records_.front().seq;
+  size_t start = *cursor < front ? 0 : std::min<uint64_t>(*cursor - front + 1, records_.size());
+  out->insert(out->end(), records_.begin() + static_cast<ptrdiff_t>(start), records_.end());
+  *cursor = std::max(*cursor, records_.back().seq);
+  return records_.size() - start;
 }
 
 void MutationLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   // seq keeps counting: cursors held by consumers stay valid.
-}
-
-void MutationLog::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity > 0 ? capacity : 1;
-  while (records_.size() > capacity_) {
-    records_.pop_front();
-  }
-}
-
-uint64_t MutationLog::appended() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_seq_ - 1;
-}
-
-size_t MutationLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
 }
 
 uint64_t CurrentTraceId() { return tls_current_trace_id; }

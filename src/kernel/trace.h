@@ -265,8 +265,6 @@ enum class MutationKind : uint8_t {
   kRemoteInvalidate,
 };
 
-std::string_view MutationKindName(MutationKind kind);
-
 struct MutationRecord {
   uint64_t seq = 0;      // Log order, assigned by Append (1-based).
   MutationKind kind = MutationKind::kSetGoal;
@@ -283,6 +281,9 @@ struct MutationRecord {
 
 class MutationLog {
  public:
+  // Records retained; over it the oldest are dropped.
+  static constexpr size_t kCapacity = size_t{1} << 16;
+
   static MutationLog& Global();
 
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
@@ -294,20 +295,18 @@ class MutationLog {
 
   // Appends every record with seq > *cursor to `out` and advances the
   // cursor. A value-initialized cursor (0) drains from the oldest retained
-  // record. Thread-safe; each consumer owns its cursor.
+  // record. The work is proportional to the records drained, not to the
+  // records retained. Thread-safe; each consumer owns its cursor.
   size_t DrainFrom(uint64_t* cursor, std::vector<MutationRecord>* out) const;
 
   void Clear();
-  void set_capacity(size_t capacity);
-
-  uint64_t appended() const;
-  size_t size() const;
 
  private:
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
+  // Seq-contiguous: Append pushes the next seq at the back and eviction
+  // and Clear only remove from the front.
   std::deque<MutationRecord> records_;
-  size_t capacity_ = 1 << 16;
   uint64_t next_seq_ = 1;
 };
 

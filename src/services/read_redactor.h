@@ -6,7 +6,8 @@
 // length in place (ArgVec::SetScalar) and redacts a configured byte range
 // of the content, without parsing a single character of text. An
 // interposed typed read therefore moves ZERO heap strings end to end;
-// tests pin that with IpcTextPayloadCount.
+// tests pin that with IpcPayloadCopyCount (one copy: the detach of the
+// redacted data).
 #ifndef NEXUS_SERVICES_READ_REDACTOR_H_
 #define NEXUS_SERVICES_READ_REDACTOR_H_
 

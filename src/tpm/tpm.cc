@@ -84,14 +84,6 @@ Status Tpm::TakeOwnership(Rng& rng, const std::vector<int>& policy_pcrs) {
   return OkStatus();
 }
 
-void Tpm::ClearOwnership() {
-  owned_ = false;
-  srk_secret_.clear();
-  policy_pcrs_.clear();
-  policy_composite_.clear();
-  dirs_.fill(crypto::Sha1Digest{});
-}
-
 bool Tpm::PolicySatisfied() const {
   if (!owned_) {
     return false;

@@ -66,8 +66,6 @@ class Tpm {
   // sealed data. Fails if already owned.
   Status TakeOwnership(Rng& rng, const std::vector<int>& policy_pcrs);
   bool IsOwned() const { return owned_; }
-  // Clears ownership, DIRs, and invalidates previously sealed blobs.
-  void ClearOwnership();
 
   // --------------------------------------------------------------- DIRs
   // DIR access requires ownership AND the current PCR composite to match

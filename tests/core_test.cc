@@ -673,6 +673,22 @@ TEST(GuardCacheTest, ZeroStampBypassesVerdictCache) {
   EXPECT_EQ(*guard.metrics().Value("cache_hits"), 1u);
 }
 
+TEST(GuardCacheTest, CheckWithoutAGoalFailsClosed) {
+  // A check with no goal has nothing to discharge: an internal fault,
+  // denied and never cached.
+  kernel::Kernel k;
+  Guard guard(&k);
+  kernel::ProcessId subject = *k.CreateProcess("subject", ToBytes("x"));
+  nal::Formula said = F("A says ok()");
+  std::vector<nal::Formula> creds = {said};
+  kernel::AuthzDecision decision =
+      guard.Check(kernel::AuthzRequest::Of(subject, "op", "obj"), nullptr,
+                  nal::proof::Premise(said), creds, /*stamp=*/1);
+  EXPECT_FALSE(decision.allowed());
+  EXPECT_FALSE(decision.cacheable);
+  EXPECT_EQ(decision.deny_reason.code(), ErrorCode::kInternal);
+}
+
 TEST(GuardQuotaTest, ZeroPerRootQuotaDisablesCachingWithoutHanging) {
   // per_root_quota = 0 used to make the quota loop condition vacuously
   // true: with an empty LRU it dereferenced std::prev(lru_.end()) — UB —

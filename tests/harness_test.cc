@@ -186,6 +186,61 @@ TEST(MutationLogTest, DrainFromIsIncremental) {
   log.set_enabled(false);
 }
 
+TEST(MutationLogTest, DrainAfterClearAndEvictionGetsExactlyTheNewRecords) {
+  MutationLog log;  // A private log: this test fills it past kCapacity.
+  auto append = [&log](uint64_t detail) {
+    MutationRecord r;
+    r.kind = kernel::MutationKind::kSay;
+    r.detail = detail;
+    log.Append(std::move(r));
+  };
+  // Drains and checks that exactly seqs [first, last] arrived, in order.
+  auto expect_drain = [&log](uint64_t* cursor, uint64_t first, uint64_t last) {
+    std::vector<MutationRecord> drained;
+    EXPECT_EQ(log.DrainFrom(cursor, &drained), last - first + 1);
+    ASSERT_EQ(drained.size(), last - first + 1);
+    for (size_t i = 0; i < drained.size(); ++i) {
+      ASSERT_EQ(drained[i].seq, first + i);
+      ASSERT_EQ(drained[i].detail, first + i);
+    }
+    EXPECT_EQ(*cursor, last);
+  };
+  uint64_t cursor = 0;
+  for (uint64_t seq = 1; seq <= 10; ++seq) {
+    append(seq);  // The log numbers records from 1, so detail == seq.
+  }
+  expect_drain(&cursor, 1, 10);
+
+  // Clear keeps the numbering: the held cursor drains exactly the records
+  // appended since, and a second drain finds nothing.
+  log.Clear();
+  for (uint64_t seq = 11; seq <= 15; ++seq) {
+    append(seq);
+  }
+  expect_drain(&cursor, 11, 15);
+  std::vector<MutationRecord> none;
+  EXPECT_EQ(log.DrainFrom(&cursor, &none), 0u);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(cursor, 15u);
+
+  // Eviction past the capacity: a cursor behind the oldest retained record
+  // drains everything retained, oldest first.
+  const uint64_t full = 15 + MutationLog::kCapacity + 100;
+  for (uint64_t seq = 16; seq <= full; ++seq) {
+    append(seq);
+  }
+  expect_drain(&cursor, full - MutationLog::kCapacity + 1, full);
+
+  // From a full log, a cursor inside the retained window gets only what is
+  // past it; a fresh cursor gets the oldest retained record on.
+  for (uint64_t seq = full + 1; seq <= full + 100; ++seq) {
+    append(seq);
+  }
+  expect_drain(&cursor, full + 1, full + 100);
+  uint64_t fresh = 0;
+  expect_drain(&fresh, full + 100 - MutationLog::kCapacity + 1, full + 100);
+}
+
 // ----------------------------------------------- Auditor negative paths
 
 constexpr kernel::OpId kOp = 11;

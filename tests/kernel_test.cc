@@ -435,13 +435,13 @@ TEST(IpcAbiV2Test, InterposedScalarCallBuildsNoTextPayloads) {
   msg.AddU64(42).AddPort(port).AddObject(obj).AddProcess(client).AddFormula(7);
   ASSERT_TRUE(k.Call(client, port, msg).status.ok());  // Warm-up.
 
-  uint64_t before = IpcTextPayloadCount();
+  uint64_t before = IpcPayloadCopyCount();
   for (int i = 0; i < 100; ++i) {
     IpcReply reply = k.Call(client, port, msg);
     ASSERT_TRUE(reply.status.ok());
     ASSERT_EQ(*reply.ArgU64(0), 5u);  // All five slots arrived.
   }
-  EXPECT_EQ(IpcTextPayloadCount(), before)
+  EXPECT_EQ(IpcPayloadCopyCount(), before)
       << "an integer/id-arg interposed call materialized text payloads";
   EXPECT_FALSE(audit.saw_text);
 }
@@ -829,6 +829,108 @@ TEST(PayloadTest, RewritingAliasedReplyDoesNotCorruptRequest) {
   EXPECT_EQ(IpcPayloadCopyCount(), before);
   EXPECT_EQ(ToString(clamp.data.view()), "sensitive");
   EXPECT_EQ(ToString(request.data.view()), "sensitive-request-bytes");
+}
+
+TEST(PayloadTest, GrowthExtendsInPlaceOnlyForTheSoleOwnerOfTheArenaEnd) {
+  auto bytes = [](const Payload& p) { return Bytes(p.begin(), p.end()); };
+  Payload owned = ToBytes("abc");
+  uint64_t before = IpcPayloadCopyCount();
+  owned.resize(5);  // Sole owner, view ends at the arena's end: in place.
+  EXPECT_EQ(IpcPayloadCopyCount(), before);
+  EXPECT_EQ(bytes(owned), (Bytes{'a', 'b', 'c', 0, 0}));
+
+  Payload shared = owned;
+  before = IpcPayloadCopyCount();
+  shared.resize(6);  // Shared: one detach, and the other holder is unchanged.
+  EXPECT_EQ(IpcPayloadCopyCount(), before + 1);
+  EXPECT_EQ(bytes(shared), (Bytes{'a', 'b', 'c', 0, 0, 0}));
+  EXPECT_EQ(bytes(owned), (Bytes{'a', 'b', 'c', 0, 0}));
+
+  // A narrowed view no longer ends where its arena ends: growing it
+  // detaches and zero-fills instead of re-exposing the bytes cut off.
+  Payload clamped = ToBytes("secret");
+  clamped.resize(2);
+  before = IpcPayloadCopyCount();
+  clamped.resize(4);
+  EXPECT_EQ(IpcPayloadCopyCount(), before + 1);
+  EXPECT_EQ(bytes(clamped), (Bytes{'s', 'e', 0, 0}));
+
+  // resize(0) drops the arena; growing from empty copies nothing.
+  clamped.resize(0);
+  EXPECT_EQ(clamped.size(), 0u);
+  before = IpcPayloadCopyCount();
+  clamped.resize(3);
+  EXPECT_EQ(IpcPayloadCopyCount(), before);
+  EXPECT_EQ(bytes(clamped), (Bytes{0, 0, 0}));
+}
+
+TEST(PayloadTest, SlotArenaAppendDetachesASharedArenaOnce) {
+  // The slot arena is a Payload too: appending a slot through an arena
+  // another record still reads detaches it exactly once, and the other
+  // record's slots keep their text.
+  IpcMessage original = IpcMessage::Of("send");
+  original.AddString("alpha").AddU64(7).AddString("beta");
+  auto expect_one_detach = [&original](ArgVec& args) {
+    uint64_t before = IpcPayloadCopyCount();
+    ASSERT_TRUE(args.AddPayload(ArgTag::kString, "gamma"));
+    EXPECT_EQ(IpcPayloadCopyCount(), before + 2) << "one copy-in plus one detach";
+    ASSERT_EQ(original.args.size(), 3u);
+    EXPECT_EQ(*original.ArgString(0), "alpha");
+    EXPECT_EQ(*original.ArgString(2), "beta");
+  };
+
+  {  // A copy of the message.
+    IpcMessage copy = original;
+    expect_one_detach(copy.args);
+    EXPECT_EQ(*copy.ArgString(0), "alpha");
+    EXPECT_EQ(*copy.ArgString(2), "beta");
+    EXPECT_EQ(*copy.ArgString(3), "gamma");
+  }
+  {  // A reply that aliases the message's arena.
+    IpcReply reply = IpcReply::Ok();
+    ASSERT_TRUE(reply.args.AddAliasedPayload(ArgTag::kString, original.args, 2));
+    expect_one_detach(reply.args);
+    EXPECT_EQ(*reply.ArgString(0), "beta");
+    EXPECT_EQ(*reply.ArgString(1), "gamma");
+  }
+  {  // A Tail of the message, as the ipc_call syscall forwards it.
+    ArgVec tail = original.args.Tail(1);
+    expect_one_detach(tail);
+    EXPECT_EQ(*SlotU64(tail, 0), 7u);
+    EXPECT_EQ(*SlotString(tail, 1), "beta");
+    EXPECT_EQ(*SlotString(tail, 2), "gamma");
+  }
+
+  // Once nothing else holds the arena, an append extends it in place and
+  // only the copy-in counts.
+  uint64_t before = IpcPayloadCopyCount();
+  original.AddString("delta");
+  EXPECT_EQ(IpcPayloadCopyCount(), before + 1);
+  EXPECT_EQ(*original.ArgString(0), "alpha");
+  EXPECT_EQ(*original.ArgString(3), "delta");
+}
+
+TEST(PayloadTest, MovedFromRecordIsEmptyAndReusable) {
+  // The ipc_call syscall moves the outer data block into the forwarded
+  // message while the outer request stays readable (a reply monitor sees
+  // it), and a moved-from record may be refilled.
+  IpcMessage outer = IpcMessage::Of("send");
+  outer.AddString("path");
+  outer.data = ToBytes("outer-data");
+  IpcMessage inner;
+  inner.data = std::move(outer.data);
+  inner.args = std::move(outer.args);
+  EXPECT_EQ(outer.data.size(), 0u);
+  EXPECT_EQ(outer.data.view().size(), 0u);
+  EXPECT_TRUE(outer.args.empty());
+  EXPECT_EQ(ToString(inner.data.view()), "outer-data");
+  EXPECT_EQ(*inner.ArgString(0), "path");
+
+  outer.AddString("again");
+  outer.data = ToBytes("refilled");
+  EXPECT_EQ(*outer.ArgString(0), "again");
+  EXPECT_EQ(ToString(outer.data.view()), "refilled");
+  EXPECT_EQ(*inner.ArgString(0), "path");
 }
 
 TEST(PayloadTest, LifetimeMatrix) {
@@ -1474,13 +1576,13 @@ TEST_F(FileServerTest, TypedReadPathBuildsNoTextPayloads) {
   ASSERT_TRUE(kernel_.Call(
       client_, SyscallIpcPort(Syscall::kRead), read_msg).status.ok());  // Warm.
 
-  uint64_t before = IpcTextPayloadCount();
+  uint64_t before = IpcPayloadCopyCount();
   for (int i = 0; i < 100; ++i) {
     IpcReply reply = kernel_.Call(client_, SyscallIpcPort(Syscall::kRead), read_msg);
     ASSERT_TRUE(reply.status.ok());
     ASSERT_EQ(ToString(reply.data), "0123");
   }
-  EXPECT_EQ(IpcTextPayloadCount(), before);
+  EXPECT_EQ(IpcPayloadCopyCount(), before);
   kernel_.set_engine(nullptr);
 }
 
@@ -1895,17 +1997,6 @@ TEST(SchedulerTest, StrideRejectsBadInput) {
   EXPECT_FALSE(sched.AddClient(1, 2).ok());
   EXPECT_FALSE(sched.SetWeight(2, 1).ok());
   EXPECT_FALSE(sched.RemoveClient(2).ok());
-}
-
-TEST(SchedulerTest, RoundRobinIgnoresWeights) {
-  RoundRobinScheduler sched;
-  sched.AddClient(1, 100);
-  sched.AddClient(2, 1);
-  for (int i = 0; i < 1000; ++i) {
-    sched.Tick();
-  }
-  EXPECT_EQ(sched.QuantaReceived(1), 500u);
-  EXPECT_EQ(sched.QuantaReceived(2), 500u);
 }
 
 TEST(SchedulerTest, EmptySchedulerFails) {

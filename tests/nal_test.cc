@@ -667,6 +667,22 @@ TEST(ProverTest, TransitiveDelegation) {
   EXPECT_TRUE(CheckProof(*p, F("C says ok()"), creds).status.ok());
 }
 
+TEST(ProverTest, SpeaksForGoalByTransitivity) {
+  auto creds = Creds({"A speaksfor B", "B speaksfor C"});
+  Result<Proof> p = AutoProve(F("A speaksfor C"), creds);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_TRUE(CheckProof(*p, F("A speaksfor C"), creds).status.ok());
+
+  // The first hop's scope carries into the conclusion, so a scoped first
+  // hop serves only a goal with that same scope.
+  auto scoped = Creds({"A speaksfor B on TimeNow", "B speaksfor C"});
+  Result<Proof> same = AutoProve(F("A speaksfor C on TimeNow"), scoped);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_TRUE(CheckProof(*same, F("A speaksfor C on TimeNow"), scoped).status.ok());
+  EXPECT_FALSE(AutoProve(F("A speaksfor C on Storage"), scoped).ok());
+  EXPECT_FALSE(AutoProve(F("A speaksfor C"), scoped).ok());
+}
+
 TEST(ProverTest, AuthorityDischargeWhenPermitted) {
   ProverOptions options;
   options.may_query_authority = [](const Formula& f) { return ScopeMatches(f, "TimeNow"); };

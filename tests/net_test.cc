@@ -831,6 +831,43 @@ TEST(RemoteAuthorityTest, GuardConsultsRemoteAuthorityThroughProofLeaf) {
       kernel::AuthzRequest::Of(subject, "open", "door")).ok());
 }
 
+TEST(RemoteAuthorityTest, UnreachablePeerFailsClosed) {
+  RemoteAuthorityWorld w;
+  const std::vector<nal::Formula> statements = {F("Session says sessionActive(alice)"),
+                                                F("Session says sessionActive(bob)")};
+  auto expect_unreachable = [&statements](RemoteAuthority& remote) {
+    core::VouchOutcome outcome = remote.Vouch(statements, /*timeout_us=*/100000).Wait();
+    EXPECT_EQ(outcome.answers, std::vector<bool>(statements.size(), false));
+    EXPECT_FALSE(outcome.responsive);
+    EXPECT_EQ(*remote.metrics().Value("denied_unreachable"), statements.size());
+    EXPECT_EQ(*remote.metrics().Value("vouched"), 0u);
+  };
+
+  // No endpoint is attached under this name: no channel ever opens.
+  RemoteAuthority nowhere(w.node_a.get(), "nowhere", nullptr);
+  expect_unreachable(nowhere);
+
+  // A peer that leaves the fabric after the handshake: the channel is
+  // established but the request cannot be sent.
+  ASSERT_TRUE(w.node_a->Connect("b").ok());
+  w.transport.Detach("b");
+  RemoteAuthority departed(w.node_a.get(), "b", nullptr);
+  expect_unreachable(departed);
+  EXPECT_EQ(*w.service.metrics().Value("queries_served"), 0u);
+
+  // A guard check whose proof rests on the unreachable authority denies.
+  w.nexus_a.guard().AddRemoteAuthority(&nowhere);
+  kernel::ProcessId subject = *w.nexus_a.CreateProcess("subject", ToBytes("s"));
+  w.nexus_a.engine().RegisterObject("door", subject, kernel::kKernelProcessId);
+  ASSERT_TRUE(w.nexus_a.engine().SetGoal(subject, "open", "door", statements[0]).ok());
+  ASSERT_TRUE(w.nexus_a.engine()
+                  .SetProof(subject, "open", "door", nal::proof::Authority(statements[0]))
+                  .ok());
+  EXPECT_FALSE(
+      w.nexus_a.kernel().Authorize(kernel::AuthzRequest::Of(subject, "open", "door")).ok());
+  EXPECT_EQ(*nowhere.metrics().Value("denied_unreachable"), statements.size() + 1);
+}
+
 TEST(RemoteAuthorityTest, GoalTheProofCannotDischargeIsDeniedWithoutAsking) {
   // A goal flip installs a goal the holder's proof cannot discharge. No
   // authority answer could change that deny, so none is asked, and the

