@@ -294,7 +294,7 @@ Status ReadBody(ByteReader& reader, ArgVec* args, Payload* data) {
       }
       case ArgTag::kBytes:
       case ArgTag::kString: {
-        Result<Bytes> payload = reader.ReadLengthPrefixed();
+        Result<ByteView> payload = reader.ReadLengthPrefixedView();
         if (!payload.ok()) {
           return payload.status();
         }

@@ -152,7 +152,7 @@ Status Kernel::KillProcess(ProcessId pid) {
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    scheduler_.RemoveClient(pid);  // Best effort; may not be scheduled.
+    scheduler_->RemoveClient(pid);  // Best effort; may not be scheduled.
   }
   lifecycle_generation_.fetch_add(1);
   return OkStatus();
@@ -740,7 +740,7 @@ IpcReply Kernel::SysGetTimeOfDay(ProcessId, ProcessId, IpcMessage&) {
 
 IpcReply Kernel::SysYield(ProcessId caller, ProcessId, IpcMessage&) {
   std::unique_lock<std::mutex> lock(sched_mu_);
-  Result<ProcessId> next = scheduler_.Tick();
+  Result<ProcessId> next = scheduler_->Tick();
   lock.unlock();
   return IpcReply::Ok().AddU64(next.ok() ? *next : caller);
 }

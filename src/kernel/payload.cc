@@ -89,11 +89,6 @@ void Payload::resize(size_t n) {
     }
     return;
   }
-  if (GrowsInPlace()) {
-    arena_->resize(offset_ + n);
-    length_ = n;
-    return;
-  }
   Detach(n);  // Nothing kept (an empty payload) counts no copy.
 }
 
@@ -103,7 +98,9 @@ void Payload::Append(ByteView bytes) {
   }
   CountCopy();
   size_t at = length_;
-  if (GrowsInPlace()) {
+  // In place when this payload is the arena's only owner and its view
+  // ends where the arena ends.
+  if (arena_ != nullptr && arena_.use_count() == 1 && offset_ + length_ == arena_->size()) {
     // Inserting at the end stays correct when `bytes` views this arena.
     arena_->insert(arena_->end(), bytes.begin(), bytes.end());
     length_ += bytes.size();

@@ -16,9 +16,9 @@
 // Append(), which detach from a shared arena before touching bytes — a
 // monitor rewriting a reply that aliases the request (or the fileserver's
 // store) can never corrupt what it borrowed from. Shrinking resize() is
-// zero-copy (the slice just narrows). Growth extends the arena in place
-// when this payload is its only owner and ends where it ends; otherwise
-// it detaches once.
+// zero-copy (the slice just narrows); growing it detaches into an owned
+// buffer. Append() extends the arena in place when this payload is its
+// only owner and ends where it ends; otherwise it detaches once.
 //
 // Every byte copy into or out of an IPC buffer (copy-ins, copy-on-write
 // detaches, copy-outs) bumps IpcPayloadCopyCount(). Refcount aliasing
@@ -94,11 +94,11 @@ class Payload {
   // payload mutates in place.
   uint8_t* MutableData();
   // Shrinking narrows the slice in place — zero-copy, the redaction
-  // clamp's hot path; resize(0) drops the arena. Growth zero-fills the
-  // new bytes, in place or through one detach (see the header comment).
+  // clamp's hot path; resize(0) drops the arena. Growth detaches into an
+  // owned buffer (old bytes copied, new bytes zero).
   void resize(size_t n);
   // Counted copy-in of `bytes` at the end, in place or through one
-  // detach, like growth.
+  // detach (see the header comment).
   void Append(ByteView bytes);
   // Counted copy-out for the boundaries that genuinely need an owned
   // buffer.
@@ -114,11 +114,6 @@ class Payload {
 
  private:
   static bool ViewEquals(ByteView a, ByteView b);
-  // True when growth may extend the arena in place: this payload is its
-  // only owner and the view ends where the arena ends.
-  bool GrowsInPlace() const {
-    return arena_ != nullptr && arena_.use_count() == 1 && offset_ + length_ == arena_->size();
-  }
   // Replaces the arena with a uniquely-owned copy of the current view,
   // sized `n` (extra bytes zero). Counts one copy when bytes move.
   void Detach(size_t n);

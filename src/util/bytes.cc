@@ -121,6 +121,14 @@ Result<uint64_t> ByteReader::ReadU64() {
 }
 
 Result<Bytes> ByteReader::ReadLengthPrefixed() {
+  Result<ByteView> chunk = ReadLengthPrefixedView();
+  if (!chunk.ok()) {
+    return chunk.status();
+  }
+  return Bytes(chunk->begin(), chunk->end());
+}
+
+Result<ByteView> ByteReader::ReadLengthPrefixedView() {
   Result<uint32_t> len = ReadU32();
   if (!len.ok()) {
     return len.status();
@@ -128,8 +136,7 @@ Result<Bytes> ByteReader::ReadLengthPrefixed() {
   if (remaining() < *len) {
     return OutOfRange("truncated length-prefixed chunk");
   }
-  Bytes out(data_.begin() + static_cast<ptrdiff_t>(offset_),
-            data_.begin() + static_cast<ptrdiff_t>(offset_ + *len));
+  ByteView out = data_.subspan(offset_, *len);
   offset_ += *len;
   return out;
 }

@@ -49,6 +49,9 @@ class ByteReader {
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<Bytes> ReadLengthPrefixed();
+  // The same chunk as a view of the reader's buffer: no copy, valid while
+  // that buffer is.
+  Result<ByteView> ReadLengthPrefixedView();
   // A u32 count, then that many length-prefixed chunks. A count the
   // remaining bytes cannot carry (each chunk costs at least its 4-byte
   // prefix) fails before anything is sized from it.

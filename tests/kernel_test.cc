@@ -831,23 +831,18 @@ TEST(PayloadTest, RewritingAliasedReplyDoesNotCorruptRequest) {
   EXPECT_EQ(ToString(request.data.view()), "sensitive-request-bytes");
 }
 
-TEST(PayloadTest, GrowthExtendsInPlaceOnlyForTheSoleOwnerOfTheArenaEnd) {
+TEST(PayloadTest, GrowthDetachesAndZeroFills) {
   auto bytes = [](const Payload& p) { return Bytes(p.begin(), p.end()); };
   Payload owned = ToBytes("abc");
-  uint64_t before = IpcPayloadCopyCount();
-  owned.resize(5);  // Sole owner, view ends at the arena's end: in place.
-  EXPECT_EQ(IpcPayloadCopyCount(), before);
-  EXPECT_EQ(bytes(owned), (Bytes{'a', 'b', 'c', 0, 0}));
-
   Payload shared = owned;
-  before = IpcPayloadCopyCount();
-  shared.resize(6);  // Shared: one detach, and the other holder is unchanged.
+  uint64_t before = IpcPayloadCopyCount();
+  shared.resize(6);  // One detach, and the other holder is unchanged.
   EXPECT_EQ(IpcPayloadCopyCount(), before + 1);
   EXPECT_EQ(bytes(shared), (Bytes{'a', 'b', 'c', 0, 0, 0}));
-  EXPECT_EQ(bytes(owned), (Bytes{'a', 'b', 'c', 0, 0}));
+  EXPECT_EQ(bytes(owned), (Bytes{'a', 'b', 'c'}));
 
-  // A narrowed view no longer ends where its arena ends: growing it
-  // detaches and zero-fills instead of re-exposing the bytes cut off.
+  // Growing a narrowed view zero-fills instead of re-exposing the bytes
+  // cut off.
   Payload clamped = ToBytes("secret");
   clamped.resize(2);
   before = IpcPayloadCopyCount();
@@ -1889,6 +1884,33 @@ TEST(KernelAuthorizeTest, ProofUpdateInvalidatesCachedDecision) {
   k.Authorize(AuthzRequest::Of(1, "read", "o"));
   k.OnProofUpdate(1, "read", "o");
   k.Authorize(AuthzRequest::Of(1, "read", "o"));
+  EXPECT_EQ(engine.upcalls, 2);
+}
+
+TEST(KernelAuthorizeTest, EngineWithoutABatchPathAnswersEachMissInItsSlot) {
+  // An engine that does not override AuthorizeBatch answers a batch of
+  // misses through the default loop: one Authorize per miss, each verdict
+  // in its request's slot.
+  class ObjectListEngine : public AuthorizationEngine {
+   public:
+    AuthzDecision Authorize(const AuthzRequest& request) override {
+      ++upcalls;
+      if (request.object() == "allowed") {
+        return AuthzDecision::Allow(true);
+      }
+      return AuthzDecision::Deny(PermissionDenied("not listed"), true);
+    }
+    int upcalls = 0;
+  };
+  Kernel k;
+  ObjectListEngine engine;
+  k.set_engine(&engine);
+  const AuthzRequest requests[] = {AuthzRequest::Of(1, "read", "denied"),
+                                   AuthzRequest::Of(1, "read", "allowed")};
+  std::vector<Status> verdicts = k.AuthorizeBatch(requests);
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[0].code(), ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(verdicts[1].ok());
   EXPECT_EQ(engine.upcalls, 2);
 }
 

@@ -476,6 +476,8 @@ TEST_F(RedactionTest, RewritesTypedReadRepliesWithZeroTextPayloads) {
   // copy-on-write detach of the data it redacts, which the read reply
   // sliced from the file server's store.
   EXPECT_EQ(kernel::IpcPayloadCopyCount(), copies_before + 1);
+  // ...and the store it sliced was not written through.
+  EXPECT_EQ(ToString(*fs_.ReadFile("/sealed")), "0123456789ABCDEF");
 }
 
 TEST_F(RedactionTest, ShortAndNonReadRepliesPassUntouched) {

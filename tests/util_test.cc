@@ -125,6 +125,21 @@ TEST(BytesTest, ReaderRejectsTruncatedInput) {
   Bytes buf = {0x00, 0x00, 0x00, 0x08, 0x01};  // Claims 8 bytes, has 1.
   ByteReader reader(buf);
   EXPECT_FALSE(reader.ReadLengthPrefixed().ok());
+  ByteReader view_reader(buf);
+  EXPECT_FALSE(view_reader.ReadLengthPrefixedView().ok());
+}
+
+TEST(BytesTest, LengthPrefixedViewPointsIntoTheBuffer) {
+  Bytes buf;
+  AppendLengthPrefixed(buf, ToBytes("alpha"));
+  AppendLengthPrefixed(buf, ToBytes("beta"));
+  ByteReader reader(buf);
+  Result<ByteView> alpha = reader.ReadLengthPrefixedView();
+  ASSERT_TRUE(alpha.ok());
+  EXPECT_EQ(alpha->data(), buf.data() + 4);
+  EXPECT_EQ(ToString(Bytes(alpha->begin(), alpha->end())), "alpha");
+  EXPECT_EQ(ToString(*reader.ReadLengthPrefixed()), "beta");
+  EXPECT_TRUE(reader.AtEnd());
 }
 
 TEST(BytesTest, LengthPrefixedListRoundTripsAndRejectsImpossibleCounts) {
