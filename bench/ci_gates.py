@@ -28,7 +28,9 @@ CALLMANY_MIN_SPEEDUP = 3.0
 # means the bench quietly stopped exercising the path it claims to measure
 # (or the metrics plane rotted).
 LIVE_COUNTERS = {
-    "bench_fig7_interposition": ["kernel.calls"],
+    # ddrm.allowed: the kref/uref rows, whose kref-min medians are the
+    # fig7 gate's numerator, ran the monitor and it admitted their packets.
+    "bench_fig7_interposition": ["kernel.calls", "ddrm.allowed"],
     "bench_table1_syscalls": ["kernel.syscalls", "kernel.calls"],
     "bench_fig4_authorization": ["kernel.authorize_requests", "cache.hits"],
     "bench_net_attestation": ["channel.data_sent", "channel.data_received",

@@ -274,11 +274,10 @@ Status WorkloadScenario::Setup(const Params& params) {
   if (spec_.interposed) {
     services::DdrmPolicy policy;
     policy.allowed_operations = {spec_.read_op, spec_.write_op};
-    // cache_decisions=false: the monitor's verdict memo is a plain map,
-    // unsafe under the driver's concurrent Call traffic. Policy
-    // evaluation itself is read-only.
-    monitor_ =
-        std::make_unique<services::DeviceDriverMonitor>(policy, /*cache_decisions=*/false);
+    // Cached, as a deployed monitor runs: its verdict table is built here
+    // and only read after, so the driver's concurrent Call traffic shares
+    // it with no lock.
+    monitor_ = std::make_unique<services::DeviceDriverMonitor>(policy);
     NEXUS_RETURN_IF_ERROR(kernel.Interpose(server_, service_port_, monitor_.get()).status());
   }
   return OkStatus();

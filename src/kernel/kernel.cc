@@ -451,6 +451,12 @@ struct Staging {
 };
 thread_local Staging t_staging;
 
+// Per-thread capacity for interceptor-chain snapshots, lent the same way:
+// a crossing that finds a monitor on its port takes it and gives it back
+// after, and a re-entrant crossing finds it empty and allocates its own. A
+// crossing that finds no monitor never touches it.
+thread_local std::vector<Interceptor*> t_chain;
+
 }  // namespace
 
 IpcReply Kernel::Call(ProcessId caller, PortId port, const IpcMessage& message) {
@@ -664,6 +670,10 @@ size_t Kernel::CallMany(ProcessId caller, PortId port, std::span<const IpcMessag
     staging.working.clear();
     t_staging = std::move(staging);
   }
+  if (monitors.capacity() != 0) {
+    monitors.clear();
+    t_chain = std::move(monitors);
+  }
   size_t ok = 0;
   for (const IpcReply& reply : replies) {
     ok += reply.status.ok() ? 1 : 0;
@@ -679,6 +689,9 @@ void Kernel::SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active
   std::shared_lock<std::shared_mutex> lock(interpose_mu_);
   for (auto it = interpositions_.rbegin(); it != interpositions_.rend(); ++it) {
     if (it->port == port) {
+      if (active->capacity() == 0) {
+        *active = std::move(t_chain);
+      }
       active->push_back(it->interceptor);
     }
   }

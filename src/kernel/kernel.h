@@ -339,8 +339,9 @@ class Kernel {
   std::optional<Port> SnapshotPort(PortId port) const;
 
   // Newest-first interceptor chain for `port`, snapshotted under the
-  // reader lock — or not at all: the interpose_count_ fast path makes the
-  // no-monitors case one relaxed load, no lock, no allocation.
+  // reader lock into capacity borrowed from the calling thread, which
+  // CallMany gives back — or not at all: the interpose_count_ fast path
+  // makes the no-monitors case one relaxed load, no lock, no allocation.
   void SnapshotInterceptors(PortId port, std::vector<Interceptor*>* active) const;
 
   // One handler per syscall, direct-indexed by the enumerator: CallMany's

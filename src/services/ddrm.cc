@@ -1,5 +1,7 @@
 #include "services/ddrm.h"
 
+#include <algorithm>
+
 #include "nal/checker.h"
 #include "nal/proof.h"
 
@@ -7,8 +9,8 @@ namespace nexus::services {
 
 namespace {
 
-// Hoisted: the content-access and IPC-target policy hooks compare interned
-// ids, not operation strings, on every intercepted call.
+// Hoisted: the content-access and IPC-target rules compare interned ids,
+// not operation strings.
 const kernel::OpId kReadPageOp = kernel::InternOp("read_page");
 const kernel::OpId kWritePageOp = kernel::InternOp("write_page");
 const kernel::OpId kIpcSendOp = kernel::InternOp("ipc_send");
@@ -26,62 +28,45 @@ DeviceDriverMonitor::DeviceDriverMonitor(DdrmPolicy policy, bool cache_decisions
   for (const std::string& operation : policy_.allowed_operations) {
     policy_credentials_.push_back(AllowsFormula(operation));
   }
+  for (const std::string& operation : policy_.allowed_operations) {
+    const kernel::OpId op = kernel::InternOp(operation);
+    if (OperationAllowed(op)) {
+      allowed_ops_.push_back(op);
+    }
+  }
+  std::sort(allowed_ops_.begin(), allowed_ops_.end());
 }
 
-bool DeviceDriverMonitor::Evaluate(const kernel::IpcMessage& message) {
+bool DeviceDriverMonitor::OperationAllowed(kernel::OpId op) const {
   // The policy question "may this driver invoke <op>?" is discharged as a
   // proof check against the policy labels — the guard machinery a Nexus
-  // reference monitor really runs. The memo above caches its outcome.
-  nal::Formula goal = AllowsFormula(message.operation());
+  // reference monitor really runs. The verdict table holds its outcome
+  // for every allowed operation.
+  nal::Formula goal = AllowsFormula(kernel::OpName(op));
   nal::CheckResult checked =
       nal::CheckProof(nal::proof::Premise(goal), goal, policy_credentials_);
   if (!checked.status.ok()) {
     return false;
   }
-  if (!policy_.allow_page_content_access &&
-      (message.op == kReadPageOp || message.op == kWritePageOp)) {
-    return false;
+  return policy_.allow_page_content_access || (op != kReadPageOp && op != kWritePageOp);
+}
+
+bool DeviceDriverMonitor::TargetAllowed(const kernel::IpcMessage& message) const {
+  if (message.op != kIpcSendOp || policy_.allowed_ipc_targets.empty()) {
+    return true;
   }
-  if (message.op == kIpcSendOp && !policy_.allowed_ipc_targets.empty()) {
-    // The target port is an integer slot; anything else is a deny.
-    Result<kernel::PortId> target = message.ArgPort(0);
-    if (!target.ok() || !policy_.allowed_ipc_targets.contains(*target)) {
-      return false;
-    }
-  }
-  return true;
+  // The target port is an integer slot; anything else is a deny.
+  Result<kernel::PortId> target = message.ArgPort(0);
+  return target.ok() && policy_.allowed_ipc_targets.contains(*target);
 }
 
 kernel::InterposeVerdict DeviceDriverMonitor::OnCall(const kernel::IpcContext& context,
                                                      kernel::IpcMessage& message) {
   (void)context;
-  bool allowed;
-  // Only memoize calls the integer key can represent faithfully: for
-  // ipc_send, a port-id target. Everything else (garbage targets)
-  // evaluates fresh, so no verdict is ever replayed for a different call
-  // shape than the one that produced it.
-  bool memoizable = cache_decisions_;
-  MemoKey key{message.op, MemoShape::kPlain, 0};
-  if (memoizable && message.op == kIpcSendOp && !message.args.empty()) {
-    Result<kernel::PortId> target = message.ArgPort(0);
-    if (target.ok()) {
-      key = MemoKey{message.op, MemoShape::kTarget, *target};
-    } else {
-      memoizable = false;
-    }
-  }
-  if (memoizable) {
-    auto it = decision_memo_.find(key);
-    if (it != decision_memo_.end()) {
-      allowed = it->second;
-    } else {
-      allowed = Evaluate(message);
-      decision_memo_[key] = allowed;
-    }
-  } else {
-    allowed = Evaluate(message);
-  }
-  if (allowed) {
+  const bool operation_allowed =
+      cache_decisions_ ? std::binary_search(allowed_ops_.begin(), allowed_ops_.end(), message.op)
+                       : OperationAllowed(message.op);
+  if (operation_allowed && TargetAllowed(message)) {
     stats_.allowed->Increment();
     return kernel::InterposeVerdict::kAllow;
   }

@@ -10,10 +10,9 @@
 #ifndef NEXUS_SERVICES_DDRM_H_
 #define NEXUS_SERVICES_DDRM_H_
 
-#include <map>
 #include <set>
 #include <string>
-#include <tuple>
+#include <vector>
 
 #include "core/engine.h"
 #include "kernel/kernel.h"
@@ -33,8 +32,12 @@ struct DdrmPolicy {
 
 class DeviceDriverMonitor : public kernel::Interceptor {
  public:
+  // `cache_decisions` picks how OnCall decides, the two monitor rows of
+  // Fig. 7: from the verdict table built here (kref-min) or by a proof
+  // check per message (kref-max).
   explicit DeviceDriverMonitor(DdrmPolicy policy, bool cache_decisions = true);
 
+  // Safe for concurrent callers on either path.
   kernel::InterposeVerdict OnCall(const kernel::IpcContext& context,
                                   kernel::IpcMessage& message) override;
 
@@ -49,23 +52,24 @@ class DeviceDriverMonitor : public kernel::Interceptor {
   const DdrmPolicy& policy() const { return policy_; }
 
  private:
-  bool Evaluate(const kernel::IpcMessage& message);
+  // May the driver invoke `op` at all? A NAL proof check of
+  // `Policy says allows(<op>)` against the policy's labels, as the paper's
+  // monitors decide, then the page-content rule.
+  bool OperationAllowed(kernel::OpId op) const;
+  // The ipc_send target rule, an integer check that both paths make per
+  // call: the target is the message's first slot.
+  bool TargetAllowed(const kernel::IpcMessage& message) const;
 
   DdrmPolicy policy_;
   bool cache_decisions_;
-  // Verdict memo keyed by (interned op id, arg shape, target): models the
-  // reference-monitor decision cache measured in Fig. 7 (min vs max).
-  // Integer keys — the cached path builds no strings (typed ABI v2). The
-  // shape discriminator keeps a no-arg ipc_send distinct from "port 0",
-  // and calls the memo cannot key faithfully (targets that are not port
-  // ids) are simply not memoized.
-  enum class MemoShape : uint8_t { kPlain, kTarget };
-  using MemoKey = std::tuple<kernel::OpId, MemoShape, uint64_t>;
-  std::map<MemoKey, bool> decision_memo_;
-  // The uncached path evaluates the policy as the paper's monitors do: a
-  // NAL proof check of `Policy says allows(<op>)` against the policy's
-  // labels. Pre-built at construction.
+  // `Policy says allows(<op>)` for each allowed operation. Pre-built.
   std::vector<nal::Formula> policy_credentials_;
+  // The verdict table, the reference-monitor decision cache of Fig. 7:
+  // the sorted ids of every operation OperationAllowed admits. The
+  // constructor builds it and nothing writes it after, so the cached path
+  // reads it with no lock and allocates nothing. An op absent from it,
+  // including one interned after construction, is denied.
+  std::vector<kernel::OpId> allowed_ops_;
   metrics::MetricGroup metrics_{&metrics::Registry::Global(), "ddrm"};
   struct {
     metrics::Counter* allowed;

@@ -1,9 +1,10 @@
-// Pins that the single-request paths make no heap allocation. Call is
-// CallMany over a one-element span, Kernel::Authorize is the batch pipeline
-// run on one request, and Engine::Authorize is the engine's miss routine
-// run on one request; a batch container built on any of them would fail
-// here. This binary replaces the global operator new to count allocations
-// made by the calling thread.
+// Pins that the single-request paths, and an interposed crossing, make no
+// heap allocation. Call is CallMany over a one-element span,
+// Kernel::Authorize is the batch pipeline run on one request, and
+// Engine::Authorize is the engine's miss routine run on one request; a
+// batch container built on any of them would fail here. This binary
+// replaces the global operator new to count allocations made by the
+// calling thread.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include "core/nexus.h"
 #include "kernel/kernel.h"
 #include "nal/parser.h"
+#include "services/ddrm.h"
 
 namespace {
 
@@ -136,17 +138,25 @@ TEST_F(AllocTest, NullSyscallAllocatesNothing) {
             0u);
 }
 
-TEST_F(AllocTest, MonitoredCallsAllocateAtMostTheChainSnapshot) {
+TEST_F(AllocTest, MonitoredCallsAllocateNothing) {
+  // Two monitors: a pass-through and the decision-cached DDRM, whose
+  // verdict table admits the read.
   PassThrough monitor;
+  services::DdrmPolicy policy;
+  policy.allowed_operations = {"alloc-read"};
+  services::DeviceDriverMonitor ddrm(policy);
   ASSERT_TRUE(kernel_.Interpose(server_pid_, port_, &monitor).ok());
-  EXPECT_LE(AllocationsAfterWarmUp(
+  ASSERT_TRUE(kernel_.Interpose(server_pid_, port_, &ddrm).ok());
+  EXPECT_EQ(AllocationsAfterWarmUp(
                 [&] { ASSERT_TRUE(kernel_.Call(client_, port_, read_).status.ok()); }),
-            1u);
+            0u);
   std::vector<IpcMessage> messages(8, read_);
   std::vector<IpcReply> replies(8);
-  EXPECT_LE(AllocationsAfterWarmUp(
+  EXPECT_EQ(AllocationsAfterWarmUp(
                 [&] { ASSERT_EQ(kernel_.CallMany(client_, port_, messages, replies), 8u); }),
-            1u);
+            0u);
+  // Warm-up and measured runs: two Calls and two 8-message batches.
+  EXPECT_EQ(*ddrm.metrics().Value("allowed"), 2u * (1 + 8));
 }
 
 // An uncached engine miss: the decision cache is bypassed, so every call

@@ -21,6 +21,7 @@
 #include "net/node.h"
 #include "net/remote_authority.h"
 #include "net/transport.h"
+#include "services/ddrm.h"
 
 namespace nexus::core {
 namespace {
@@ -165,6 +166,51 @@ TEST(MtAuthzStressTest, ConcurrentInterningConvergesToOneIdPerFormula) {
       }
     }
   }
+}
+
+// The decision-cached DDRM, one instance shared by concurrent callers as
+// apps::Fauxbook installs it on its driver port: Kernel::CallMany runs
+// interceptors on the caller's thread with no kernel lock held. Every
+// worker asks verdicts no other worker has asked (its own unknown ops and
+// ipc_send targets) beside the allowed ops all of them share, so a
+// monitor that records verdicts as it answers writes under the others'
+// reads.
+TEST(MtAuthzStressTest, ConcurrentCallsShareOneCachedDriverMonitor) {
+  services::DdrmPolicy policy;
+  policy.allowed_operations = {"send", "recv", "ipc_send"};
+  policy.allowed_ipc_targets = {7};
+  services::DeviceDriverMonitor monitor(policy);
+  constexpr int kWorkers = 4;
+  constexpr int kIters = 300;
+  std::atomic<uint64_t> allowed{0};
+  std::atomic<uint64_t> unexpected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWorkers; ++t) {
+    threads.emplace_back([&, t] {
+      const kernel::IpcContext context;
+      auto ask = [&](kernel::IpcMessage message, bool expect_allow) {
+        const bool allow = monitor.OnCall(context, message) == kernel::InterposeVerdict::kAllow;
+        allowed.fetch_add(allow ? 1 : 0);
+        unexpected.fetch_add(allow != expect_allow ? 1 : 0);
+      };
+      for (int i = 0; i < kIters; ++i) {
+        ask(kernel::IpcMessage::Of(i % 2 == 0 ? "send" : "recv"), true);
+        ask(kernel::IpcMessage::Of("mt_ddrm_op_" + std::to_string(t) + "_" + std::to_string(i)),
+            false);
+        kernel::IpcMessage ipc_send = kernel::IpcMessage::Of("ipc_send");
+        const bool to_allowed = i % 3 == 0;
+        ipc_send.AddPort(to_allowed ? 7 : 1000 + static_cast<kernel::PortId>(t * kIters + i));
+        ask(std::move(ipc_send), to_allowed);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(unexpected.load(), 0u);
+  EXPECT_EQ(*monitor.metrics().Value("allowed"), allowed.load());
+  EXPECT_EQ(*monitor.metrics().Value("allowed") + *monitor.metrics().Value("denied"),
+            uint64_t{kWorkers} * kIters * 3);
 }
 
 TEST(MtAuthzStressTest, ConcurrentNameTableInternAndResolve) {

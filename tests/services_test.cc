@@ -299,17 +299,66 @@ TEST(DdrmTest, MemoDoesNotCollapseDistinctCallShapes) {
   EXPECT_EQ(monitor.OnCall(context, no_target), kernel::InterposeVerdict::kDeny);
 }
 
-TEST(DdrmTest, DecisionMemoDoesNotChangeVerdicts) {
-  DdrmPolicy policy;
-  policy.allowed_operations = {"send"};
-  DeviceDriverMonitor cached(policy, /*cache_decisions=*/true);
-  DeviceDriverMonitor uncached(policy, /*cache_decisions=*/false);
+TEST(DdrmTest, VerdictTableMatchesPerMessageProofChecks) {
+  // Every message of the matrix goes through a cached monitor (verdict
+  // table) and an uncached one (a proof check per message) under each of
+  // four policies; both must agree with each other and with the policy.
   kernel::IpcContext context;
-  for (int i = 0; i < 100; ++i) {
-    kernel::IpcMessage send = kernel::IpcMessage::Of("send");
-    kernel::IpcMessage drop = kernel::IpcMessage::Of("drop");
-    EXPECT_EQ(cached.OnCall(context, send), uncached.OnCall(context, send));
-    EXPECT_EQ(cached.OnCall(context, drop), uncached.OnCall(context, drop));
+  for (bool content_access : {false, true}) {
+    for (bool restrict_targets : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "content_access=" << content_access
+                                      << " restrict_targets=" << restrict_targets);
+      DdrmPolicy policy;
+      policy.allowed_operations = {"send", "read_page", "write_page", "ipc_send"};
+      policy.allow_page_content_access = content_access;
+      if (restrict_targets) {
+        policy.allowed_ipc_targets = {7};
+      }
+      DeviceDriverMonitor cached(policy, /*cache_decisions=*/true);
+      DeviceDriverMonitor uncached(policy, /*cache_decisions=*/false);
+
+      struct Case {
+        const char* name;
+        kernel::IpcMessage message;
+        bool allowed;
+      };
+      kernel::IpcMessage to_seven = kernel::IpcMessage::Of("ipc_send");
+      to_seven.AddPort(7);
+      kernel::IpcMessage to_nine = kernel::IpcMessage::Of("ipc_send");
+      to_nine.AddPort(9);
+      kernel::IpcMessage to_text = kernel::IpcMessage::Of("ipc_send");
+      to_text.AddString("7");
+      // Interned only now, after both monitors were built.
+      const std::string late_op = "ddrm_matrix_late_" + std::to_string(content_access) +
+                                  std::to_string(restrict_targets);
+      const std::vector<Case> cases = {
+          {"allowed op", kernel::IpcMessage::Of("send"), true},
+          {"unknown op", kernel::IpcMessage::Of("format_disk"), false},
+          {"read_page", kernel::IpcMessage::Of("read_page"), content_access},
+          {"write_page", kernel::IpcMessage::Of("write_page"), content_access},
+          {"ipc_send to 7", to_seven, true},
+          {"ipc_send to 9", to_nine, !restrict_targets},
+          {"ipc_send without a slot", kernel::IpcMessage::Of("ipc_send"), !restrict_targets},
+          {"ipc_send with a string slot", to_text, !restrict_targets},
+          {"op interned after construction", kernel::IpcMessage::Of(late_op), false},
+      };
+      // Twice over, so a verdict the cached monitor has already given is
+      // asked again.
+      for (int round = 0; round < 2; ++round) {
+        for (const Case& c : cases) {
+          kernel::IpcMessage for_cached = c.message;
+          kernel::IpcMessage for_uncached = c.message;
+          const kernel::InterposeVerdict expected =
+              c.allowed ? kernel::InterposeVerdict::kAllow : kernel::InterposeVerdict::kDeny;
+          EXPECT_EQ(cached.OnCall(context, for_cached), expected) << c.name;
+          EXPECT_EQ(uncached.OnCall(context, for_uncached), expected) << c.name;
+        }
+      }
+      EXPECT_EQ(*cached.metrics().Value("allowed"), *uncached.metrics().Value("allowed"));
+      EXPECT_EQ(*cached.metrics().Value("denied"), *uncached.metrics().Value("denied"));
+      EXPECT_EQ(*cached.metrics().Value("allowed") + *cached.metrics().Value("denied"),
+                2 * cases.size());
+    }
   }
 }
 
