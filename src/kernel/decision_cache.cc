@@ -12,7 +12,18 @@ uint64_t HashTuple(const AuthzRequest& r) {
   return Mix64(packed ^ Mix64(r.subject + 0x9e3779b97f4a7c15ULL));
 }
 
+// Lock-free probes a lookup tries before it waits on the shard mutex: a
+// writer still inside after this many is likely preempted mid-insert.
+constexpr int kOptimisticProbes = 4;
+
 }  // namespace
+
+DecisionCache::Shard::Shard(size_t num_entries, size_t num_subregions)
+    : entries(num_entries), generations(num_subregions) {
+  for (std::atomic<uint64_t>& gen : generations) {
+    gen.store(1, std::memory_order_relaxed);
+  }
+}
 
 DecisionCache::DecisionCache() : DecisionCache(Config{}) {}
 
@@ -26,9 +37,8 @@ void DecisionCache::Resize(const Config& config) {
   shards_.clear();
   shards_.reserve(config_.num_shards);
   for (size_t i = 0; i < config_.num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->entries.assign(config_.num_subregions * config_.entries_per_subregion, Entry{});
-    shard->generations.assign(config_.num_subregions, 1);
+    auto shard = std::make_unique<Shard>(
+        config_.num_subregions * config_.entries_per_subregion, config_.num_subregions);
     // Fresh instruments per reconfiguration; the superseded counters stay
     // in the group, so metrics().Value and the registry's totals keep
     // counting across a Resize.
@@ -48,8 +58,8 @@ void DecisionCache::Clear() {
   // the clear drop for the same reason.)
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (uint64_t& gen : shard->generations) {
-      ++gen;
+    for (std::atomic<uint64_t>& gen : shard->generations) {
+      gen.store(gen.load(std::memory_order_relaxed) + 1, std::memory_order_release);
     }
   }
 }
@@ -75,59 +85,88 @@ std::vector<uint64_t> DecisionCache::SubregionGenerations(OpId op, ObjectId obj)
   std::vector<uint64_t> gens;
   gens.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    gens.push_back(shard->generations[sub]);
+    gens.push_back(shard->generations[sub].load(std::memory_order_acquire));
   }
   return gens;
 }
 
-DecisionCache::Entry* DecisionCache::FindLocked(Shard& shard, const AuthzRequest& request) {
-  size_t sub = SubregionIndex(request.op, request.obj);
-  uint64_t generation = shard.generations[sub];
+const DecisionCache::Entry* DecisionCache::Find(const Shard& shard, size_t sub,
+                                                uint64_t generation,
+                                                const AuthzRequest& request) const {
   uint64_t key = HashTuple(request);
   size_t base = sub * config_.entries_per_subregion;
   size_t start = static_cast<size_t>(key % config_.entries_per_subregion);
-  // Linear probe within the subregion. An entry stamped with an older
+  // Linear probe within the subregion. An entry stamped with another
   // generation was invalidated (or the slot was never filled: stamp 0);
   // either way it terminates the probe chain exactly as an empty slot did.
   for (size_t i = 0; i < config_.entries_per_subregion; ++i) {
-    Entry& e = shard.entries[base + (start + i) % config_.entries_per_subregion];
-    if (e.generation != generation) {
+    const Entry& e = shard.entries[base + (start + i) % config_.entries_per_subregion];
+    if (e.generation.load(std::memory_order_acquire) != generation) {
       return nullptr;
     }
-    if (e.subject == request.subject && e.op == request.op && e.obj == request.obj) {
+    if (e.subject.load(std::memory_order_acquire) == request.subject &&
+        e.op.load(std::memory_order_acquire) == request.op &&
+        e.obj.load(std::memory_order_acquire) == request.obj) {
       return &e;
     }
   }
   return nullptr;
 }
 
-std::optional<bool> DecisionCache::Lookup(const AuthzRequest& request) {
+// Seqlock ordering without standalone fences (ThreadSanitizer does not
+// model them): an insert makes the sequence word odd, then stores each
+// entry field with release; a reader loads the word and each field with
+// acquire. A reader that loads any field an insert stored therefore also
+// sees that insert's odd word on its second read, and discards the probe.
+std::optional<bool> DecisionCache::Lookup(const AuthzRequest& request, uint64_t* generation) {
   Shard& shard = *shards_[ShardOf(request.subject)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* e = FindLocked(shard, request);
-  if (e == nullptr) {
-    shard.misses->Increment();
-    return std::nullopt;
+  const size_t sub = SubregionIndex(request.op, request.obj);
+  uint64_t gen = 0;
+  std::optional<bool> cached;
+  // The generation and the verdict are read together: under the mutex, or
+  // between two equal even reads of the sequence word.
+  auto probe = [&] {
+    gen = shard.generations[sub].load(std::memory_order_acquire);
+    const Entry* e = Find(shard, sub, gen, request);
+    cached = e == nullptr ? std::nullopt
+                          : std::optional<bool>(e->allow.load(std::memory_order_acquire));
+  };
+  bool consistent = false;
+  for (int attempt = 0; attempt < kOptimisticProbes && !consistent; ++attempt) {
+    const uint64_t seq = shard.seq.load(std::memory_order_acquire);
+    if ((seq & 1) != 0) {
+      continue;  // An insert is storing an entry.
+    }
+    probe();
+    consistent = shard.seq.load(std::memory_order_acquire) == seq;
   }
-  shard.hits->Increment();
-  return e->allow;
+  if (!consistent) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    probe();
+  }
+  if (generation != nullptr) {
+    *generation = gen;
+  }
+  (cached.has_value() ? shard.hits : shard.misses)->Increment();
+  return cached;
 }
 
 void DecisionCache::InsertLocked(Shard& shard, const AuthzRequest& request, bool allow) {
   size_t sub = SubregionIndex(request.op, request.obj);
-  uint64_t generation = shard.generations[sub];
+  uint64_t generation = shard.generations[sub].load(std::memory_order_relaxed);
   uint64_t key = HashTuple(request);
   size_t base = sub * config_.entries_per_subregion;
   size_t start = static_cast<size_t>(key % config_.entries_per_subregion);
   Entry* victim = nullptr;
   for (size_t i = 0; i < config_.entries_per_subregion; ++i) {
     Entry& e = shard.entries[base + (start + i) % config_.entries_per_subregion];
-    if (e.generation != generation) {
+    if (e.generation.load(std::memory_order_relaxed) != generation) {
       victim = &e;  // Empty or invalidated slot.
       break;
     }
-    if (e.subject == request.subject && e.op == request.op && e.obj == request.obj) {
+    if (e.subject.load(std::memory_order_relaxed) == request.subject &&
+        e.op.load(std::memory_order_relaxed) == request.op &&
+        e.obj.load(std::memory_order_relaxed) == request.obj) {
       victim = &e;  // Update in place.
       break;
     }
@@ -136,11 +175,15 @@ void DecisionCache::InsertLocked(Shard& shard, const AuthzRequest& request, bool
     // Subregion full: evict the natural slot (cache is soft state).
     victim = &shard.entries[base + start];
   }
-  victim->generation = generation;
-  victim->allow = allow;
-  victim->subject = request.subject;
-  victim->op = request.op;
-  victim->obj = request.obj;
+  // Only mutex holders write the word, so a load and store suffice.
+  const uint64_t seq = shard.seq.load(std::memory_order_relaxed);
+  shard.seq.store(seq + 1, std::memory_order_relaxed);
+  victim->generation.store(generation, std::memory_order_release);
+  victim->allow.store(allow, std::memory_order_release);
+  victim->subject.store(request.subject, std::memory_order_release);
+  victim->op.store(request.op, std::memory_order_release);
+  victim->obj.store(request.obj, std::memory_order_release);
+  shard.seq.store(seq + 2, std::memory_order_release);
   shard.insertions->Increment();
 }
 
@@ -152,15 +195,16 @@ void DecisionCache::Insert(const AuthzRequest& request, bool allow) {
 
 uint64_t DecisionCache::Generation(const AuthzRequest& request) const {
   const Shard& shard = *shards_[ShardOf(request.subject)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.generations[SubregionIndex(request.op, request.obj)];
+  return shard.generations[SubregionIndex(request.op, request.obj)].load(
+      std::memory_order_acquire);
 }
 
 bool DecisionCache::InsertIfUnchanged(const AuthzRequest& request, bool allow,
                                       uint64_t generation) {
   Shard& shard = *shards_[ShardOf(request.subject)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.generations[SubregionIndex(request.op, request.obj)] != generation) {
+  if (shard.generations[SubregionIndex(request.op, request.obj)].load(
+          std::memory_order_relaxed) != generation) {
     return false;  // An invalidation raced the verdict: drop, don't cache.
   }
   InsertLocked(shard, request, allow);
@@ -172,14 +216,18 @@ void DecisionCache::InvalidateEntry(const AuthzRequest& request, uint64_t* post_
   // breaking probe chains, so invalidate the whole subregion holding the
   // key's probe chain. Only the subject's shard can hold the entry.
   Shard& shard = *shards_[ShardOf(request.subject)];
+  const size_t sub = SubregionIndex(request.op, request.obj);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (FindLocked(shard, request) != nullptr) {
+  std::atomic<uint64_t>& gen = shard.generations[sub];
+  const uint64_t current = gen.load(std::memory_order_relaxed);
+  if (Find(shard, sub, current, request) != nullptr) {
     shard.invalidated_entries->Increment();
   }
   // The generation bump retires the subregion's entries wholesale, and it
   // bumps whether or not an entry existed: an in-flight verdict for this
   // tuple predates the proof update and must not be cached.
-  uint64_t bumped = ++shard.generations[SubregionIndex(request.op, request.obj)];
+  const uint64_t bumped = current + 1;
+  gen.store(bumped, std::memory_order_release);
   if (post_gen != nullptr) {
     *post_gen = bumped;
   }
@@ -198,7 +246,8 @@ void DecisionCache::InvalidateSubregion(OpId op, ObjectId obj,
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
-    uint64_t bumped = ++shard.generations[sub];
+    const uint64_t bumped = shard.generations[sub].load(std::memory_order_relaxed) + 1;
+    shard.generations[sub].store(bumped, std::memory_order_release);
     shard.subregion_invalidations->Increment();
     if (post_gens != nullptr) {
       (*post_gens)[i] = bumped;

@@ -13,21 +13,30 @@
 //
 // The cache is SHARDED by Mix64(subject) so a multi-worker authorization
 // frontend scales: each shard holds its own subregion array, counters,
-// and lock, and a lookup or insert takes exactly one shard mutex. Because
-// the shard function ignores (operation, object), a setgoal invalidation
-// broadcasts the subregion clear to every shard; metrics().Value sums the
-// per-shard counters.
+// mutex and sequence word. Because the shard function ignores (operation,
+// object), a setgoal invalidation broadcasts the subregion clear to every
+// shard; metrics().Value sums the per-shard counters.
+//
+// A lookup stores nothing shared. It is a seqlock reader: it reads the
+// subregion generation and probes the entries between two reads of the
+// shard's sequence word, and retries if a writer was inside (the word was
+// odd) or came and went (the word changed). Writers take the shard mutex;
+// an insert makes the word odd around its entry stores. A reader that
+// keeps finding a writer inside takes the mutex instead of spinning.
 //
 // Every (shard, subregion) carries a GENERATION, bumped on invalidation,
-// Clear, and Resize. A caller computing a verdict outside the cache lock
-// (the kernel's engine upcall) snapshots the generation before the upcall
-// and inserts with InsertIfUnchanged: a concurrent setgoal/setproof that
+// Clear, and Resize. An entry is live only while its stamp equals the
+// generation the reader read, so a bump retires entries without touching
+// the sequence word. A caller computing a verdict outside the cache lock
+// (the kernel's engine upcall) takes the generation its miss read and
+// inserts with InsertIfUnchanged: a concurrent setgoal/setproof that
 // invalidated the subregion in between bumps the generation and the stale
 // verdict is dropped instead of cached — preserving the serial decision
 // order the flush-boundary discipline defines.
 #ifndef NEXUS_KERNEL_DECISION_CACHE_H_
 #define NEXUS_KERNEL_DECISION_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -54,8 +63,12 @@ class DecisionCache {
   DecisionCache();
   explicit DecisionCache(const Config& config);
 
-  // Returns the cached verdict, if any. Thread-safe.
-  std::optional<bool> Lookup(const AuthzRequest& request);
+  // Returns the cached verdict, if any. Thread-safe; takes no lock unless
+  // a writer keeps the shard busy. When `generation` is non-null it
+  // receives the subregion generation the probe ran under: a hit's entry
+  // carries exactly that stamp, and a miss may use it as the snapshot
+  // for InsertIfUnchanged.
+  std::optional<bool> Lookup(const AuthzRequest& request, uint64_t* generation = nullptr);
   std::optional<bool> Lookup(ProcessId subject, std::string_view operation,
                              std::string_view object) {
     return Lookup(AuthzRequest::Of(subject, operation, object));
@@ -77,7 +90,7 @@ class DecisionCache {
   // The generation of (op, obj)'s subregion in EVERY shard, in shard
   // order. This is the mutation log's stamp: read after an invalidation
   // bump it tells a trace auditor exactly which cached-verdict window the
-  // mutation retired, per shard. Each shard is locked in turn (not a
+  // mutation retired, per shard. Each shard is read in turn (not a
   // global snapshot; generations only grow, which is all the auditor
   // needs).
   std::vector<uint64_t> SubregionGenerations(OpId op, ObjectId obj) const;
@@ -131,26 +144,34 @@ class DecisionCache {
   const Config& config() const { return config_; }
 
  private:
+  // Fields are atomics: a lookup reads them while an insert under the
+  // shard mutex may be storing them, and the sequence word, not the field,
+  // tells the reader whether what it read is whole (Lookup in the .cc
+  // gives the ordering).
   struct Entry {
     // The subregion generation this entry was inserted under; the entry is
     // live iff it equals the current generation (epoch invalidation:
     // clearing a subregion is one counter bump, not an entry walk).
     // Generations start at 1, so a zero-initialized entry is never live.
-    uint64_t generation = 0;
-    bool allow = false;
-    ProcessId subject = 0;
-    OpId op = 0;
-    ObjectId obj = 0;
+    std::atomic<uint64_t> generation{0};
+    std::atomic<bool> allow{false};
+    std::atomic<ProcessId> subject{0};
+    std::atomic<OpId> op{0};
+    std::atomic<ObjectId> obj{0};
   };
 
-  // A shard owns its mutex; unique_ptr keeps the vector reconfigurable.
-  // Tallies are registry instruments (metrics plane, "cache.*"): relaxed
-  // atomics, one set per shard so shards never contend on a shared
-  // counter; metrics().Value and the registry snapshot sum them.
-  struct Shard {
+  // Tallies are registry instruments (metrics plane, "cache.*"), one set
+  // per shard; metrics().Value and the registry snapshot sum them. A shard
+  // starts on its own cache line so its sequence word and generations
+  // share no line with a neighbour's.
+  struct alignas(64) Shard {
+    Shard(size_t num_entries, size_t num_subregions);
+
+    // Odd while an insert is storing an entry. Written only under `mu`.
+    std::atomic<uint64_t> seq{0};
     mutable std::mutex mu;
-    std::vector<Entry> entries;       // num_subregions * entries_per_subregion
-    std::vector<uint64_t> generations;  // per subregion
+    std::vector<Entry> entries;  // num_subregions * entries_per_subregion
+    std::vector<std::atomic<uint64_t>> generations;  // per subregion
     metrics::Counter* hits = nullptr;
     metrics::Counter* misses = nullptr;
     metrics::Counter* insertions = nullptr;
@@ -159,8 +180,12 @@ class DecisionCache {
   };
 
   size_t SubregionIndex(OpId op, ObjectId obj) const;
-  // The matching entry in `shard`, or nullptr. Caller holds shard.mu.
-  Entry* FindLocked(Shard& shard, const AuthzRequest& request);
+  // The entry matching `request` among those stamped `generation` in
+  // subregion `sub`, or nullptr. Either the caller holds shard.mu, or it
+  // is a seqlock reader that discards the result if the sequence word
+  // moved.
+  const Entry* Find(const Shard& shard, size_t sub, uint64_t generation,
+                    const AuthzRequest& request) const;
   void InsertLocked(Shard& shard, const AuthzRequest& request, bool allow);
 
   Config config_;

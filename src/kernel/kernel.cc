@@ -906,14 +906,12 @@ void Kernel::AuthorizeRequests(std::span<const AuthzRequest> requests,
     std::optional<bool> cached;
     uint64_t generation = 0;
     if (cache_enabled) {
-      cached = decision_cache_.Lookup(request);
-      // A traced probe is stamped with the subregion generation. A miss
-      // snapshots it before the engine upcall, which runs outside the cache
-      // locks: InsertIfUnchanged then drops a verdict that raced a
-      // setgoal/setproof invalidation instead of caching it stale.
-      if (trace.active() || !cached.has_value()) {
-        generation = decision_cache_.Generation(request);
-      }
+      // The probe yields the subregion generation it ran under. It stamps
+      // a traced probe and hit, and a miss carries it as the snapshot for
+      // the engine upcall, which runs outside the cache locks:
+      // InsertIfUnchanged then drops a verdict that raced a setgoal/setproof
+      // invalidation instead of caching it stale.
+      cached = decision_cache_.Lookup(request, &generation);
       if (trace.active()) {
         EmitAuthzEvent(trace, TraceStage::kCacheProbe, request, generation,
                        cached.has_value() ? kTraceFlagCacheHit : kTraceFlagCacheMiss,
@@ -923,11 +921,13 @@ void Kernel::AuthorizeRequests(std::span<const AuthzRequest> requests,
     if (cached.has_value()) {
       if (!*cached) {
         authorize_denies_->Increment();
-        verdicts[i] = PermissionDenied("denied (cached guard decision)");
+        // Short enough for std::string's inline buffer: a cached deny
+        // allocates nothing.
+        verdicts[i] = PermissionDenied("cached deny");
       }
       if (trace.active()) {
-        // A hit is valid exactly under the generation the probe observed
-        // (Lookup only returns entries stamped with the current gen).
+        // A hit is valid exactly under the generation its probe read
+        // (Lookup only returns entries stamped with that generation).
         EmitAuthzEvent(trace, TraceStage::kVerdict, request, generation,
                        kTraceFlagCacheHit | (*cached ? uint16_t{0} : kTraceFlagDenied),
                        *cached ? kTraceVerdictAllow : kTraceVerdictDeny);

@@ -1,7 +1,8 @@
 // The kernel-wide metrics plane.
 //
 // Named lock-free instruments cheap enough for the authorization hot path:
-// counters and gauges are single relaxed atomics, histograms are log2-
+// counters are per-thread cells of relaxed atomics summed on read, gauges
+// are single relaxed atomics, histograms are log2-
 // bucketed tallies fed cycle counts from util/cycles.h. A MetricGroup is
 // the only place a component keeps a tally and the only way anything reads
 // one: per instance through the group (MetricGroup::Value — a fresh Guard
@@ -16,12 +17,13 @@
 // reports everything that ever happened.
 //
 // Threading: Increment/Set/Record are wait-free relaxed atomics — they
-// never synchronize data, only tally. Snapshot/Render take the registry
+// never synchronize data, only tally (a thread's first Increment takes a
+// mutex once, to be dealt its counter cell). Snapshot/Render take the registry
 // mutex, then each group's mutex (always in that order; group
 // construction/destruction takes the registry mutex without holding its
-// own). Counter reads in a snapshot are relaxed loads: a snapshot racing
-// live increments sees a value each instrument actually passed through,
-// never a torn one.
+// own). Counter reads in a snapshot are relaxed loads of each cell: a
+// snapshot racing live increments reads a total between the counter's
+// values when the read began and when it ended, never a torn one.
 #ifndef NEXUS_UTIL_METRICS_H_
 #define NEXUS_UTIL_METRICS_H_
 
@@ -40,13 +42,39 @@
 
 namespace nexus::metrics {
 
+// A counter is kCells cache-line cells. A thread adds into the cell it was
+// dealt on first use, the one the fewest live threads hold, so up to kCells
+// concurrent threads bumping the same counter store to different lines;
+// Value sums the cells.
 class Counter {
  public:
-  void Increment(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  static constexpr size_t kCells = 4;
+
+  void Increment(uint64_t delta = 1) {
+    cells_[ThreadCell()].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+  uint64_t Value() const {
+    uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+
+  // Deals the calling thread the least-held cell and returns it to the
+  // pool when the thread exits.
+  static size_t DealCell();
+  static size_t ThreadCell() {
+    thread_local const size_t cell = DealCell();
+    return cell;
+  }
+
+  Cell cells_[kCells];
 };
 
 class Gauge {

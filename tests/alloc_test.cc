@@ -56,9 +56,16 @@ size_t AllocationsAfterWarmUp(Op op) {
   return t_allocations - before;
 }
 
-class AllowAllEngine : public AuthorizationEngine {
+// Allows everything but the "alloc:denied" object; both verdicts cache.
+class DenyOneObjectEngine : public AuthorizationEngine {
  public:
-  AuthzDecision Authorize(const AuthzRequest&) override { return AuthzDecision::Allow(); }
+  AuthzDecision Authorize(const AuthzRequest& request) override {
+    return request.obj == denied_ ? AuthzDecision::Deny(PermissionDenied("denied"))
+                                  : AuthzDecision::Allow();
+  }
+
+ private:
+  const ObjectId denied_ = InternObject("alloc:denied");
 };
 
 // Authorizes the caller for the message's object, like the guarded
@@ -100,7 +107,7 @@ class AllocTest : public ::testing::Test {
     read_.AddObject(object_);
   }
 
-  AllowAllEngine engine_;
+  DenyOneObjectEngine engine_;
   Kernel kernel_;
   AuthorizingServer server_;
   ProcessId server_pid_ = 0;
@@ -113,6 +120,22 @@ class AllocTest : public ::testing::Test {
 TEST_F(AllocTest, CachedAuthorizeAllocatesNothing) {
   const AuthzRequest request{client_, read_.op, object_};
   EXPECT_EQ(AllocationsAfterWarmUp([&] { ASSERT_TRUE(kernel_.Authorize(request).ok()); }), 0u);
+}
+
+TEST_F(AllocTest, CachedDenyAllocatesNothing) {
+  const ObjectId denied = InternObject("alloc:denied");
+  const AuthzRequest request{client_, read_.op, denied};
+  EXPECT_EQ(AllocationsAfterWarmUp([&] {
+              ASSERT_EQ(kernel_.Authorize(request).code(), ErrorCode::kPermissionDenied);
+            }),
+            0u);
+  IpcMessage denied_read = IpcMessage::Of("alloc-read");
+  denied_read.AddObject(denied);
+  EXPECT_EQ(AllocationsAfterWarmUp([&] {
+              ASSERT_EQ(kernel_.Call(client_, port_, denied_read).status.code(),
+                        ErrorCode::kPermissionDenied);
+            }),
+            0u);
 }
 
 TEST_F(AllocTest, UninterposedCallAllocatesNothing) {

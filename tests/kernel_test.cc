@@ -1830,6 +1830,22 @@ TEST(DecisionCacheTest, GenerationGuardedInsertDropsStaleVerdict) {
   EXPECT_FALSE(cache.InsertIfUnchanged(request, false, generation));
 }
 
+TEST(DecisionCacheTest, LookupYieldsTheGenerationItsProbeRead) {
+  DecisionCache cache;
+  const AuthzRequest request = AuthzRequest::Of(1, "read", "file:/x");
+  const uint64_t inserted_under = cache.Generation(request);
+  cache.Insert(request, true);
+  uint64_t generation = 0;
+  ASSERT_TRUE(cache.Lookup(request, &generation).has_value());
+  EXPECT_EQ(generation, inserted_under);
+  // After a setgoal the same tuple misses, under the bumped generation.
+  std::vector<uint64_t> post_gens;
+  cache.InvalidateSubregion(request.op, request.obj, &post_gens);
+  EXPECT_FALSE(cache.Lookup(request, &generation).has_value());
+  EXPECT_EQ(generation, inserted_under + 1);
+  EXPECT_EQ(generation, post_gens[cache.ShardOf(request.subject)]);
+}
+
 // ------------------------------------------------- Kernel + cache wiring
 
 TEST(KernelAuthorizeTest, NoEngineAllowsEverything) {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -281,6 +283,61 @@ TEST(MtAuthzStressTest, DecisionCacheShardsSurviveConcurrentChurn) {
   EXPECT_EQ(wrong_verdicts.load(), 0u);
   EXPECT_GT(*cache.metrics().Value("insertions"), 0u);
   EXPECT_GT(*cache.metrics().Value("subregion_invalidations"), 0u);
+}
+
+// The seqlock hit path against torn entries. One shard, one subregion, two
+// slots: six subjects evict each other on every insert, and each subject's
+// verdict is its parity, so a lookup that matched one insert's subject but
+// read another's verdict sees the wrong parity. Readers also race the
+// generation bumps of periodic subregion invalidations.
+TEST(MtAuthzStressTest, DecisionCacheLookupsNeverReadATornEntry) {
+  kernel::DecisionCache cache(kernel::DecisionCache::Config{
+      .num_subregions = 1, .entries_per_subregion = 2, .num_shards = 1});
+  const kernel::OpId op = kernel::InternOp("torn");
+  const kernel::ObjectId obj = kernel::InternObject("torn:object");
+  constexpr uint64_t kSubjects = 6;
+  constexpr uint64_t kInsertsPerInvalidation = 4096;
+  auto request_for = [&](uint64_t i) {
+    return kernel::AuthzRequest{1 + i % kSubjects, op, obj};
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> torn{0};
+  std::vector<std::thread> threads;
+  for (uint64_t writer = 0; writer < 2; ++writer) {
+    threads.emplace_back([&, writer] {
+      for (uint64_t i = writer; !stop.load(std::memory_order_relaxed); ++i) {
+        const kernel::AuthzRequest request = request_for(i);
+        cache.Insert(request, request.subject % 2 == 1);
+        if (i % kInsertsPerInvalidation == 0) {
+          cache.InvalidateSubregion(op, obj);
+        }
+      }
+    });
+  }
+  for (uint64_t reader = 0; reader < 2; ++reader) {
+    threads.emplace_back([&, reader] {
+      uint64_t my_hits = 0;
+      uint64_t my_torn = 0;
+      for (uint64_t i = reader; !stop.load(std::memory_order_relaxed); ++i) {
+        const kernel::AuthzRequest request = request_for(i);
+        std::optional<bool> cached = cache.Lookup(request);
+        if (cached.has_value()) {
+          ++my_hits;
+          my_torn += *cached != (request.subject % 2 == 1) ? 1 : 0;
+        }
+      }
+      hits += my_hits;
+      torn += my_torn;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(torn.load(), 0u) << "of " << hits.load() << " hits";
+  EXPECT_GT(hits.load(), 0u);
 }
 
 // THE parallel-miss-path acceptance test: two subjects whose authorization

@@ -270,20 +270,25 @@ TEST(DdrmTest, RestrictsIpcTargets) {
   policy.allowed_ipc_targets = {7};
   DeviceDriverMonitor monitor(policy);
   kernel::IpcContext context;
-  // One typed port slot, one legacy decimal string: both decode.
+  // The target is read from a typed port slot only: a listed port is
+  // allowed, an unlisted one denied, and a listed number sent as text is
+  // denied too, because a string slot never decodes as a port.
   kernel::IpcMessage to_webserver = kernel::IpcMessage::Of("ipc_send");
   to_webserver.AddPort(7);
   kernel::IpcMessage to_other = kernel::IpcMessage::Of("ipc_send");
-  to_other.AddString("9");
+  to_other.AddPort(9);
+  kernel::IpcMessage to_webserver_as_text = kernel::IpcMessage::Of("ipc_send");
+  to_webserver_as_text.AddString("7");
   EXPECT_EQ(monitor.OnCall(context, to_webserver), kernel::InterposeVerdict::kAllow);
   EXPECT_EQ(monitor.OnCall(context, to_other), kernel::InterposeVerdict::kDeny);
+  EXPECT_EQ(monitor.OnCall(context, to_webserver_as_text), kernel::InterposeVerdict::kDeny);
 }
 
 TEST(DdrmTest, MemoDoesNotCollapseDistinctCallShapes) {
-  // Regression: the integer memo key must keep "ipc_send to port 0"
-  // distinct from "ipc_send with no target" — a cached allow for the
-  // former must never be replayed for the latter (which Evaluate denies
-  // when a target whitelist is configured).
+  // The verdict table decides per operation, so two messages of one
+  // allowed operation differ only in their target: "ipc_send to port 0"
+  // is allowed and "ipc_send with no target" denied under a target list,
+  // on first sight and on every repeat.
   DdrmPolicy policy;
   policy.allowed_operations = {"ipc_send"};
   policy.allowed_ipc_targets = {0};

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/metrics.h"
@@ -312,6 +314,34 @@ TEST(MetricsTest, ValueSumsSameNamedCountersOfOneGroup) {
   // The per-instance reads are each group's share of the registry view.
   EXPECT_EQ(registry.TakeSnapshot().at("cache.hits").value,
             static_cast<int64_t>(*group.Value("hits") + *other.Value("hits")));
+}
+
+TEST(MetricsTest, ConcurrentIncrementsSumExactly) {
+  metrics::Registry registry;
+  metrics::MetricGroup group(&registry, "mt");
+  metrics::Counter* first = group.NewCounter("calls");
+  metrics::Counter* second = group.NewCounter("calls");
+  // More threads than a counter has cells: while more than kCells run,
+  // some share a cell.
+  constexpr uint64_t kThreads = metrics::Counter::kCells + 2;
+  constexpr uint64_t kIncrements = 20000;
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t i = 0; i < kIncrements; ++i) {
+        first->Increment();
+        second->Increment(2);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(first->Value(), kThreads * kIncrements);
+  EXPECT_EQ(second->Value(), 2 * kThreads * kIncrements);
+  EXPECT_EQ(*group.Value("calls"), 3 * kThreads * kIncrements);
+  EXPECT_EQ(registry.TakeSnapshot().at("mt.calls").value,
+            static_cast<int64_t>(3 * kThreads * kIncrements));
 }
 
 TEST(MetricsTest, SnapshotPrefixFilters) {
