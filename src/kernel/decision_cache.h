@@ -162,8 +162,9 @@ class DecisionCache {
 
   // Tallies are registry instruments (metrics plane, "cache.*"), one set
   // per shard; metrics().Value and the registry snapshot sum them. A shard
-  // starts on its own cache line so its sequence word and generations
-  // share no line with a neighbour's.
+  // starts on its own cache line so its sequence word and mutex share no
+  // line with a neighbouring shard's. (The entries and generations are
+  // separate heap buffers; the alignment does not place them.)
   struct alignas(64) Shard {
     Shard(size_t num_entries, size_t num_subregions);
 

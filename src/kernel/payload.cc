@@ -36,7 +36,7 @@ Payload& Payload::operator=(Bytes&& bytes) {
   return *this;
 }
 
-Payload Payload::Slice(std::shared_ptr<Bytes> arena, size_t offset, size_t length) {
+Payload Payload::Slice(const std::shared_ptr<Bytes>& arena, size_t offset, size_t length) {
   Payload out;
   if (arena == nullptr) {
     return out;
@@ -46,7 +46,7 @@ Payload Payload::Slice(std::shared_ptr<Bytes> arena, size_t offset, size_t lengt
   if (length == 0) {
     return out;
   }
-  out.arena_ = std::move(arena);
+  out.arena_ = arena;
   out.offset_ = offset;
   out.length_ = length;
   return out;

@@ -72,8 +72,10 @@ class Payload {
 
   // Zero-copy alias of [offset, offset+length) of a shared arena — the
   // fileserver hands back a slice of its backing store with this. The
-  // range is clamped to the arena's size.
-  static Payload Slice(std::shared_ptr<Bytes> arena, size_t offset, size_t length);
+  // range is clamped to the arena's size. An empty range yields an empty
+  // payload without touching the arena's refcount, which many threads
+  // replying from one arena would otherwise all store to.
+  static Payload Slice(const std::shared_ptr<Bytes>& arena, size_t offset, size_t length);
 
   // ---- Read surface (const; never copies, never detaches).
   size_t size() const { return length_; }

@@ -40,33 +40,6 @@ uint64_t InstrumentValue::ApproxQuantile(double q) const {
   return ~0ULL;
 }
 
-size_t Counter::DealCell() {
-  // How many live threads hold each cell index. A thread's index outlives
-  // its release (it is a plain thread_local), so a counter bumped from a
-  // later thread-exit destructor still lands in a valid cell.
-  static std::mutex mu;
-  static size_t holders[kCells] = {};
-  struct Release {
-    size_t cell;
-    ~Release() {
-      std::lock_guard<std::mutex> lock(mu);
-      --holders[cell];
-    }
-  };
-  size_t cell = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (size_t i = 1; i < kCells; ++i) {
-      if (holders[i] < holders[cell]) {
-        cell = i;
-      }
-    }
-    ++holders[cell];
-  }
-  thread_local Release release{cell};
-  return cell;
-}
-
 Registry& Registry::Global() {
   // Leaked: instruments are touched from thread_local destructors and
   // process-exit dump hooks, so the registry must outlive static teardown.

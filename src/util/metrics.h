@@ -17,8 +17,7 @@
 // reports everything that ever happened.
 //
 // Threading: Increment/Set/Record are wait-free relaxed atomics — they
-// never synchronize data, only tally (a thread's first Increment takes a
-// mutex once, to be dealt its counter cell). Snapshot/Render take the registry
+// never synchronize data, only tally. Snapshot/Render take the registry
 // mutex, then each group's mutex (always in that order; group
 // construction/destruction takes the registry mutex without holding its
 // own). Counter reads in a snapshot are relaxed loads of each cell: a
@@ -43,9 +42,9 @@
 namespace nexus::metrics {
 
 // A counter is kCells cache-line cells. A thread adds into the cell it was
-// dealt on first use, the one the fewest live threads hold, so up to kCells
-// concurrent threads bumping the same counter store to different lines;
-// Value sums the cells.
+// dealt on its first increment, round-robin across threads, so any kCells
+// threads that first count one after another bump the same counter on
+// different lines; Value sums the cells.
 class Counter {
  public:
   static constexpr size_t kCells = 4;
@@ -66,11 +65,9 @@ class Counter {
     std::atomic<uint64_t> value{0};
   };
 
-  // Deals the calling thread the least-held cell and returns it to the
-  // pool when the thread exits.
-  static size_t DealCell();
   static size_t ThreadCell() {
-    thread_local const size_t cell = DealCell();
+    static std::atomic<size_t> next{0};
+    thread_local const size_t cell = next.fetch_add(1, std::memory_order_relaxed) % kCells;
     return cell;
   }
 

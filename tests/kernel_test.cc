@@ -803,6 +803,12 @@ TEST(PayloadTest, SliceAliasesWithoutCopying) {
   Payload copy = slice;
   EXPECT_EQ(IpcPayloadCopyCount(), before);
   EXPECT_EQ(ToString(copy.view()), "234");
+  // An empty range, or one past the end, keeps no reference to the arena.
+  Payload empty = Payload::Slice(arena, 4, 0);
+  Payload past_end = Payload::Slice(arena, 20, 5);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(past_end.empty());
+  EXPECT_EQ(arena.use_count(), 3);  // arena, slice, copy
 }
 
 TEST(PayloadTest, RewritingAliasedReplyDoesNotCorruptRequest) {
